@@ -16,6 +16,13 @@ bnn::ReActNetConfig mid_config(std::uint64_t seed) {
   return config;
 }
 
+Tensor run_forward(const bnn::ReActNet& model, const Tensor& image) {
+  bnn::Workspace workspace(model.memory_plan());
+  Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
+  model.forward_into(image, scores, workspace);
+  return scores;
+}
+
 EngineOptions no_clustering() {
   EngineOptions options;
   options.clustering = false;

@@ -24,6 +24,10 @@ bnn::ReActNetConfig tiny_config(std::uint64_t seed);
 /// Large enough for per-block frequency statistics to be meaningful.
 bnn::ReActNetConfig mid_config(std::uint64_t seed);
 
+/// One image through ReActNet::forward_into with a fresh workspace
+/// sized by the model's memory plan; returns the class scores.
+Tensor run_forward(const bnn::ReActNet& model, const Tensor& image);
+
 /// Engine options with the Sec III-C clustering pass disabled
 /// (encoding-only mode; inference stays bit-exact).
 EngineOptions no_clustering();

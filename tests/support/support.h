@@ -4,7 +4,8 @@
 // headers for what lives where:
 //
 //   support/configs.h - tiny/mid ReActNet config + EngineOptions
-//                       factories shared by the model-level suites
+//                       factories and the one-image forward helper
+//                       shared by the model-level suites
 //   support/kernels.h - seeded kernel/tensor/stream factories shared by
 //                       the codec and hwsim suites
 //   support/streams.h - bit-stream round-trip helpers
