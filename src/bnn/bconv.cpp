@@ -52,11 +52,6 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                });
 }
 
-Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
-                     ConvGeometry geometry) {
-  return binary_conv2d(pack_feature(input), kernel, geometry);
-}
-
 std::int64_t binary_conv2d_word_ops(const FeatureShape& input,
                                     const KernelShape& kernel,
                                     ConvGeometry geometry) {

@@ -32,12 +32,8 @@ namespace bkc::bnn {
 Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
                      ConvGeometry geometry);
 
-/// Convenience wrapper: binarize + pack a float input, then convolve.
-Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
-                     ConvGeometry geometry);
-
-/// Allocation-free core the Tensor-returning overload wraps: convolve
-/// into caller-provided storage of exactly the geometry's output shape
+/// Allocation-free core that binary_conv2d wraps: convolve into
+/// caller-provided storage of exactly the geometry's output shape
 /// (CheckError otherwise). The caller owns the pack scratch (typically
 /// the Workspace's, filled via pack_feature_into). When
 /// current_num_threads() is 1 the kernel is invoked directly — no

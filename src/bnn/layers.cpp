@@ -3,30 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "bnn/binarize.h"
 #include "bnn/memory_plan.h"
 #include "util/check.h"
 
 namespace bkc::bnn {
-
-// ------------------------------------------------------------ Layer base
-
-void Layer::forward_into(ConstTensorView input, TensorView output,
-                         Workspace& workspace) const {
-  // Compatibility bridge for layers that only implement forward():
-  // materialize, run the allocating path, copy out. Every layer in
-  // this file overrides with a true zero-allocation implementation.
-  (void)workspace;
-  const Tensor result = forward(materialize(input));
-  check(result.shape() == output.shape(),
-        "Layer::forward_into: output view shape does not match the "
-        "forward() result");
-  copy_into(result, output);
-}
-
-FeatureShape Layer::output_shape(const FeatureShape& input_shape) const {
-  return info(input_shape).output_shape;
-}
 
 std::string op_class_name(OpClass op) {
   switch (op) {
@@ -44,50 +24,17 @@ std::string op_class_name(OpClass op) {
   unreachable("op_class_name: bad enum");
 }
 
-// ---------------------------------------------------------------- Sign
-
-Tensor SignActivation::forward(const Tensor& input) const {
-  return binarize(input);
-}
-
-void SignActivation::forward_into(ConstTensorView input, TensorView output,
-                                  Workspace& workspace) const {
-  (void)workspace;
-  check(output.shape() == input.shape(),
-        "SignActivation::forward_into: shape mismatch");
-  const float* in = input.data().data();
-  float* out = output.data().data();
-  const std::int64_t n = input.size();
-  for (std::int64_t i = 0; i < n; ++i) out[i] = sign_binarize(in[i]);
-}
-
-LayerInfo SignActivation::info(const FeatureShape& input_shape) const {
-  return {.name = name(),
-          .op_class = OpClass::kOther,
-          .storage_bits = 0,
-          .macs = static_cast<std::uint64_t>(input_shape.size()),
-          .precision_bits = 32,
-          .output_shape = input_shape};
-}
-
 // ---------------------------------------------------------- BinaryConv2d
 
 BinaryConv2d::BinaryConv2d(std::string name, PackedKernel kernel,
                            ConvGeometry geometry)
     : name_(std::move(name)), kernel_(std::move(kernel)), geometry_(geometry) {}
 
-Tensor BinaryConv2d::forward(const Tensor& input) const {
-  return binary_conv2d(input, kernel_, geometry_);
-}
-
 void BinaryConv2d::forward_into(ConstTensorView input, TensorView output,
                                 Workspace& workspace) const {
   // The pack scratch is the workspace's shared PackedFeature: reshape
   // reuses its reserved word storage, so packing allocates nothing.
-  // pack_feature_into binarizes with the same bit = v >= 0 rule as the
-  // legacy binarize + pack two-step, which is also why a preceding
-  // SignActivation can be skipped entirely (Sequential::forward_into
-  // does): sign(v) >= 0 exactly when v >= 0.
+  // pack_feature_into applies Eq. 1's sign (bit = v >= 0) as it packs.
   PackedFeature& packed = workspace.pack_scratch();
   pack_feature_into(input, packed);
   binary_conv2d_into(packed, kernel_, geometry_, output);
@@ -150,37 +97,21 @@ Int8Conv2d::Int8Conv2d(std::string name, const WeightTensor& weights,
   }
 }
 
-Tensor Int8Conv2d::forward(const Tensor& input) const {
-  const FeatureShape out_shape =
-      geometry_.output_shape(input.shape(), shape_);
-  std::vector<std::int8_t> q_input(input.data().size());
-  Tensor out(out_shape);
-  forward_impl(input, out, q_input);
-  return out;
-}
-
-void Int8Conv2d::forward_into(ConstTensorView input, TensorView output,
+void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
                               Workspace& workspace) const {
-  // Quantization scratch comes from the arena and is released LIFO
-  // before returning, so consecutive int8 layers reuse the same bytes.
-  Arena& arena = workspace.arena();
-  const std::size_t mark = arena.mark();
-  forward_impl(input, output,
-               arena.allocate_span<std::int8_t>(input.size()));
-  arena.rewind(mark);
-}
-
-void Int8Conv2d::forward_impl(ConstTensorView input, TensorView out,
-                              std::span<std::int8_t> q_input) const {
   const FeatureShape in_shape = input.shape();
   check(in_shape.channels == shape_.in_channels,
         "Int8Conv2d: input channel mismatch");
   const FeatureShape out_shape = geometry_.output_shape(in_shape, shape_);
   check(out.shape() == out_shape,
         "Int8Conv2d: output view shape mismatch");
-  check(q_input.size() == input.data().size(),
-        "Int8Conv2d: quantization scratch size mismatch");
 
+  // Quantization scratch comes from the arena and is released LIFO
+  // before returning, so consecutive int8 layers reuse the same bytes.
+  Arena& arena = workspace.arena();
+  const std::size_t mark = arena.mark();
+  const std::span<std::int8_t> q_input =
+      arena.allocate_span<std::int8_t>(input.size());
   // Dynamic symmetric activation quantization (padding quantizes to 0).
   const float in_scale = symmetric_scale(input.data());
   for (std::size_t i = 0; i < q_input.size(); ++i) {
@@ -222,6 +153,7 @@ void Int8Conv2d::forward_impl(ConstTensorView input, TensorView out,
       }
     }
   }
+  arena.rewind(mark);
 }
 
 LayerInfo Int8Conv2d::info(const FeatureShape& input_shape) const {
@@ -255,22 +187,6 @@ Int8Linear::Int8Linear(std::string name, std::int64_t in_features,
   for (float v : weights) weights_.push_back(quantize_value(v, weight_scale_));
 }
 
-Tensor Int8Linear::forward(const Tensor& input) const {
-  std::vector<std::int8_t> q_input(input.data().size());
-  Tensor out(FeatureShape{out_features_, 1, 1});
-  forward_impl(input, out, q_input);
-  return out;
-}
-
-void Int8Linear::forward_into(ConstTensorView input, TensorView output,
-                              Workspace& workspace) const {
-  Arena& arena = workspace.arena();
-  const std::size_t mark = arena.mark();
-  forward_impl(input, output,
-               arena.allocate_span<std::int8_t>(input.size()));
-  arena.rewind(mark);
-}
-
 FeatureShape Int8Linear::output_shape(const FeatureShape& input_shape) const {
   check(input_shape.channels == in_features_ && input_shape.height == 1 &&
             input_shape.width == 1,
@@ -278,16 +194,18 @@ FeatureShape Int8Linear::output_shape(const FeatureShape& input_shape) const {
   return {out_features_, 1, 1};
 }
 
-void Int8Linear::forward_impl(ConstTensorView input, TensorView out,
-                              std::span<std::int8_t> q_input) const {
+void Int8Linear::forward_into(ConstTensorView input, TensorView out,
+                              Workspace& workspace) const {
   const FeatureShape in_shape = input.shape();
   check(in_shape.channels == in_features_ && in_shape.height == 1 &&
             in_shape.width == 1,
         "Int8Linear expects a Cx1x1 input");
   check(out.shape() == FeatureShape{out_features_, 1, 1},
         "Int8Linear: output view shape mismatch");
-  check(q_input.size() == input.data().size(),
-        "Int8Linear: quantization scratch size mismatch");
+  Arena& arena = workspace.arena();
+  const std::size_t mark = arena.mark();
+  const std::span<std::int8_t> q_input =
+      arena.allocate_span<std::int8_t>(input.size());
   const float in_scale = symmetric_scale(input.data());
   for (std::size_t i = 0; i < q_input.size(); ++i) {
     q_input[i] = quantize_value(input.data()[i], in_scale);
@@ -304,6 +222,7 @@ void Int8Linear::forward_impl(ConstTensorView input, TensorView out,
     out.at(o, 0, 0) = static_cast<float>(acc) * dequant +
                       bias_[static_cast<std::size_t>(o)];
   }
+  arena.rewind(mark);
 }
 
 LayerInfo Int8Linear::info(const FeatureShape& input_shape) const {
@@ -329,23 +248,6 @@ BatchNorm::BatchNorm(std::string name, std::vector<float> scale,
   check(!scale_.empty(), "BatchNorm: empty parameters");
 }
 
-Tensor BatchNorm::forward(const Tensor& input) const {
-  const auto& s = input.shape();
-  check(s.channels == static_cast<std::int64_t>(scale_.size()),
-        "BatchNorm: channel mismatch");
-  Tensor out = input;
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    const float scale = scale_[static_cast<std::size_t>(c)];
-    const float bias = bias_[static_cast<std::size_t>(c)];
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      for (std::int64_t x = 0; x < s.width; ++x) {
-        out.at(c, y, x) = out.at(c, y, x) * scale + bias;
-      }
-    }
-  }
-  return out;
-}
-
 void BatchNorm::forward_into(ConstTensorView input, TensorView output,
                              Workspace& workspace) const {
   (void)workspace;
@@ -356,9 +258,7 @@ void BatchNorm::forward_into(ConstTensorView input, TensorView output,
   const float* in = input.data().data();
   float* out = output.data().data();
   const std::int64_t plane = s.height * s.width;
-  // Same per-element expression as forward() (v * scale + bias, one
-  // channel at a time), so results are bit-identical; element order
-  // makes exact aliasing (in == out) safe.
+  // Element-wise in order, so exact aliasing (in == out) is safe.
   for (std::int64_t c = 0; c < s.channels; ++c) {
     const float scale = scale_[static_cast<std::size_t>(c)];
     const float bias = bias_[static_cast<std::size_t>(c)];
@@ -389,24 +289,6 @@ RPReLU::RPReLU(std::string name, std::vector<float> shift_in,
             slope_.size() == shift_out_.size(),
         "RPReLU: parameter size mismatch");
   check(!slope_.empty(), "RPReLU: empty parameters");
-}
-
-Tensor RPReLU::forward(const Tensor& input) const {
-  const auto& s = input.shape();
-  check(s.channels == static_cast<std::int64_t>(slope_.size()),
-        "RPReLU: channel mismatch");
-  Tensor out = input;
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      for (std::int64_t x = 0; x < s.width; ++x) {
-        const float v = out.at(c, y, x) - shift_in_[ci];
-        out.at(c, y, x) =
-            (v > 0.0f ? v : slope_[ci] * v) + shift_out_[ci];
-      }
-    }
-  }
-  return out;
 }
 
 void RPReLU::forward_into(ConstTensorView input, TensorView output,
@@ -444,24 +326,6 @@ LayerInfo RPReLU::info(const FeatureShape& input_shape) const {
 
 // --------------------------------------------------------------- pooling
 
-Tensor AvgPool2x2::forward(const Tensor& input) const {
-  const auto& s = input.shape();
-  check(s.height % 2 == 0 && s.width % 2 == 0,
-        "AvgPool2x2 expects even spatial dims");
-  Tensor out(FeatureShape{s.channels, s.height / 2, s.width / 2});
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    for (std::int64_t y = 0; y < s.height / 2; ++y) {
-      for (std::int64_t x = 0; x < s.width / 2; ++x) {
-        out.at(c, y, x) = 0.25f * (input.at(c, 2 * y, 2 * x) +
-                                   input.at(c, 2 * y, 2 * x + 1) +
-                                   input.at(c, 2 * y + 1, 2 * x) +
-                                   input.at(c, 2 * y + 1, 2 * x + 1));
-      }
-    }
-  }
-  return out;
-}
-
 void AvgPool2x2::forward_into(ConstTensorView input, TensorView output,
                               Workspace& workspace) const {
   (void)workspace;
@@ -482,8 +346,8 @@ void AvgPool2x2::forward_into(ConstTensorView input, TensorView output,
       const float* row0 = plane + 2 * y * s.width;
       const float* row1 = row0 + s.width;
       for (std::int64_t x = 0; x < ow; ++x) {
-        // Same summation order as forward(): (r0c0 + r0c1) + r1c0 +
-        // r1c1, so the float result is bit-identical.
+        // Summation order (r0c0 + r0c1) + r1c0 + r1c1 is part of the
+        // golden scores; keep it.
         oplane[y * ow + x] = 0.25f * (row0[2 * x] + row0[2 * x + 1] +
                                       row1[2 * x] + row1[2 * x + 1]);
       }
@@ -499,20 +363,6 @@ LayerInfo AvgPool2x2::info(const FeatureShape& input_shape) const {
           .precision_bits = 32,
           .output_shape = {input_shape.channels, input_shape.height / 2,
                            input_shape.width / 2}};
-}
-
-Tensor GlobalAvgPool::forward(const Tensor& input) const {
-  const auto& s = input.shape();
-  Tensor out(FeatureShape{s.channels, 1, 1});
-  const auto area = static_cast<float>(s.height * s.width);
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    float sum = 0.0f;
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      for (std::int64_t x = 0; x < s.width; ++x) sum += input.at(c, y, x);
-    }
-    out.at(c, 0, 0) = sum / area;
-  }
-  return out;
 }
 
 void GlobalAvgPool::forward_into(ConstTensorView input, TensorView output,
@@ -544,17 +394,6 @@ LayerInfo GlobalAvgPool::info(const FeatureShape& input_shape) const {
 
 // -------------------------------------------------------------- topology
 
-Tensor residual_add(const Tensor& a, const Tensor& b) {
-  check(a.shape() == b.shape(), "residual_add: shape mismatch (" +
-                                    a.shape().to_string() + " vs " +
-                                    b.shape().to_string() + ")");
-  Tensor out = a;
-  auto bd = b.data();
-  auto od = out.data();
-  for (std::size_t i = 0; i < od.size(); ++i) od[i] += bd[i];
-  return out;
-}
-
 void residual_add_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   check(a.shape() == b.shape(), "residual_add_into: operand shape mismatch");
   check(out.shape() == a.shape(), "residual_add_into: output shape mismatch");
@@ -562,46 +401,8 @@ void residual_add_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   const float* bd = b.data().data();
   float* od = out.data().data();
   const std::int64_t n = out.size();
-  // a[i] + b[i] like residual_add (which copies a then += b); exact
-  // aliasing of out with a is safe (the in-place residual).
+  // Exact aliasing of out with a is safe (the in-place residual).
   for (std::int64_t i = 0; i < n; ++i) od[i] = ad[i] + bd[i];
-}
-
-Tensor concat_channels(const Tensor& a, const Tensor& b) {
-  check(a.shape().height == b.shape().height &&
-            a.shape().width == b.shape().width,
-        "concat_channels: spatial mismatch");
-  const FeatureShape out_shape{a.shape().channels + b.shape().channels,
-                               a.shape().height, a.shape().width};
-  Tensor out(out_shape);
-  for (std::int64_t c = 0; c < a.shape().channels; ++c) {
-    for (std::int64_t y = 0; y < out_shape.height; ++y) {
-      for (std::int64_t x = 0; x < out_shape.width; ++x) {
-        out.at(c, y, x) = a.at(c, y, x);
-      }
-    }
-  }
-  for (std::int64_t c = 0; c < b.shape().channels; ++c) {
-    for (std::int64_t y = 0; y < out_shape.height; ++y) {
-      for (std::int64_t x = 0; x < out_shape.width; ++x) {
-        out.at(a.shape().channels + c, y, x) = b.at(c, y, x);
-      }
-    }
-  }
-  return out;
-}
-
-void concat_channels_into(ConstTensorView a, ConstTensorView b,
-                          TensorView out) {
-  check(a.shape().height == b.shape().height &&
-            a.shape().width == b.shape().width,
-        "concat_channels_into: spatial mismatch");
-  check(out.shape() ==
-            FeatureShape{a.shape().channels + b.shape().channels,
-                         a.shape().height, a.shape().width},
-        "concat_channels_into: output shape mismatch");
-  copy_into(a, out.channels(0, a.shape().channels));
-  copy_into(b, out.channels(a.shape().channels, b.shape().channels));
 }
 
 }  // namespace bkc::bnn

@@ -8,7 +8,6 @@
 // input and output layers are quantized to 8 bits (Sec II-B).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,9 +44,10 @@ struct LayerInfo {
   FeatureShape output_shape;
 };
 
-/// Abstract layer: stateless forward over CHW float tensors. Binary
-/// layers binarize internally; the float interface keeps the residual
-/// topology of ReActNet straightforward.
+/// Abstract layer: a stateless forward pass over CHW float views. Binary
+/// layers binarize internally (packing applies Eq. 1's sign), so the
+/// float interface keeps the residual topology of ReActNet
+/// straightforward.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -57,52 +57,31 @@ class Layer {
   Layer(Layer&&) = default;
   Layer& operator=(Layer&&) = default;
 
-  virtual Tensor forward(const Tensor& input) const = 0;
-
-  /// Write forward(input) into `output` (whose shape must match this
-  /// layer's output shape for input's shape), drawing any temporary
-  /// storage from `workspace` — the allocation-free counterpart of
-  /// forward(), bit-identical to it by contract. `output` must not
-  /// alias `input` unless a layer documents in-place support
-  /// (BatchNorm, RPReLU and SignActivation are alias-safe; the block
-  /// orchestration relies on that). The default implementation bridges
-  /// through forward() with a copy so layers outside this file keep
-  /// working unchanged (at legacy allocation cost).
+  /// Run the layer on `input`, writing into `output` (whose shape must
+  /// be output_shape(input.shape())) and drawing any temporary storage
+  /// from `workspace`, so a call performs no heap allocation. `output`
+  /// must not alias `input` unless a layer documents in-place support
+  /// (BatchNorm and RPReLU are alias-safe; the block orchestration
+  /// relies on that).
   virtual void forward_into(ConstTensorView input, TensorView output,
-                            Workspace& workspace) const;
+                            Workspace& workspace) const = 0;
 
   /// This layer's output shape for an input of `input_shape`, without
   /// materializing a LayerInfo (info() builds a name string, which the
-  /// zero-allocation orchestrators cannot afford per call). The default
-  /// falls back to info(); every layer in this file overrides it with
-  /// pure shape arithmetic.
-  virtual FeatureShape output_shape(const FeatureShape& input_shape) const;
+  /// zero-allocation orchestrators cannot afford per call).
+  virtual FeatureShape output_shape(const FeatureShape& input_shape) const = 0;
 
   virtual LayerInfo info(const FeatureShape& input_shape) const = 0;
   virtual std::string name() const = 0;
 };
 
-/// Sign activation (Eq. 1): maps every element to +/-1.
-class SignActivation final : public Layer {
- public:
-  Tensor forward(const Tensor& input) const override;
-  void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
-    return input_shape;
-  }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "sign"; }
-};
-
-/// 1-bit convolution (Eq. 2). Holds the channel-packed kernel; forward
-/// binarizes + packs its input (the sign that precedes each binary conv
-/// in ReActNet) and runs the xnor/popcount engine.
+/// 1-bit convolution (Eq. 2). Holds the channel-packed kernel;
+/// forward_into binarizes + packs its input (the sign that precedes each
+/// binary conv in ReActNet) and runs the xnor/popcount engine.
 class BinaryConv2d final : public Layer {
  public:
   BinaryConv2d(std::string name, PackedKernel kernel, ConvGeometry geometry);
 
-  Tensor forward(const Tensor& input) const override;
   /// Packs the input into the workspace's shared pack scratch (caller-
   /// provided storage, no per-call pack allocation), then convolves
   /// into `output`.
@@ -136,7 +115,6 @@ class Int8Conv2d final : public Layer {
              std::vector<float> bias, ConvGeometry geometry,
              OpClass op_class = OpClass::kInputLayer);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
@@ -146,13 +124,6 @@ class Int8Conv2d final : public Layer {
   std::string name() const override { return name_; }
 
  private:
-  /// Shared body of both entry points: quantize into `q_input`
-  /// (caller-provided — a heap vector on the legacy path, arena
-  /// scratch on the planned path) and convolve into `output`. One
-  /// implementation keeps the two paths bit-identical by construction.
-  void forward_impl(ConstTensorView input, TensorView output,
-                    std::span<std::int8_t> q_input) const;
-
   std::string name_;
   KernelShape shape_;
   std::vector<std::int8_t> weights_;
@@ -171,7 +142,6 @@ class Int8Linear final : public Layer {
              std::int64_t out_features, std::vector<float> weights,
              std::vector<float> bias);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
   FeatureShape output_shape(const FeatureShape& input_shape) const override;
@@ -182,9 +152,6 @@ class Int8Linear final : public Layer {
   std::int64_t out_features() const { return out_features_; }
 
  private:
-  void forward_impl(ConstTensorView input, TensorView output,
-                    std::span<std::int8_t> q_input) const;
-
   std::string name_;
   std::int64_t in_features_;
   std::int64_t out_features_;
@@ -199,7 +166,6 @@ class BatchNorm final : public Layer {
   BatchNorm(std::string name, std::vector<float> scale,
             std::vector<float> bias);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;  // alias-safe
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
@@ -224,7 +190,6 @@ class RPReLU final : public Layer {
   RPReLU(std::string name, std::vector<float> shift_in,
          std::vector<float> slope, std::vector<float> shift_out);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;  // alias-safe
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
@@ -243,7 +208,6 @@ class RPReLU final : public Layer {
 /// 2x2 stride-2 average pooling (ReActNet's downsampling shortcut).
 class AvgPool2x2 final : public Layer {
  public:
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
@@ -257,7 +221,6 @@ class AvgPool2x2 final : public Layer {
 /// Global average pooling to Cx1x1 (before the classifier).
 class GlobalAvgPool final : public Layer {
  public:
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
@@ -267,21 +230,9 @@ class GlobalAvgPool final : public Layer {
   std::string name() const override { return "global_avgpool"; }
 };
 
-/// Element-wise sum of two equally-shaped tensors (residual connection).
-Tensor residual_add(const Tensor& a, const Tensor& b);
-
-/// residual_add writing into caller-provided storage; `out` may alias
-/// `a` (the in-place residual the block orchestration uses).
+/// Element-wise sum of two equally-shaped views (the residual
+/// connection); `out` may alias `a` (the in-place residual the block
+/// orchestration uses).
 void residual_add_into(ConstTensorView a, ConstTensorView b, TensorView out);
-
-/// Channel-wise concatenation of two tensors with equal spatial dims.
-Tensor concat_channels(const Tensor& a, const Tensor& b);
-
-/// concat_channels writing into caller-provided storage (no aliasing).
-/// The planned ReActNet path avoids even this copy by pointing the two
-/// 1x1 convs straight at out.channels(...) halves; this exists for
-/// orchestrations that already hold `a` and `b` elsewhere.
-void concat_channels_into(ConstTensorView a, ConstTensorView b,
-                          TensorView out);
 
 }  // namespace bkc::bnn

@@ -17,32 +17,6 @@ std::int64_t float_bytes(std::int64_t count) {
   return aligned(count * static_cast<std::int64_t>(sizeof(float)));
 }
 
-/// activation_floats and pack_words are common to every planner: the
-/// former is the largest activation any op reads or writes, the latter
-/// the largest packed input of any 1-bit conv.
-MemoryPlan common_plan(const std::vector<OpRecord>& records) {
-  MemoryPlan plan;
-  for (const OpRecord& op : records) {
-    plan.activation_floats =
-        std::max({plan.activation_floats, op.input_shape.size(),
-                  op.output_shape.size()});
-    if (op.precision_bits == 1) {
-      const FeatureShape& in = op.input_shape;
-      plan.pack_words =
-          std::max(plan.pack_words,
-                   words_per_group(in.channels) * in.height * in.width);
-    }
-  }
-  return plan;
-}
-
-/// int8 layers (stem conv, classifier) quantize their whole input into
-/// arena scratch.
-std::int64_t int8_scratch(const OpRecord& op) {
-  return aligned(op.input_shape.size() *
-                 static_cast<std::int64_t>(sizeof(std::int8_t)));
-}
-
 }  // namespace
 
 std::size_t MemoryPlan::arena_bytes() const {
@@ -57,34 +31,38 @@ bool MemoryPlan::covers(const MemoryPlan& other) const {
 }
 
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
-  MemoryPlan plan = common_plan(records);
+  MemoryPlan plan;
   for (const OpRecord& op : records) {
+    // Ping-pong buffers hold the largest activation any op reads or
+    // writes; the pack scratch the largest packed input of a 1-bit conv.
+    plan.activation_floats =
+        std::max({plan.activation_floats, op.input_shape.size(),
+                  op.output_shape.size()});
     std::int64_t scratch = 0;
     if (op.precision_bits == 8) {
-      scratch = int8_scratch(op);
-    } else if (op.op_class == OpClass::kConv3x3 && op.precision_bits == 1) {
-      // A basic block holds its 3x3 conv output (the mid tensor `y`)
-      // in scratch; a stride-2 block additionally holds the pooled
-      // shortcut while forming the residual. This mirrors
-      // BasicBlock::forward_into's allocation order exactly — the
-      // high-water equality check depends on it.
-      scratch = float_bytes(op.output_shape.size());
-      if (op.geometry.stride == 2) {
-        const FeatureShape& in = op.input_shape;
-        scratch += float_bytes(in.channels * (in.height / 2) * (in.width / 2));
+      // int8 layers (stem conv, classifier) quantize their whole input
+      // into arena scratch.
+      scratch = aligned(op.input_shape.size() *
+                        static_cast<std::int64_t>(sizeof(std::int8_t)));
+    } else if (op.precision_bits == 1) {
+      const FeatureShape& in = op.input_shape;
+      plan.pack_words =
+          std::max(plan.pack_words,
+                   words_per_group(in.channels) * in.height * in.width);
+      if (op.op_class == OpClass::kConv3x3) {
+        // A basic block holds its 3x3 conv output (the mid tensor `y`)
+        // in scratch; a stride-2 block additionally holds the pooled
+        // shortcut while forming the residual. This mirrors
+        // BasicBlock::forward_into's allocation order exactly — the
+        // high-water equality check depends on it.
+        scratch = float_bytes(op.output_shape.size());
+        if (op.geometry.stride == 2) {
+          scratch +=
+              float_bytes(in.channels * (in.height / 2) * (in.width / 2));
+        }
       }
     }
     plan.scratch_bytes = std::max(plan.scratch_bytes, scratch);
-  }
-  return plan;
-}
-
-MemoryPlan plan_sequential_forward(const std::vector<OpRecord>& records) {
-  MemoryPlan plan = common_plan(records);
-  for (const OpRecord& op : records) {
-    if (op.precision_bits == 8) {
-      plan.scratch_bytes = std::max(plan.scratch_bytes, int8_scratch(op));
-    }
   }
   return plan;
 }

@@ -2,11 +2,9 @@
 // Per-model activation MemoryPlan + per-thread Workspace arenas: the
 // substrate of the zero-allocation forward path.
 //
-// The legacy Layer::forward interface returns a fresh heap Tensor per
-// layer, so one classify performs dozens of allocations. The planned
-// path replaces that with exactly one up-front sizing pass: a
-// MemoryPlan is computed once from the model's op-record walk (the same
-// records that feed Table I and the timing model), and every subsequent
+// Inference runs through forward_into, which never returns a fresh
+// tensor: a MemoryPlan is computed once from the model's op-record walk
+// (the same records that feed Table I and the timing model), and every
 // forward_into call runs inside a Workspace whose bump Arena was sized
 // to the plan. Steady state performs zero heap allocations — a contract
 // tests pin with a global operator-new counter, and which the plan
@@ -71,11 +69,6 @@ struct MemoryPlan {
 /// for the 3x3 conv output (+ stride-2 pooled shortcut), int8
 /// quantization scratch for the stem and classifier.
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records);
-
-/// Plan for Sequential::forward_into: ping-pong activations, int8
-/// quantization scratch; binary convs pack into the workspace's shared
-/// pack scratch, and the sign→conv fusion never materializes the sign.
-MemoryPlan plan_sequential_forward(const std::vector<OpRecord>& records);
 
 /// One thread's working memory for planned forward passes: the arena
 /// plus the reusable pack scratch. Construction performs all heap

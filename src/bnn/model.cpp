@@ -1,6 +1,5 @@
 #include "bnn/model.h"
 
-#include "bnn/memory_plan.h"
 #include "util/check.h"
 
 namespace bkc::bnn {
@@ -30,88 +29,6 @@ StorageBreakdown summarize(const std::vector<OpRecord>& ops) {
   StorageBreakdown breakdown;
   for (const auto& op : ops) breakdown.add(op);
   return breakdown;
-}
-
-Tensor Sequential::forward(const Tensor& input) const {
-  Tensor current = input;
-  for (const auto& layer : layers_) current = layer->forward(current);
-  return current;
-}
-
-void Sequential::forward_into(ConstTensorView input, TensorView output,
-                              Workspace& workspace) const {
-  Arena& arena = workspace.arena();
-  arena.reset();
-  if (layers_.empty()) {
-    check(output.shape() == input.shape(),
-          "Sequential::forward_into: output shape mismatch");
-    copy_into(input, output);
-    return;
-  }
-  const std::int64_t buffer_floats = workspace.plan().activation_floats;
-  const std::span<float> buffers[2] = {
-      arena.allocate_span<float>(buffer_floats),
-      arena.allocate_span<float>(buffer_floats)};
-  ConstTensorView current = input;
-  int next = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer* layer = layers_[i].get();
-    // Redundant sign elision: BinaryConv2d packs with bit = v >= 0,
-    // and sign(v) >= 0 exactly when v >= 0, so a SignActivation whose
-    // output only feeds a BinaryConv2d contributes nothing — skip it
-    // and let the conv pack straight from the pre-sign activations.
-    if (i + 1 < layers_.size() &&
-        dynamic_cast<const SignActivation*>(layer) != nullptr &&
-        dynamic_cast<const BinaryConv2d*>(layers_[i + 1].get()) != nullptr) {
-      continue;
-    }
-    const FeatureShape out_shape = layer->output_shape(current.shape());
-    TensorView destination = output;
-    if (i + 1 < layers_.size()) {
-      check(out_shape.size() <= buffer_floats,
-            "Sequential::forward_into: workspace plan does not cover this "
-            "model's activations");
-      destination = TensorView(
-          out_shape,
-          buffers[next].first(static_cast<std::size_t>(out_shape.size())));
-      next = 1 - next;
-    } else {
-      check(output.shape() == out_shape,
-            "Sequential::forward_into: output shape mismatch");
-    }
-    layer->forward_into(current, destination, workspace);
-    current = destination;
-  }
-}
-
-const Layer& Sequential::layer(std::size_t i) const {
-  check(i < layers_.size(), "Sequential::layer index out of range");
-  return *layers_[i];
-}
-
-std::vector<OpRecord> Sequential::op_records(
-    const FeatureShape& input_shape) const {
-  std::vector<OpRecord> records;
-  records.reserve(layers_.size());
-  FeatureShape shape = input_shape;
-  for (const auto& layer : layers_) {
-    const LayerInfo info = layer->info(shape);
-    KernelShape kernel{};
-    ConvGeometry geometry{};
-    if (const auto* conv = dynamic_cast<const BinaryConv2d*>(layer.get())) {
-      kernel = conv->kernel().shape();
-      geometry = conv->geometry();
-    }
-    records.push_back(make_record(info, shape, kernel, geometry));
-    shape = info.output_shape;
-  }
-  return records;
-}
-
-FeatureShape Sequential::output_shape(const FeatureShape& input_shape) const {
-  FeatureShape shape = input_shape;
-  for (const auto& layer : layers_) shape = layer->info(shape).output_shape;
-  return shape;
 }
 
 OpRecord make_record(const LayerInfo& info, const FeatureShape& input_shape,

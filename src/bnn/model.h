@@ -1,9 +1,8 @@
 #pragma once
-// Model containers and the storage/work accounting behind Table I.
+// Op records and the storage/work accounting behind Table I.
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,48 +41,6 @@ struct StorageBreakdown {
 };
 
 StorageBreakdown summarize(const std::vector<OpRecord>& ops);
-
-/// A simple layer pipeline with no branches. ReActNet's residual blocks
-/// are modelled by the dedicated classes in reactnet.h; Sequential is
-/// used for small test/example models and for the stem/classifier.
-class Sequential {
- public:
-  Sequential() = default;
-
-  /// Append a layer; returns a non-owning typed handle.
-  template <typename L, typename... Args>
-  L* emplace(Args&&... args) {
-    auto layer = std::make_unique<L>(std::forward<Args>(args)...);
-    L* raw = layer.get();
-    layers_.push_back(std::move(layer));
-    return raw;
-  }
-
-  Tensor forward(const Tensor& input) const;
-
-  /// Zero-allocation counterpart of forward(): runs every layer
-  /// through forward_into over ping-pong buffers carved from the
-  /// workspace arena (sized by ws.plan().activation_floats — build the
-  /// workspace from plan_sequential_forward over this model's
-  /// op_records). Resets the arena on entry. Bit-identical to
-  /// forward(), including the one structural difference: a
-  /// SignActivation directly feeding a BinaryConv2d is skipped, since
-  /// packing binarizes with the same bit = v >= 0 rule — the
-  /// redundant sign tensor is never materialized.
-  void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const;
-
-  std::size_t size() const { return layers_.size(); }
-  const Layer& layer(std::size_t i) const;
-
-  /// Resolve shapes through the pipeline starting from `input_shape`.
-  std::vector<OpRecord> op_records(const FeatureShape& input_shape) const;
-
-  FeatureShape output_shape(const FeatureShape& input_shape) const;
-
- private:
-  std::vector<std::unique_ptr<Layer>> layers_;
-};
 
 /// Convert a LayerInfo at a given input shape into an OpRecord.
 OpRecord make_record(const LayerInfo& info, const FeatureShape& input_shape,

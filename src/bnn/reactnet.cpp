@@ -109,27 +109,6 @@ BasicBlock::BasicBlock(std::string name, const BlockConfig& config,
   act2_ = make_rprelu(name_ + ".rprelu2", generator, config.out_channels);
 }
 
-Tensor BasicBlock::forward(const Tensor& input) const {
-  check(input.shape().channels == config_.in_channels,
-        "BasicBlock: input channel mismatch");
-  // First half: 3x3 binary conv with residual shortcut.
-  Tensor y = bn1_->forward(conv3_->forward(input));
-  const Tensor shortcut =
-      config_.stride == 2 ? pool_.forward(input) : input;
-  y = act1_->forward(residual_add(y, shortcut));
-
-  // Second half: 1x1 binary conv(s) with residual shortcut(s);
-  // expansion duplicates the channel count via two parallel convs.
-  Tensor za = bn2a_->forward(conv1a_->forward(y));
-  za = residual_add(za, y);
-  if (conv1b_) {
-    Tensor zb = bn2b_->forward(conv1b_->forward(y));
-    zb = residual_add(zb, y);
-    return act2_->forward(concat_channels(za, zb));
-  }
-  return act2_->forward(za);
-}
-
 void BasicBlock::forward_into(ConstTensorView input, TensorView output,
                               Workspace& workspace) const {
   check(input.shape().channels == config_.in_channels,
@@ -161,8 +140,7 @@ void BasicBlock::forward_into(ConstTensorView input, TensorView output,
 
   // Second half: the 1x1 conv(s) write straight into the channel
   // halves of the concat destination (CHW makes channel subranges
-  // contiguous), so the legacy path's za/zb temporaries and the
-  // concat copy never exist here.
+  // contiguous), so no za/zb temporaries or concat copy exist.
   const std::int64_t in = config_.in_channels;
   TensorView za = output.channels(0, in);
   conv1a_->forward_into(y, za, workspace);
@@ -258,16 +236,6 @@ ReActNet::ReActNet(const ReActNetConfig& config, WeightGenerator generator)
                               0.01f));
 
   plan_ = plan_reactnet_forward(op_records());
-}
-
-Tensor ReActNet::forward(const Tensor& image) const {
-  check(image.shape() == input_shape(),
-        "ReActNet::forward: expected input " + input_shape().to_string() +
-            ", got " + image.shape().to_string());
-  Tensor x = stem_->forward(image);
-  for (const auto& block : blocks_) x = block.forward(x);
-  x = pool_.forward(x);
-  return classifier_->forward(x);
 }
 
 void ReActNet::forward_into(ConstTensorView image, TensorView scores,

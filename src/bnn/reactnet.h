@@ -72,15 +72,13 @@ class BasicBlock {
   BasicBlock(std::string name, const BlockConfig& config,
              WeightGenerator& generator, const SequenceDistribution& dist);
 
-  Tensor forward(const Tensor& input) const;
-
-  /// Zero-allocation counterpart of forward(): block scratch (the 3x3
-  /// conv output, the stride-2 pooled shortcut) comes from the
+  /// Run the block on `input`, writing into `output`. Block scratch
+  /// (the 3x3 conv output, the stride-2 pooled shortcut) comes from the
   /// workspace arena and is released LIFO before returning; the 1x1
   /// convs write straight into the channel halves of `output` (the
   /// concat destination), so no intermediate za/zb tensors exist.
   /// `output` must have output_shape(input.shape()) and must not alias
-  /// `input`. Bit-identical to forward().
+  /// `input`.
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const;
 
@@ -119,17 +117,13 @@ class ReActNet {
   explicit ReActNet(const ReActNetConfig& config = paper_reactnet_config());
 
   /// Run one image (input_channels x input_size x input_size) through
-  /// the network; returns class scores (num_classes x 1 x 1).
-  Tensor forward(const Tensor& image) const;
-
-  /// Zero-allocation counterpart of forward(): activations ping-pong
-  /// between two arena buffers of memory_plan().activation_floats
-  /// each, blocks draw their scratch LIFO on top, and the int8
-  /// stem/classifier quantize into arena scratch. Resets the
-  /// workspace arena on entry; `workspace` must cover memory_plan()
-  /// (any workspace built from this model's plan, or a larger one,
-  /// qualifies). `scores` must be num_classes x 1 x 1. Bit-identical
-  /// to forward().
+  /// the network, writing class scores into `scores` (num_classes x 1
+  /// x 1) with zero heap allocations: activations ping-pong between
+  /// two arena buffers of memory_plan().activation_floats each, blocks
+  /// draw their scratch LIFO on top, and the int8 stem/classifier
+  /// quantize into arena scratch. Resets the workspace arena on entry;
+  /// `workspace` must cover memory_plan() (any workspace built from
+  /// this model's plan, or a larger one, qualifies).
   void forward_into(ConstTensorView image, TensorView scores,
                     Workspace& workspace) const;
 

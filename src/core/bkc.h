@@ -12,7 +12,6 @@
 //                    serve/scheduler.h directly)
 
 #include "bnn/bconv.h"
-#include "bnn/binarize.h"
 #include "bnn/bitpack.h"
 #include "bnn/bitseq.h"
 #include "bnn/kernel_sequences.h"

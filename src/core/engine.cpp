@@ -4,7 +4,6 @@
 #include "compress/serialize.h"
 #include "util/binary_io.h"
 #include "util/check.h"
-#include "util/mmap_file.h"
 #include "util/thread_pool.h"
 
 namespace bkc {
@@ -111,71 +110,15 @@ void Engine::save_compressed(const std::string& path) const {
 }
 
 Engine Engine::load_compressed(const std::string& path, int num_threads) {
-  // Map rather than read: the container image is parsed in place and
-  // the kernel streams decode straight out of the page cache. The
-  // mapping only has to live for the duration of the parse — every
-  // artifact read_bkcm returns is owned.
-  const MmapFile file = MmapFile::open(path);
-  return load_compressed(file.bytes(), num_threads);
-}
-
-Engine Engine::load_compressed(std::span<const std::uint8_t> file,
-                               int num_threads) {
-  compress::BkcmContents contents = compress::read_bkcm(file);
-
-  // Rebuild the uncompressed layers (stem, batch norms, 1x1s,
-  // classifier) deterministically from the stored configuration, then
-  // replace every 3x3 kernel with the decoded stream content — the
-  // decode-side reconstruction of the paper's Sec IV deployment story.
-  Engine engine(
-      contents.model_config,
-      EngineOptions{.clustering = contents.clustering,
-                    .tree = contents.tree,
-                    .clustering_config = contents.clustering_config,
-                    .codec_id = contents.streams.empty()
-                                    ? compress::kCodecGroupedHuffman
-                                    : contents.streams.front().codec_id});
-
-  // Decode one stream per work unit; each unit writes only its own
-  // slot, so the fan-out is bit-identical to the serial path. Decode
-  // errors (a stream inconsistent with its codec) surface as CheckError
-  // out of the pool's lowest-index propagation.
-  const auto num_blocks = static_cast<std::int64_t>(contents.streams.size());
-  check(static_cast<std::size_t>(num_blocks) == engine.model_.num_blocks(),
-        "Engine::load_compressed: container stream count does not match "
-        "the model");
-  // Validate stream shapes against the model BEFORE decoding, so a
-  // hostile-but-checksummed channel count cannot drive a huge decode
-  // allocation.
-  for (std::size_t b = 0; b < engine.model_.num_blocks(); ++b) {
-    const auto& shape = engine.model_.block(b).conv3x3().kernel().shape();
-    const compress::CompressedKernel& stream = contents.streams[b].compressed;
-    check(stream.out_channels == shape.out_channels &&
-              stream.in_channels == shape.in_channels,
-          "Engine::load_compressed: stream shape for block " +
-              std::to_string(b) + " (" + engine.model_.block(b).name() +
-              ") does not match the model");
-  }
-  parallel_for(num_blocks, num_threads,
-               [&](std::int64_t begin, std::int64_t end) {
-                 for (std::int64_t b = begin; b < end; ++b) {
-                   const auto i = static_cast<std::size_t>(b);
-                   compress::KernelCompression& stream = contents.streams[i];
-                   stream.coded_kernel = compress::decode_block(stream);
-                 }
-               });
-  for (std::size_t b = 0; b < engine.model_.num_blocks(); ++b) {
-    engine.model_.block(b).conv3x3().set_kernel(
-        contents.streams[b].coded_kernel);
-  }
-  engine.report_ = std::move(contents.report);
-  engine.streams_ = std::move(contents.streams);
-  engine.compressed_ = true;
-  return engine;
+  return load_compressed(compress::MappedBkcm::open(path), num_threads);
 }
 
 Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
                                int num_threads) {
+  // Rebuild the uncompressed layers (stem, batch norms, 1x1s,
+  // classifier) deterministically from the stored configuration, then
+  // replace every 3x3 kernel with the decoded stream content — the
+  // decode-side reconstruction of the paper's Sec IV deployment story.
   const std::vector<compress::MappedBkcm::Block>& blocks = mapped.blocks();
   Engine engine(
       mapped.model_config(),
@@ -187,16 +130,17 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
                                     : blocks.front().artifact.codec_id});
   const auto num_blocks = static_cast<std::int64_t>(blocks.size());
   check(blocks.size() == engine.model_.num_blocks(),
-        "Engine::load_compressed: mapped block count does not match the "
-        "model");
-  // The same decode-allocation guard as the buffered path: shapes are
-  // validated against the model before any stream decodes.
+        "Engine::load_compressed: container block count does not match "
+        "the model");
+  // Validate stream shapes against the model BEFORE decoding, so a
+  // hostile-but-checksummed channel count cannot drive a huge decode
+  // allocation.
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const auto& shape = engine.model_.block(b).conv3x3().kernel().shape();
     const compress::CompressedKernel& stream = blocks[b].artifact.compressed;
     check(stream.out_channels == shape.out_channels &&
               stream.in_channels == shape.in_channels,
-          "Engine::load_compressed: mapped stream shape for block " +
+          "Engine::load_compressed: stream shape for block " +
               std::to_string(b) + " (" + engine.model_.block(b).name() +
               ") does not match the model");
   }
@@ -204,7 +148,8 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
   // the engine owns everything and outlives the mapping) serially, then
   // fan the expensive part — the kernel decode — out one stream per
   // work unit; each unit writes only its own slot, bit-identical to the
-  // serial path.
+  // serial path. Decode errors (a stream inconsistent with its codec)
+  // surface as CheckError out of the pool's lowest-index propagation.
   engine.streams_.reserve(blocks.size());
   for (const compress::MappedBkcm::Block& block : blocks) {
     compress::KernelCompression stream = block.artifact;

@@ -9,7 +9,6 @@
 // A53 timing model. See examples/quickstart.cpp for a tour.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +73,8 @@ class Engine {
   /// Runs the arena-backed forward path: a Workspace is leased from the
   /// engine's pool (allocated on first use, reused ever after), so
   /// steady-state calls perform no heap allocation beyond the returned
-  /// score tensor. Bit-identical to model().forward(image).
+  /// score tensor. Bit-identical to model().forward_into(image, ...)
+  /// with any workspace covering memory_plan().
   Tensor classify(const Tensor& image, int num_threads = 1) const;
 
   /// classify() into caller-provided storage: with a warm `workspace`
@@ -128,19 +128,11 @@ class Engine {
   /// usual serial-equivalence guarantee) and install the decoded
   /// kernels. The result is bit-identical to the engine that wrote the
   /// file: installed kernels, report() and classification outputs all
-  /// match exactly (tests/test_serialize.cpp). CheckError on a
+  /// match exactly (tests/test_serialize.cpp). CheckError on a missing,
   /// truncated, corrupt or inconsistent container — the message names
-  /// the failing section. The file is memory-mapped (util/mmap_file.h),
-  /// so the streams decode straight out of the page cache with no
-  /// intermediate copy of the container.
+  /// the failing section. Same as load_compressed(MappedBkcm::open(path),
+  /// num_threads).
   static Engine load_compressed(const std::string& path,
-                                int num_threads = 1);
-
-  /// Same, from an in-memory container image (the buffered path;
-  /// nothing of `file` is retained after return). The mapped and
-  /// buffered paths produce bit-identical engines
-  /// (tests/test_serialize.cpp pins this).
-  static Engine load_compressed(std::span<const std::uint8_t> file,
                                 int num_threads = 1);
 
   /// Same, from a container that is ALREADY open as a MappedBkcm — the
@@ -149,10 +141,7 @@ class Engine {
   /// does no second parse and no second checksum walk. The per-block
   /// artifacts are copied out of the mapped state (the engine owns its
   /// streams and does not borrow `mapped`, which may be destroyed
-  /// afterwards) and the kernels decode straight from the mapping. The
-  /// result is bit-identical to load_compressed(path) on the same file
-  /// (tests/test_serve_registry.cpp pins engine state, report and
-  /// classification).
+  /// afterwards) and the kernels decode straight from the mapping.
   static Engine load_compressed(const compress::MappedBkcm& mapped,
                                 int num_threads = 1);
 

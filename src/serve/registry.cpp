@@ -24,8 +24,8 @@ ModelHandle ModelRegistry::open(const std::string& name,
     return it->second;
   }
   // Validate once (header, sections, CRCs, payload plausibility), then
-  // reconstruct the engine straight from the mapped state — the second
-  // parse/CRC walk Engine::load_compressed(path) would do is skipped.
+  // reconstruct the engine straight from the mapped state, keeping the
+  // mapping resident alongside it.
   compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
   Engine engine = Engine::load_compressed(mapped, load_threads_);
   ModelHandle handle = std::make_shared<const ServedModel>(

@@ -1,7 +1,5 @@
 #include "tensor/tensor.h"
 
-#include <algorithm>
-
 namespace bkc {
 
 Tensor::Tensor(FeatureShape shape)
@@ -34,18 +32,6 @@ float Tensor::at_padded(std::int64_t c, std::int64_t y, std::int64_t x,
   check(c >= 0 && c < shape_.channels, "Tensor::at_padded channel range");
   if (y < 0 || y >= shape_.height || x < 0 || x >= shape_.width) return pad;
   return at(c, y, x);
-}
-
-Tensor materialize(ConstTensorView view) {
-  return Tensor(view.shape(),
-                std::vector<float>(view.data().begin(), view.data().end()));
-}
-
-void copy_into(ConstTensorView source, TensorView destination) {
-  check(source.shape() == destination.shape(),
-        "copy_into: source and destination shapes differ");
-  std::copy(source.data().begin(), source.data().end(),
-            destination.data().begin());
 }
 
 WeightTensor::WeightTensor(KernelShape shape)

@@ -3,7 +3,7 @@
 //
 // This is the full-precision substrate: reference convolutions, batch
 // norm / PReLU arithmetic and the int8-quantized input/output layers all
-// operate on Tensor. The binary fast path uses the packed containers in
+// operate on Tensor storage (through the views below). The binary fast path uses the packed containers in
 // bnn/bitpack.h instead.
 
 #include <cstdint>
@@ -40,12 +40,6 @@ class Tensor {
 
   std::span<float> data() { return data_; }
   std::span<const float> data() const { return data_; }
-
-  /// Apply f to every element in place.
-  template <typename F>
-  void transform(F&& f) {
-    for (float& v : data_) v = f(v);
-  }
 
  private:
   FeatureShape shape_;
@@ -146,14 +140,6 @@ class ConstTensorView {
   FeatureShape shape_;
   std::span<const float> data_;
 };
-
-/// Deep copy of a view's contents into a fresh owning Tensor. The
-/// compatibility wrapper Layer::forward_into uses this to bridge into
-/// the allocating forward() path.
-Tensor materialize(ConstTensorView view);
-
-/// Element-wise copy between views of identical shape.
-void copy_into(ConstTensorView source, TensorView destination);
 
 /// Dense OIHW float weight tensor for reference/full-precision layers.
 class WeightTensor {

@@ -52,7 +52,7 @@ class ByteWriter {
   std::vector<std::uint8_t> buffer_;
 };
 
-/// Sequential bounds-checked little-endian reader over a borrowed
+/// Forward-only bounds-checked little-endian reader over a borrowed
 /// buffer (which must outlive the reader). Every read validates against
 /// the buffer end first and fails with CheckError("<context>: ...");
 /// `context` names what is being parsed so corruption reports point at

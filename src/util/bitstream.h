@@ -46,7 +46,7 @@ class BitWriter {
   std::size_t bit_size_ = 0;
 };
 
-/// Sequential bit source over a borrowed byte buffer (MSB-first).
+/// Forward-only bit source over a borrowed byte buffer (MSB-first).
 /// The buffer must outlive the reader.
 class BitReader {
  public:

@@ -5,6 +5,10 @@
 // environment to (re)write the files instead of comparing.
 
 #include <string>
+#include <vector>
+
+#include "bnn/reactnet.h"
+#include "tensor/tensor.h"
 
 namespace bkc::test {
 
@@ -22,5 +26,16 @@ bool update_goldens();
 /// in update mode rewrites the golden and passes.
 void expect_matches_golden(const std::string& name,
                            const std::string& actual);
+
+/// Class scores as text: " %08x" per float (its IEEE-754 bit pattern),
+/// so a one-ulp drift anywhere changes the text.
+std::string score_bits(const Tensor& scores);
+
+/// The two seeded images the golden score files were generated from.
+std::vector<Tensor> golden_images(const bnn::ReActNetConfig& config);
+
+/// The score bits stored under `key` (e.g. "tiny clustering image0") in
+/// the named golden score file. Throws bkc::CheckError when absent.
+std::string golden_scores(const std::string& name, const std::string& key);
 
 }  // namespace bkc::test

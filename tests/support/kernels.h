@@ -32,7 +32,7 @@ Tensor random_pm1_tensor(const FeatureShape& shape, Rng& rng);
 WeightTensor random_pm1_weights(const KernelShape& shape, Rng& rng);
 
 /// A binary conv OpRecord (3x3 or 1x1) with geometry, macs and storage
-/// resolved the way bnn::Sequential resolves real layers.
+/// resolved the way BasicBlock::op_records resolves real layers.
 bnn::OpRecord conv_op(std::int64_t channels, std::int64_t size,
                       std::int64_t kernel = 3, std::int64_t stride = 1);
 

@@ -1,8 +1,9 @@
 // Container back-compat: the PERMANENT v1 fixture
 // (tests/golden/reactnet_tiny_v1.bkcm, written by the last v1 build
 // with the same tiny/seed-42 recipe as the current golden) must keep
-// loading through the refactored codec-dispatch paths — buffered AND
-// mapped — bit-identically to a from-scratch compression. Plus the
+// parsing identically through both readers (buffered read_bkcm and
+// mapped MappedBkcm) and loading bit-identically to a from-scratch
+// compression. Plus the
 // forward contract: every codec in the block-codec registry must
 // round-trip an engine through a v2 container.
 //
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -98,22 +100,42 @@ TEST(BackCompatV1, FixtureIsAVersion1Container) {
   }
 }
 
-TEST(BackCompatV1, BufferedLoadIsBitIdenticalAtEveryThreadCount) {
-  const std::vector<std::uint8_t> file = read_file_bytes(v1_path());
-  for (const int threads : {1, 2, 4, 7}) {
-    const Engine loaded = Engine::load_compressed(
-        std::span<const std::uint8_t>(file), threads);
-    EXPECT_TRUE(loaded.verify_streams(threads));
-    EXPECT_EQ(loaded.options().codec_id, compress::kCodecGroupedHuffman);
-    expect_engine_matches_reference(
-        loaded, "buffered, threads " + std::to_string(threads));
+TEST(BackCompatV1, BufferedParserMatchesMappedParser) {
+  // read_bkcm (the buffered parser tooling uses) and MappedBkcm (the
+  // parser every engine load goes through) must agree on the v1 fixture
+  // artifact for artifact, and the buffered streams must decode to the
+  // reference kernels.
+  const compress::BkcmContents buffered =
+      compress::read_bkcm(read_file_bytes(v1_path()));
+  const MappedBkcm mapped = MappedBkcm::open(v1_path());
+  EXPECT_EQ(mapped.clustering(), buffered.clustering);
+  EXPECT_EQ(mapped.model_config().seed, buffered.model_config.seed);
+  ASSERT_EQ(mapped.blocks().size(), buffered.streams.size());
+  const Engine& reference = reference_engine();
+  ASSERT_EQ(buffered.streams.size(), reference.model().num_blocks());
+  for (std::size_t b = 0; b < buffered.streams.size(); ++b) {
+    const MappedBkcm::Block& block = mapped.blocks()[b];
+    const compress::KernelCompression& stream = buffered.streams[b];
+    EXPECT_EQ(block.artifact.codec_id, stream.codec_id) << "block " << b;
+    EXPECT_EQ(block.artifact.compressed.stream_bits,
+              stream.compressed.stream_bits)
+        << "block " << b;
+    EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
+                           stream.compressed.stream.begin(),
+                           stream.compressed.stream.end()))
+        << "block " << b;
+    EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths)
+        << "block " << b;
+    EXPECT_TRUE(compress::decode_block(stream) ==
+                reference.model().block(b).conv3x3().kernel())
+        << "block " << b;
   }
 }
 
 TEST(BackCompatV1, MappedLoadIsBitIdenticalAtEveryThreadCount) {
   for (const int threads : {1, 2, 4, 7}) {
-    // Engine::load_compressed(path) maps the file; the MappedBkcm
-    // overload is the serving path — exercise both.
+    // Engine::load_compressed(path) opens the MappedBkcm itself; the
+    // MappedBkcm overload is the serving path — exercise both.
     const Engine loaded = Engine::load_compressed(v1_path(), threads);
     EXPECT_TRUE(loaded.verify_streams(threads));
     expect_engine_matches_reference(
@@ -154,19 +176,22 @@ TEST_P(BackCompatCodecs, EngineRoundTripsThroughAV2Container) {
   EXPECT_TRUE(source.verify_streams(2));
   source.save_compressed(path);
 
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  const Engine buffered =
-      Engine::load_compressed(std::span<const std::uint8_t>(bytes), 2);
-  const Engine mapped = Engine::load_compressed(path, 2);
-  for (const Engine* loaded : {&buffered, &mapped}) {
-    EXPECT_EQ(loaded->options().codec_id, codec_id);
-    EXPECT_TRUE(loaded->verify_streams(2));
-    ASSERT_EQ(loaded->model().num_blocks(), source.model().num_blocks());
-    for (std::size_t b = 0; b < source.model().num_blocks(); ++b) {
-      EXPECT_TRUE(loaded->model().block(b).conv3x3().kernel() ==
-                  source.model().block(b).conv3x3().kernel())
-          << "codec " << codec_id << ", block " << b;
-    }
+  // The buffered parser decodes every stream to the source kernels;
+  // the engine load (mapped parser) installs the same kernels.
+  const compress::BkcmContents buffered =
+      compress::read_bkcm(read_file_bytes(path));
+  const Engine loaded = Engine::load_compressed(path, 2);
+  EXPECT_EQ(loaded.options().codec_id, codec_id);
+  EXPECT_TRUE(loaded.verify_streams(2));
+  ASSERT_EQ(buffered.streams.size(), source.model().num_blocks());
+  ASSERT_EQ(loaded.model().num_blocks(), source.model().num_blocks());
+  for (std::size_t b = 0; b < source.model().num_blocks(); ++b) {
+    const bnn::PackedKernel& kernel = source.model().block(b).conv3x3().kernel();
+    EXPECT_EQ(buffered.streams[b].codec_id, codec_id);
+    EXPECT_TRUE(compress::decode_block(buffered.streams[b]) == kernel)
+        << "codec " << codec_id << ", block " << b << " (buffered)";
+    EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() == kernel)
+        << "codec " << codec_id << ", block " << b << " (loaded)";
   }
   std::remove(path.c_str());
 }

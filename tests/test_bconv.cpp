@@ -8,7 +8,6 @@
 
 #include "support/support.h"
 
-#include "bnn/binarize.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/rng.h"

@@ -56,12 +56,22 @@ TEST(PackedFeature, RoundtripThroughFloatTensor) {
 }
 
 TEST(PackedFeature, BinarizesBySign) {
-  Tensor t(FeatureShape{1, 1, 2});
+  Tensor t(FeatureShape{1, 1, 3});
   t.at(0, 0, 0) = 0.0f;   // >= 0 -> +1
   t.at(0, 0, 1) = -0.1f;  // < 0  -> -1
+  // IEEE -0.0f >= 0 holds, so -0.0 binarizes to +1 like the paper's
+  // x >= 0 rule (Eq. 1).
+  t.at(0, 0, 2) = -0.0f;
   const PackedFeature packed = pack_feature(t);
   EXPECT_EQ(packed.bit(0, 0, 0), 1);
   EXPECT_EQ(packed.bit(0, 0, 1), 0);
+  EXPECT_EQ(packed.bit(0, 0, 2), 1);
+  // The planned path's packer applies the same rule.
+  PackedFeature into;
+  pack_feature_into(t, into);
+  EXPECT_EQ(into.bit(0, 0, 0), 1);
+  EXPECT_EQ(into.bit(0, 0, 1), 0);
+  EXPECT_EQ(into.bit(0, 0, 2), 1);
 }
 
 TEST(PackedKernel, RoundtripThroughFloatWeights) {

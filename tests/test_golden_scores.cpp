@@ -9,10 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "support/support.h"
@@ -26,16 +24,6 @@ bnn::ReActNetConfig paper_width_64() {
   return config;
 }
 
-std::string hex_scores(const Tensor& scores) {
-  std::string line;
-  for (const float v : scores.data()) {
-    char word[10];
-    std::snprintf(word, sizeof(word), " %08x", std::bit_cast<std::uint32_t>(v));
-    line += word;
-  }
-  return line;
-}
-
 /// One line per (clustering, image): the hex score bits of the planned
 /// forward path, cross-checked against Engine::classify on the way.
 std::string golden_lines(const std::string& name,
@@ -45,16 +33,14 @@ std::string golden_lines(const std::string& name,
     Engine engine(config,
                   clustering ? EngineOptions{} : test::no_clustering());
     engine.compress(2);
-    bnn::WeightGenerator gen(config.seed + 1000);
-    for (int image_index = 0; image_index < 2; ++image_index) {
-      const Tensor image = gen.sample_activation(engine.model().input_shape());
-      const std::string line = hex_scores(test::run_forward(engine.model(), image));
-      EXPECT_EQ(hex_scores(engine.classify(image, 2)), line)
-          << name << " image " << image_index;
-      EXPECT_EQ(hex_scores(engine.model().forward(image)), line)
-          << name << " image " << image_index << " (legacy forward)";
+    const std::vector<Tensor> images = test::golden_images(config);
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const std::string line =
+          test::score_bits(test::run_forward(engine.model(), images[i]));
+      EXPECT_EQ(test::score_bits(engine.classify(images[i], 2)), line)
+          << name << " image " << i;
       text += name + (clustering ? " clustering" : " encoding_only") +
-              " image" + std::to_string(image_index) + line + "\n";
+              " image" + std::to_string(i) + line + "\n";
     }
   }
   return text;

@@ -69,7 +69,7 @@ TEST_P(EndToEnd, CompressedInferenceMatchesManualDecodePath) {
     rebuilt.block(b).conv3x3().set_kernel(
         compress::decompress_kernel(stream.compressed, stream.codec));
   }
-  const Tensor via_streams = rebuilt.forward(image);
+  const Tensor via_streams = test::run_forward(rebuilt, image);
   for (std::size_t i = 0; i < direct.data().size(); ++i) {
     EXPECT_FLOAT_EQ(via_streams.data()[i], direct.data()[i]);
   }

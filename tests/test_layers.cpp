@@ -5,32 +5,41 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bnn/memory_plan.h"
 #include "bnn/weights.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace bkc::bnn {
 namespace {
 
-TEST(Sign, BinarizesEverything) {
-  SignActivation sign;
-  Tensor t(FeatureShape{1, 1, 4}, {-2.0f, -0.0f, 0.0f, 3.0f});
-  const Tensor out = sign.forward(t);
-  EXPECT_FLOAT_EQ(out.data()[0], -1.0f);
-  // IEEE -0.0f >= 0 holds, so -0.0 binarizes to +1 like the paper's
-  // x >= 0 rule.
-  EXPECT_FLOAT_EQ(out.data()[1], 1.0f);
-  EXPECT_FLOAT_EQ(out.data()[2], 1.0f);
-  EXPECT_FLOAT_EQ(out.data()[3], 1.0f);
+/// Workspace big enough for any layer in these tests.
+Workspace test_workspace() {
+  return Workspace(MemoryPlan{.activation_floats = 4096,
+                              .scratch_bytes = 16384,
+                              .pack_words = 1024});
+}
+
+/// `layer` applied to `input` through forward_into.
+Tensor run(const Layer& layer, const Tensor& input) {
+  Workspace workspace = test_workspace();
+  Tensor out(layer.output_shape(input.shape()));
+  layer.forward_into(input, out, workspace);
+  return out;
+}
+
+bool bit_identical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size_bytes()) == 0;
 }
 
 TEST(BatchNorm, AffinePerChannel) {
   BatchNorm bn("bn", {2.0f, -1.0f}, {0.5f, 1.0f});
   Tensor t(FeatureShape{2, 1, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
-  const Tensor out = bn.forward(t);
+  const Tensor out = run(bn, t);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 2.5f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), 4.5f);
   EXPECT_FLOAT_EQ(out.at(1, 0, 0), -2.0f);
@@ -40,7 +49,7 @@ TEST(BatchNorm, AffinePerChannel) {
 TEST(BatchNorm, ChannelMismatchThrows) {
   BatchNorm bn("bn", {1.0f}, {0.0f});
   Tensor t(FeatureShape{2, 1, 1});
-  EXPECT_THROW(bn.forward(t), CheckError);
+  EXPECT_THROW(run(bn, t), CheckError);
 }
 
 TEST(RPReLU, ShiftSlopeShift) {
@@ -48,7 +57,7 @@ TEST(RPReLU, ShiftSlopeShift) {
   RPReLU act("act", /*shift_in=*/{1.0f}, /*slope=*/{0.5f},
              /*shift_out=*/{10.0f});
   Tensor t(FeatureShape{1, 1, 3}, {3.0f, 1.0f, -1.0f});
-  const Tensor out = act.forward(t);
+  const Tensor out = run(act, t);
   EXPECT_FLOAT_EQ(out.data()[0], 2.0f + 10.0f);   // positive branch
   EXPECT_FLOAT_EQ(out.data()[1], 0.0f + 10.0f);   // at the knee
   EXPECT_FLOAT_EQ(out.data()[2], -1.0f + 10.0f);  // 0.5 * (-2) + 10
@@ -57,7 +66,7 @@ TEST(RPReLU, ShiftSlopeShift) {
 TEST(AvgPool2x2, Averages) {
   AvgPool2x2 pool;
   Tensor t(FeatureShape{1, 2, 2}, {1.0f, 2.0f, 3.0f, 6.0f});
-  const Tensor out = pool.forward(t);
+  const Tensor out = run(pool, t);
   EXPECT_EQ(out.shape(), (FeatureShape{1, 1, 1}));
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 3.0f);
 }
@@ -65,13 +74,13 @@ TEST(AvgPool2x2, Averages) {
 TEST(AvgPool2x2, OddSizeThrows) {
   AvgPool2x2 pool;
   Tensor t(FeatureShape{1, 3, 2});
-  EXPECT_THROW(pool.forward(t), CheckError);
+  EXPECT_THROW(run(pool, t), CheckError);
 }
 
 TEST(GlobalAvgPool, ReducesToOnePixel) {
   GlobalAvgPool pool;
   Tensor t(FeatureShape{2, 2, 2}, {1, 1, 1, 1, 2, 2, 2, 10});
-  const Tensor out = pool.forward(t);
+  const Tensor out = run(pool, t);
   EXPECT_EQ(out.shape(), (FeatureShape{2, 1, 1}));
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(out.at(1, 0, 0), 4.0f);
@@ -84,7 +93,7 @@ TEST(Int8Conv, ApproximatesFloatConv) {
   Int8Conv2d conv("stem", w, std::vector<float>(4, 0.0f),
                   {.stride = 2, .padding = 1});
   const Tensor input = gen.sample_activation({3, 8, 8});
-  const Tensor q_out = conv.forward(input);
+  const Tensor q_out = run(conv, input);
   const Tensor f_out =
       reference_conv2d(input, w, {.stride = 2, .padding = 1}, 0.0f);
   ASSERT_EQ(q_out.shape(), f_out.shape());
@@ -105,7 +114,7 @@ TEST(Int8Linear, ApproximatesFloatGemv) {
   Int8Linear fc("fc", in, out, w, bias);
   Tensor input(FeatureShape{in, 1, 1});
   for (auto& v : input.data()) v = static_cast<float>(gen.rng().normal());
-  const Tensor got = fc.forward(input);
+  const Tensor got = run(fc, input);
   for (std::int64_t o = 0; o < out; ++o) {
     float expect = bias[static_cast<std::size_t>(o)];
     for (std::int64_t i = 0; i < in; ++i) {
@@ -120,25 +129,28 @@ TEST(Int8Linear, RequiresFlatInput) {
   Int8Linear fc("fc", 4, 2, std::vector<float>(8, 0.1f),
                 std::vector<float>(2, 0.0f));
   Tensor t(FeatureShape{4, 2, 1});
-  EXPECT_THROW(fc.forward(t), CheckError);
+  EXPECT_THROW(fc.output_shape(t.shape()), CheckError);
+  Workspace workspace = test_workspace();
+  Tensor out(FeatureShape{2, 1, 1});
+  EXPECT_THROW(fc.forward_into(t, out, workspace), CheckError);
 }
 
-TEST(Topology, ResidualAddAndConcat) {
+TEST(Topology, ResidualAdd) {
   Tensor a(FeatureShape{1, 1, 2}, {1.0f, 2.0f});
   Tensor b(FeatureShape{1, 1, 2}, {10.0f, 20.0f});
-  const Tensor sum = residual_add(a, b);
+  Tensor sum(a.shape());
+  residual_add_into(a, b, sum);
   EXPECT_FLOAT_EQ(sum.data()[0], 11.0f);
   EXPECT_FLOAT_EQ(sum.data()[1], 22.0f);
-  const Tensor cat = concat_channels(a, b);
-  EXPECT_EQ(cat.shape(), (FeatureShape{2, 1, 2}));
-  EXPECT_FLOAT_EQ(cat.at(0, 0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(cat.at(1, 0, 1), 20.0f);
 }
 
 TEST(Topology, ResidualShapeMismatchThrows) {
   Tensor a(FeatureShape{1, 1, 2});
   Tensor b(FeatureShape{1, 2, 1});
-  EXPECT_THROW(residual_add(a, b), CheckError);
+  Tensor out(a.shape());
+  EXPECT_THROW(residual_add_into(a, b, out), CheckError);
+  Tensor wrong_out(FeatureShape{2, 1, 2});
+  EXPECT_THROW(residual_add_into(a, a, wrong_out), CheckError);
 }
 
 TEST(LayerInfo, BinaryConvClassification) {
@@ -169,144 +181,80 @@ TEST(OpClassNames, MatchTableI) {
   EXPECT_EQ(op_class_name(OpClass::kOther), "Others");
 }
 
-// ---- forward_into: the zero-allocation entry point of every layer ----
-
-/// Workspace big enough for any layer in these tests.
-Workspace test_workspace() {
-  return Workspace(MemoryPlan{.activation_floats = 4096,
-                              .scratch_bytes = 16384,
-                              .pack_words = 1024});
-}
-
-/// forward() and forward_into() must agree bit-for-bit.
-void expect_into_matches_forward(const Layer& layer, const Tensor& input) {
-  const Tensor expected = layer.forward(input);
-  Workspace workspace = test_workspace();
-  Tensor out(layer.output_shape(input.shape()));
-  layer.forward_into(input, out, workspace);
-  ASSERT_EQ(out.shape(), expected.shape());
-  EXPECT_EQ(std::memcmp(out.data().data(), expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
-}
+// ---- forward_into: binary conv oracle, aliasing, shape guards ----
 
 Tensor random_activation(const FeatureShape& shape, std::uint64_t seed) {
   WeightGenerator gen(seed);
   return gen.sample_activation(shape);
 }
 
-TEST(ForwardInto, MatchesForwardForEveryLayerKind) {
+TEST(ForwardInto, BinaryConvMatchesScalarPackedConv) {
+  // The oracle: pack_feature (the set_bit reference packer) feeding the
+  // scalar xnor/popcount kernel. forward_into packs with
+  // pack_feature_into into the workspace scratch and runs the
+  // dispatched kernel; both must agree bit-for-bit.
   WeightGenerator gen(31);
   const Tensor input = random_activation({8, 6, 6}, 61);
-
-  expect_into_matches_forward(SignActivation(), input);
-  expect_into_matches_forward(
-      BinaryConv2d("c3", gen.sample_kernel({4, 8, 3, 3}), {1, 1}), input);
-  expect_into_matches_forward(
-      BinaryConv2d("c1", gen.sample_kernel({8, 8, 1, 1}), {1, 0}), input);
-  expect_into_matches_forward(
-      BinaryConv2d("c3s2", gen.sample_kernel({8, 8, 3, 3}), {2, 1}), input);
-  expect_into_matches_forward(
-      Int8Conv2d("stem", gen.sample_float_weights({4, 8, 3, 3}, 0.5f),
-                 gen.sample_floats(4, 0.05f), {1, 1}),
-      input);
-  expect_into_matches_forward(
-      BatchNorm("bn", gen.sample_floats(8, 0.1f, 1.0f),
-                gen.sample_floats(8, 0.05f)),
-      input);
-  expect_into_matches_forward(
-      RPReLU("act", gen.sample_floats(8, 0.1f),
-             gen.sample_floats(8, 0.05f, 0.25f), gen.sample_floats(8, 0.1f)),
-      input);
-  expect_into_matches_forward(AvgPool2x2(), input);
-  expect_into_matches_forward(GlobalAvgPool(), input);
-  expect_into_matches_forward(
-      Int8Linear("fc", 8, 5, gen.sample_floats(40, 0.05f),
-                 gen.sample_floats(5, 0.01f)),
-      random_activation({8, 1, 1}, 63));
-}
-
-TEST(ForwardInto, AliasSafeLayersRunInPlace) {
-  // BatchNorm, RPReLU and SignActivation document in-place support —
-  // the block orchestration overwrites its own buffers through them.
-  WeightGenerator gen(33);
-  const Tensor input = random_activation({4, 5, 5}, 67);
-  Workspace workspace = test_workspace();
-  std::vector<std::unique_ptr<Layer>> layers;
-  layers.push_back(std::make_unique<BatchNorm>(
-      "bn", gen.sample_floats(4, 0.1f, 1.0f), gen.sample_floats(4, 0.05f)));
-  layers.push_back(std::make_unique<RPReLU>(
-      "act", gen.sample_floats(4, 0.1f), gen.sample_floats(4, 0.05f, 0.25f),
-      gen.sample_floats(4, 0.1f)));
-  layers.push_back(std::make_unique<SignActivation>());
-  for (const auto& layer : layers) {
-    const Tensor expected = layer->forward(input);
-    Tensor in_place = input;
-    TensorView view(in_place);
-    layer->forward_into(view, view, workspace);
-    EXPECT_EQ(std::memcmp(in_place.data().data(), expected.data().data(),
-                          expected.data().size_bytes()),
-              0);
+  const BinaryConv2d convs[] = {
+      {"c3", gen.sample_kernel({4, 8, 3, 3}), {1, 1}},
+      {"c1", gen.sample_kernel({8, 8, 1, 1}), {1, 0}},
+      {"c3s2", gen.sample_kernel({8, 8, 3, 3}), {2, 1}},
+  };
+  for (const BinaryConv2d& conv : convs) {
+    Tensor expected;
+    {
+      simd::ScopedForceScalar force;
+      expected =
+          binary_conv2d(pack_feature(input), conv.kernel(), conv.geometry());
+    }
+    EXPECT_TRUE(bit_identical(run(conv, input), expected)) << conv.name();
   }
 }
 
-TEST(ForwardInto, DefaultWrapperBridgesOutOfTreeLayers) {
-  // A layer that overrides neither forward_into nor output_shape must
-  // keep working through the compatibility wrappers (at legacy
-  // allocation cost).
-  class Doubler final : public Layer {
-   public:
-    Tensor forward(const Tensor& input) const override {
-      Tensor out = input;
-      out.transform([](float v) { return 2.0f * v; });
-      return out;
-    }
-    LayerInfo info(const FeatureShape& input_shape) const override {
-      return {.name = "doubler", .output_shape = input_shape};
-    }
-    std::string name() const override { return "doubler"; }
-  };
-  const Doubler layer;
-  const Tensor input = random_activation({3, 4, 4}, 71);
-  EXPECT_EQ(layer.output_shape(input.shape()), input.shape());
-  expect_into_matches_forward(layer, input);
+TEST(ForwardInto, AliasSafeLayersRunInPlace) {
+  // BatchNorm and RPReLU document in-place support — the block
+  // orchestration overwrites its own buffers through them.
+  WeightGenerator gen(33);
+  const Tensor input = random_activation({4, 5, 5}, 67);
+  Workspace workspace = test_workspace();
+  const BatchNorm bn("bn", gen.sample_floats(4, 0.1f, 1.0f),
+                     gen.sample_floats(4, 0.05f));
+  const RPReLU act("act", gen.sample_floats(4, 0.1f),
+                   gen.sample_floats(4, 0.05f, 0.25f),
+                   gen.sample_floats(4, 0.1f));
+  for (const Layer* layer : {static_cast<const Layer*>(&bn),
+                             static_cast<const Layer*>(&act)}) {
+    const Tensor expected = run(*layer, input);
+    Tensor in_place = input;
+    TensorView view(in_place);
+    layer->forward_into(view, view, workspace);
+    EXPECT_TRUE(bit_identical(in_place, expected)) << layer->name();
+  }
 }
 
 TEST(ForwardInto, ShapeMismatchThrows) {
-  SignActivation sign;
+  BatchNorm bn("bn", {1.0f, 1.0f}, {0.0f, 0.0f});
   Workspace workspace = test_workspace();
   Tensor input(FeatureShape{2, 3, 3});
   Tensor wrong(FeatureShape{2, 3, 4});
-  EXPECT_THROW(sign.forward_into(input, wrong, workspace), CheckError);
+  EXPECT_THROW(bn.forward_into(input, wrong, workspace), CheckError);
 }
 
-TEST(ResidualAddInto, MatchesAndAliases) {
+TEST(ResidualAddInto, MatchesElementwiseSumAndAliases) {
   const Tensor a = random_activation({3, 4, 4}, 73);
   const Tensor b = random_activation({3, 4, 4}, 74);
-  const Tensor expected = residual_add(a, b);
+  Tensor expected(a.shape());
+  for (std::size_t i = 0; i < expected.data().size(); ++i) {
+    expected.data()[i] = a.data()[i] + b.data()[i];
+  }
   Tensor out(a.shape());
   residual_add_into(a, b, out);
-  EXPECT_EQ(std::memcmp(out.data().data(), expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
+  EXPECT_TRUE(bit_identical(out, expected));
   // Aliased form: out == a, the in-place residual the block uses.
   Tensor aliased = a;
   TensorView view(aliased);
   residual_add_into(view, b, view);
-  EXPECT_EQ(std::memcmp(aliased.data().data(), expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
-}
-
-TEST(ConcatChannelsInto, MatchesConcatChannels) {
-  const Tensor a = random_activation({3, 4, 4}, 75);
-  const Tensor b = random_activation({5, 4, 4}, 76);
-  const Tensor expected = concat_channels(a, b);
-  Tensor out(FeatureShape{8, 4, 4});
-  concat_channels_into(a, b, out);
-  EXPECT_EQ(std::memcmp(out.data().data(), expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
+  EXPECT_TRUE(bit_identical(aliased, expected));
 }
 
 }  // namespace

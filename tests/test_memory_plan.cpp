@@ -1,9 +1,10 @@
 // Tests for the zero-allocation substrate: the bump Arena, the
 // MemoryPlan arithmetic, Workspace / WorkspacePool, and the planned
-// forward path's two load-bearing contracts — bit-identity with the
-// legacy allocating path, and EXACT high-water equality with the plan
-// (an undersized plan overflows as CheckError, an oversized one fails
-// the equality).
+// forward path's two load-bearing contracts — results independent of
+// workspace reuse and sizing (checked against fresh-workspace runs on
+// the scalar kernels), and EXACT high-water equality with the plan (an
+// undersized plan overflows as CheckError, an oversized one fails the
+// equality).
 
 #include "bnn/memory_plan.h"
 
@@ -18,6 +19,7 @@
 #include "support/support.h"
 #include "util/arena.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace bkc::bnn {
 namespace {
@@ -130,13 +132,19 @@ TEST(WorkspacePool, ReusesReleasedWorkspaces) {
   EXPECT_EQ(pool.idle_count(), 2u);
 }
 
-TEST(ReActNetPlan, ForwardIntoMatchesForwardBitExactly) {
+TEST(ReActNetPlan, ReusedWorkspaceMatchesFreshScalarRun) {
+  // One workspace reused across images must leave nothing behind: each
+  // result equals a fresh-workspace run on the scalar kernels.
   const ReActNet model(test::tiny_config(41));
   Workspace workspace(model.memory_plan());
   WeightGenerator gen(9);
   for (int i = 0; i < 3; ++i) {
     const Tensor image = gen.sample_activation(model.input_shape());
-    const Tensor expected = model.forward(image);
+    Tensor expected;
+    {
+      simd::ScopedForceScalar force;
+      expected = test::run_forward(model, image);
+    }
     Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
     model.forward_into(image, scores, workspace);
     ASSERT_EQ(scores.shape(), expected.shape());
@@ -200,7 +208,8 @@ TEST(ReActNetPlan, OversizedWorkspaceRunsFine) {
   const Tensor image = gen.sample_activation(model.input_shape());
   Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
   model.forward_into(image, scores, workspace);
-  const Tensor expected = model.forward(image);
+  // Same bits as a workspace sized exactly to the plan.
+  const Tensor expected = test::run_forward(model, image);
   EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
                         expected.data().size_bytes()),
             0);

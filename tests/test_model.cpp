@@ -1,100 +1,13 @@
-// Tests for Sequential, OpRecord resolution and the storage breakdown.
+// Tests for the Table I storage breakdown over op records.
 
 #include "bnn/model.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
-#include "bnn/memory_plan.h"
-#include "bnn/weights.h"
 #include "util/check.h"
 
 namespace bkc::bnn {
 namespace {
-
-Sequential tiny_pipeline() {
-  WeightGenerator gen(11);
-  Sequential seq;
-  seq.emplace<SignActivation>();
-  seq.emplace<BinaryConv2d>("conv", gen.sample_kernel({4, 8, 3, 3}),
-                            ConvGeometry{1, 1});
-  seq.emplace<BatchNorm>("bn", std::vector<float>(4, 0.1f),
-                         std::vector<float>(4, 0.0f));
-  seq.emplace<GlobalAvgPool>();
-  return seq;
-}
-
-TEST(Sequential, ForwardProducesFinalShape) {
-  const Sequential seq = tiny_pipeline();
-  WeightGenerator gen(13);
-  const Tensor out = seq.forward(gen.sample_activation({8, 6, 6}));
-  EXPECT_EQ(out.shape(), (FeatureShape{4, 1, 1}));
-}
-
-TEST(Sequential, OpRecordsResolveShapesThrough) {
-  const Sequential seq = tiny_pipeline();
-  const auto records = seq.op_records({8, 6, 6});
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0].output_shape, (FeatureShape{8, 6, 6}));
-  EXPECT_EQ(records[1].output_shape, (FeatureShape{4, 6, 6}));
-  EXPECT_EQ(records[1].op_class, OpClass::kConv3x3);
-  EXPECT_EQ(records[1].kernel_shape, (KernelShape{4, 8, 3, 3}));
-  EXPECT_EQ(records[3].output_shape, (FeatureShape{4, 1, 1}));
-  EXPECT_EQ(seq.output_shape({8, 6, 6}), (FeatureShape{4, 1, 1}));
-}
-
-TEST(Sequential, LayerAccessBounds) {
-  const Sequential seq = tiny_pipeline();
-  EXPECT_EQ(seq.size(), 4u);
-  EXPECT_EQ(seq.layer(0).name(), "sign");
-  EXPECT_THROW(seq.layer(4), CheckError);
-}
-
-TEST(Sequential, ForwardIntoMatchesForwardWithSignFusion) {
-  // The pipeline starts with SignActivation -> BinaryConv2d, so
-  // forward_into elides the sign materialization entirely; the outputs
-  // must still match the two-step legacy path bit-for-bit (packing
-  // binarizes with the same v >= 0 rule the sign applies).
-  const Sequential seq = tiny_pipeline();
-  const FeatureShape input_shape{8, 6, 6};
-  Workspace workspace(
-      plan_sequential_forward(seq.op_records(input_shape)));
-  WeightGenerator gen(13);
-  for (int i = 0; i < 3; ++i) {
-    const Tensor input = gen.sample_activation(input_shape);
-    const Tensor expected = seq.forward(input);
-    Tensor out(seq.output_shape(input_shape));
-    seq.forward_into(input, out, workspace);
-    ASSERT_EQ(out.shape(), expected.shape());
-    EXPECT_EQ(std::memcmp(out.data().data(), expected.data().data(),
-                          expected.data().size_bytes()),
-              0);
-  }
-}
-
-TEST(Sequential, ForwardIntoEmptyPipelineCopies) {
-  const Sequential seq;
-  Workspace workspace(MemoryPlan{.activation_floats = 64});
-  WeightGenerator gen(15);
-  const Tensor input = gen.sample_activation({2, 3, 3});
-  Tensor out(input.shape());
-  seq.forward_into(input, out, workspace);
-  EXPECT_EQ(std::memcmp(out.data().data(), input.data().data(),
-                        input.data().size_bytes()),
-            0);
-  Tensor wrong(FeatureShape{2, 3, 4});
-  EXPECT_THROW(seq.forward_into(input, wrong, workspace), CheckError);
-}
-
-TEST(Sequential, ForwardIntoUndersizedPlanThrows) {
-  const Sequential seq = tiny_pipeline();
-  Workspace workspace(MemoryPlan{.activation_floats = 1});
-  WeightGenerator gen(17);
-  const Tensor input = gen.sample_activation({8, 6, 6});
-  Tensor out(seq.output_shape(input.shape()));
-  EXPECT_THROW(seq.forward_into(input, out, workspace), CheckError);
-}
 
 TEST(StorageBreakdown, AggregatesByClass) {
   StorageBreakdown b;

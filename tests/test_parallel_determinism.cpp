@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,22 +121,37 @@ TEST_P(ParallelDeterminism, ParallelConvClassifyMatchesSerial) {
   }
 }
 
-TEST_P(ParallelDeterminism, WorkspacePathMatchesLegacyForwardAtEveryCount) {
+TEST_P(ParallelDeterminism, WorkspacePathMatchesGoldenAndScalarAtEveryCount) {
   // The arena-backed forward path (classify / classify_into over a
-  // Workspace) against the legacy allocating path (model().forward),
-  // across the full thread matrix and with clustering on and off: the
-  // memory plan must never change a single bit of any score.
-  Engine engine(test::tiny_config(39), options_for(GetParam()));
+  // reused Workspace) across the full thread matrix, with clustering on
+  // and off, against two oracles: the checked-in golden score bits
+  // (tests/golden/reactnet_tiny_scores.txt) and a 1-thread run pinned
+  // to the scalar kernels. Neither the memory plan, the thread count
+  // nor the SIMD dispatch may change a single bit of any score.
+  const bnn::ReActNetConfig config = test::tiny_config(42);
+  Engine engine(config, options_for(GetParam()));
   engine.compress();
-  const auto images = test_images(engine.model(), 3, 83);
+  const std::vector<Tensor> images = test::golden_images(config);
   bnn::Workspace workspace = engine.make_workspace();
-  for (const Tensor& image : images) {
-    const Tensor legacy = engine.model().forward(image);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const std::string key = std::string("tiny ") +
+                            (GetParam() ? "clustering" : "encoding_only") +
+                            " image" + std::to_string(i);
+    const std::string golden =
+        test::golden_scores("reactnet_tiny_scores.txt", key);
+    Tensor scalar;
+    {
+      simd::ScopedForceScalar force;
+      scalar = engine.classify(images[i], 1);
+    }
+    EXPECT_EQ(test::score_bits(scalar), golden) << key;
     for (int threads : kThreadCounts) {
-      expect_bit_identical(engine.classify(image, threads), legacy);
-      Tensor scores;
-      engine.classify_into(image, scores, workspace, threads);
-      expect_bit_identical(scores, legacy);
+      const Tensor scores = engine.classify(images[i], threads);
+      EXPECT_EQ(test::score_bits(scores), golden) << key;
+      expect_bit_identical(scores, scalar);
+      Tensor into;
+      engine.classify_into(images[i], into, workspace, threads);
+      expect_bit_identical(into, scalar);
     }
   }
   // The reused workspace's peak is exactly the plan — at every thread

@@ -34,11 +34,20 @@ TEST(Schedule, WidthDivisorScalesAndClamps) {
   EXPECT_EQ(tiny.front().in_channels, 4);  // clamped at 4
 }
 
+/// One block through forward_into, with a workspace planned from the
+/// block's own op records.
+Tensor run_block(const BasicBlock& block, const Tensor& input) {
+  Workspace workspace(plan_reactnet_forward(block.op_records(input.shape())));
+  Tensor out(block.output_shape(input.shape()));
+  block.forward_into(input, out, workspace);
+  return out;
+}
+
 TEST(BasicBlock, NonExpandingForwardShape) {
   WeightGenerator gen(3);
   const SequenceDistribution dist = SequenceDistribution::uniform();
   BasicBlock block("b", {16, 16, 1}, gen, dist);
-  const Tensor out = block.forward(gen.sample_activation({16, 8, 8}));
+  const Tensor out = run_block(block, gen.sample_activation({16, 8, 8}));
   EXPECT_EQ(out.shape(), (FeatureShape{16, 8, 8}));
   EXPECT_EQ(block.conv1x1s().size(), 1u);
 }
@@ -47,7 +56,7 @@ TEST(BasicBlock, ExpandingStride2ForwardShape) {
   WeightGenerator gen(5);
   const SequenceDistribution dist = SequenceDistribution::uniform();
   BasicBlock block("b", {16, 32, 2}, gen, dist);
-  const Tensor out = block.forward(gen.sample_activation({16, 8, 8}));
+  const Tensor out = run_block(block, gen.sample_activation({16, 8, 8}));
   EXPECT_EQ(out.shape(), (FeatureShape{32, 4, 4}));
   EXPECT_EQ(block.conv1x1s().size(), 2u);  // channel duplication
   EXPECT_EQ(block.output_shape({16, 8, 8}), (FeatureShape{32, 4, 4}));
@@ -73,7 +82,7 @@ TEST(ReActNet, TinyForwardRuns) {
   Tensor image(model.input_shape());
   WeightGenerator gen(22);
   image = gen.sample_activation(model.input_shape());
-  const Tensor scores = model.forward(image);
+  const Tensor scores = test::run_forward(model, image);
   EXPECT_EQ(scores.shape(), (FeatureShape{10, 1, 1}));
   // Scores should not be all equal (the network is doing something).
   float lo = scores.data()[0];
@@ -86,11 +95,15 @@ TEST(ReActNet, TinyForwardRuns) {
 }
 
 TEST(ReActNet, ForwardIsDeterministic) {
+  // A fresh workspace and a reused one give the same scores.
   const ReActNet model(test::tiny_config(33));
   WeightGenerator gen(34);
   const Tensor image = gen.sample_activation(model.input_shape());
-  const Tensor a = model.forward(image);
-  const Tensor b = model.forward(image);
+  const Tensor a = test::run_forward(model, image);
+  Workspace workspace(model.memory_plan());
+  Tensor b(a.shape());
+  model.forward_into(image, b, workspace);
+  model.forward_into(image, b, workspace);
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
@@ -108,7 +121,7 @@ TEST(ReActNet, SameSeedSameModel) {
 TEST(ReActNet, WrongInputShapeThrows) {
   const ReActNet model(test::tiny_config(42));
   Tensor bad(FeatureShape{3, 16, 16});
-  EXPECT_THROW(model.forward(bad), CheckError);
+  EXPECT_THROW(test::run_forward(model, bad), CheckError);
 }
 
 TEST(ReActNet, PaperStorageBreakdownMatchesTableI) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bnn/weights.h"
+#include "compress/block_codec.h"
 #include "compress/instrumentation.h"
 #include "core/engine.h"
 #include "support/support.h"
@@ -502,35 +503,42 @@ TEST(SerializeGolden, ReaderLoadsTheCheckedInContainer) {
 // Cycle-level equality lives in hwsim::cycles_identical (also used by
 // the bench/speedup self-check); nothing serialize-specific to add.
 
-TEST(SerializeMapped, BufferedAndMappedLoadsAreBitIdentical) {
+TEST(SerializeMapped, BufferedAndMappedParsersAgree) {
   const std::string path =
       ::testing::TempDir() + "/bkc_mapped_vs_buffered.bkcm";
   Engine source(test::tiny_config(51));
   source.compress(2);
   source.save_compressed(path);
 
-  // Buffered: parse an in-memory copy. Mapped: Engine::load_compressed
-  // maps the file and parses in place.
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  const Engine buffered = Engine::load_compressed(
-      std::span<const std::uint8_t>(bytes), 2);
-  const Engine mapped = Engine::load_compressed(path, 2);
-
-  expect_model_reports_equal(mapped.report(), buffered.report());
-  ASSERT_EQ(mapped.model().num_blocks(), buffered.model().num_blocks());
-  for (std::size_t b = 0; b < mapped.model().num_blocks(); ++b) {
-    EXPECT_TRUE(mapped.model().block(b).conv3x3().kernel() ==
-                buffered.model().block(b).conv3x3().kernel())
+  // Buffered: read_bkcm over an in-memory copy. Mapped: MappedBkcm::open
+  // parses the mapping in place (Engine::load_compressed's path). Both
+  // parsers must yield the same artifacts, and every buffered stream
+  // must decode to the kernel the loaded engine installed.
+  const BkcmContents buffered = read_bkcm(read_file_bytes(path));
+  const MappedBkcm mapped = MappedBkcm::open(path);
+  const Engine loaded = Engine::load_compressed(path, 2);
+  EXPECT_EQ(mapped.clustering(), buffered.clustering);
+  EXPECT_EQ(mapped.model_config().seed, buffered.model_config.seed);
+  expect_model_reports_equal(mapped.report(), buffered.report);
+  ASSERT_EQ(mapped.blocks().size(), buffered.streams.size());
+  ASSERT_EQ(loaded.model().num_blocks(), buffered.streams.size());
+  for (std::size_t b = 0; b < buffered.streams.size(); ++b) {
+    const MappedBkcm::Block& block = mapped.blocks()[b];
+    const KernelCompression& stream = buffered.streams[b];
+    EXPECT_EQ(block.artifact.codec_id, stream.codec_id);
+    EXPECT_EQ(block.artifact.compressed.stream_bits,
+              stream.compressed.stream_bits);
+    EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
+                           stream.compressed.stream.begin(),
+                           stream.compressed.stream.end()));
+    EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths);
+    expect_codecs_equal(block.artifact.codec, stream.codec);
+    expect_clustering_equal(block.artifact.clustering, stream.clustering);
+    const bnn::PackedKernel& installed =
+        loaded.model().block(b).conv3x3().kernel();
+    EXPECT_TRUE(decode_block(stream) == installed) << "block " << b;
+    EXPECT_TRUE(source.model().block(b).conv3x3().kernel() == installed)
         << "block " << b;
-  }
-  bnn::WeightGenerator gen(7);
-  const Tensor image = gen.sample_activation(mapped.model().input_shape());
-  const Tensor score_mapped = mapped.classify(image);
-  const Tensor score_buffered = buffered.classify(image);
-  ASSERT_EQ(score_mapped.data().size(), score_buffered.data().size());
-  for (std::size_t v = 0; v < score_mapped.data().size(); ++v) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(score_mapped.data()[v]),
-              std::bit_cast<std::uint32_t>(score_buffered.data()[v]));
   }
   std::remove(path.c_str());
 }

@@ -18,6 +18,7 @@
 #include "bnn/memory_plan.h"
 #include "core/engine.h"
 #include "support/support.h"
+#include "util/simd.h"
 
 namespace {
 
@@ -101,7 +102,11 @@ TEST(ZeroAlloc, WarmClassifyIntoAllocatesNothing) {
   // Warm-up: shapes the scores tensor; the workspace was fully
   // allocated at construction.
   engine.classify_into(image, scores, workspace);
-  const Tensor expected = engine.model().forward(image);
+  Tensor expected;
+  {
+    simd::ScopedForceScalar force;
+    expected = test::run_forward(engine.model(), image);
+  }
 
   const std::uint64_t arena_allocs_per_pass =
       workspace.arena().allocation_count();
@@ -123,7 +128,8 @@ TEST(ZeroAlloc, WarmClassifyIntoAllocatesNothing) {
   // ...to exactly the planned high-water mark.
   EXPECT_EQ(workspace.arena().high_water(),
             engine.memory_plan().arena_bytes());
-  // And the result is still bit-identical to the legacy path.
+  // And the result is still bit-identical to a fresh-workspace run on
+  // the scalar kernels.
   ASSERT_EQ(scores.shape(), expected.shape());
   EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
                         expected.data().size_bytes()),
