@@ -3,8 +3,8 @@
 //
 // This is the full-precision substrate: reference convolutions, batch
 // norm / PReLU arithmetic and the int8-quantized input/output layers all
-// operate on Tensor storage (through the views below). The binary fast path uses the packed containers in
-// bnn/bitpack.h instead.
+// operate on Tensor storage (through the views below). The binary fast
+// path uses the packed containers in bnn/bitpack.h instead.
 
 #include <cstdint>
 #include <span>

@@ -186,7 +186,8 @@ TEST_P(BackCompatCodecs, EngineRoundTripsThroughAV2Container) {
   ASSERT_EQ(buffered.streams.size(), source.model().num_blocks());
   ASSERT_EQ(loaded.model().num_blocks(), source.model().num_blocks());
   for (std::size_t b = 0; b < source.model().num_blocks(); ++b) {
-    const bnn::PackedKernel& kernel = source.model().block(b).conv3x3().kernel();
+    const bnn::PackedKernel& kernel =
+        source.model().block(b).conv3x3().kernel();
     EXPECT_EQ(buffered.streams[b].codec_id, codec_id);
     EXPECT_TRUE(compress::decode_block(buffered.streams[b]) == kernel)
         << "codec " << codec_id << ", block " << b << " (buffered)";
