@@ -4,13 +4,7 @@
 // produces the report and both stream artifacts per block — for a range
 // of thread counts (1, 2, 4, ... up to --threads). Before timing, the
 // parallel pass is checked bit-identical against the serial one (the
-// determinism guarantee). A final comparison re-times the PRE-REFACTOR
-// two-pass layout, reconstructed from the public primitives (a
-// report-only pass that emits no streams, then a stream pass that
-// re-runs frequency counting and clustering per block — exactly what
-// Engine::compress ran via analyze() + compress_blocks() before the
-// refactor), against the unified pass, pinning the wall-clock win of
-// deriving the report from the stream artifacts.
+// determinism guarantee).
 //
 //   ./bench/compress_throughput [--tiny] [--threads N] [--repeats N]
 //
@@ -31,55 +25,6 @@ using clock_type = std::chrono::steady_clock;
 
 double seconds_since(clock_type::time_point start) {
   return std::chrono::duration<double>(clock_type::now() - start).count();
-}
-
-/// The pre-refactor per-block REPORT pass (the old
-/// ModelCompressor::analyze_block): every report statistic, but no
-/// stream emission and no kernel remap. Returns a checksum so the
-/// optimizer cannot elide the work.
-std::uint64_t legacy_report_pass(const bkc::bnn::ReActNet& model,
-                                 const bkc::compress::GroupedTreeConfig& tree,
-                                 const bkc::compress::ClusteringConfig& cfg) {
-  namespace compress = bkc::compress;
-  std::uint64_t checksum = 0;
-  double share_sink = 0.0;
-  for (std::size_t b = 0; b < model.num_blocks(); ++b) {
-    const auto& kernel = model.block(b).conv3x3().kernel();
-    const auto table = compress::FrequencyTable::from_kernel(kernel);
-    share_sink += table.top_k_share(16) + table.top_k_share(64) +
-                  table.top_k_share(256) + table.entropy_bits();
-    const compress::GroupedHuffmanCodec plain(table, tree);
-    checksum += plain.encoded_bits(table);
-    for (int n = 0; n < tree.num_nodes(); ++n) {
-      share_sink += plain.node_share(n, table);
-    }
-    const auto clustering = compress::cluster_sequences(table, cfg);
-    const auto clustered = clustering.apply(table);
-    const compress::GroupedHuffmanCodec codec(clustered, tree);
-    checksum += codec.encoded_bits(clustered) + codec.table_bits();
-    for (int n = 0; n < tree.num_nodes(); ++n) {
-      share_sink += codec.node_share(n, clustered);
-    }
-    share_sink += compress::HuffmanCodec::build(clustered)
-                      .compression_ratio(clustered);
-  }
-  return checksum + static_cast<std::uint64_t>(share_sink);
-}
-
-/// The pre-refactor per-block STREAM pass (the old compress_blocks):
-/// one compress_kernel_pipeline per block, which re-runs frequency
-/// counting and the clustering search on the same inputs.
-std::uint64_t legacy_stream_pass(const bkc::bnn::ReActNet& model,
-                                 const bkc::compress::GroupedTreeConfig& tree,
-                                 const bkc::compress::ClusteringConfig& cfg) {
-  std::uint64_t checksum = 0;
-  for (std::size_t b = 0; b < model.num_blocks(); ++b) {
-    const auto artifact = bkc::compress::compress_kernel_pipeline(
-        model.block(b).conv3x3().kernel(), /*apply_clustering=*/true, tree,
-        cfg);
-    checksum += artifact.compressed.stream_bits;
-  }
-  return checksum;
 }
 
 }  // namespace
@@ -155,22 +100,5 @@ int main(int argc, char** argv) {
   table.print("compress_model throughput (best of " +
               std::to_string(repeats) + ")");
 
-  // The headline of the refactor: one unified pass vs the true
-  // pre-refactor layout (report-only pass, then a stream pass that
-  // repeats frequency counting and clustering per block). Both run
-  // serially so the comparison is pass structure, not fan-out.
-  std::uint64_t sink = 0;
-  const double two_pass = best_of([&] {
-    sink += legacy_report_pass(model, compressor.tree(),
-                               compressor.clustering());
-    sink += legacy_stream_pass(model, compressor.tree(),
-                               compressor.clustering());
-  });
-  check(sink > 0, "compress_throughput: legacy passes produced no bits");
-  std::cout << "\nEngine::compress cost, serial: single-pass "
-            << base_seconds << " s, pre-refactor two-pass " << two_pass
-            << " s (" << ratio_str(two_pass / base_seconds)
-            << " — the duplicated per-block work the unified pass "
-               "removes)\n";
   return 0;
 }

@@ -1,8 +1,9 @@
 // BKCM container throughput: save/load MB/s and size accounting.
 //
 // Measures the full container pipeline over an already-compressed
-// engine: write_bkcm (serialize to a memory image), read_bkcm (parse +
-// validate checksums) and Engine::load_compressed (parse + decode every
+// engine: write_bkcm (serialize to a memory image), MappedBkcm::open
+// (map + validate checksums + parse in place, the parse every load
+// ships through) and Engine::load_compressed (open + decode every
 // kernel stream + rebuild the model), plus the on-disk size of the
 // container against the raw bit-packed 3x3 storage it replaces. Before
 // timing, a loaded engine is checked bit-identical to the writer
@@ -81,21 +82,18 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  const compress::BkcmContents contents{
-      .clustering = engine.options().clustering,
-      .tree = engine.options().tree,
-      .clustering_config = engine.options().clustering_config,
-      .model_config = engine.model().config(),
-      .report = report,
-      .streams = engine.block_streams()};
   std::vector<std::uint8_t> sink;
-  const double serialize_s =
-      best_of([&] { sink = compress::write_bkcm(contents); });
+  const double serialize_s = best_of([&] {
+    sink = compress::write_bkcm(
+        engine.options().clustering, engine.options().tree,
+        engine.options().clustering_config, engine.model().config(), report,
+        engine.block_streams());
+  });
   check(sink == image,
         "serialize_throughput: serialization is not deterministic");
   const double parse_s = best_of([&] {
-    const compress::BkcmContents parsed = compress::read_bkcm(image);
-    check(!parsed.streams.empty(), "serialize_throughput: empty parse");
+    const compress::MappedBkcm parsed = compress::MappedBkcm::open(path);
+    check(!parsed.blocks().empty(), "serialize_throughput: empty parse");
   });
   const double load_serial_s =
       best_of([&] { Engine::load_compressed(path, 1); });
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
   Table table({"stage", "seconds", "MB/s"});
   table.row().add("write_bkcm (memory)").add(serialize_s, 4).add(
       mb_per_sec(image.size(), serialize_s));
-  table.row().add("read_bkcm (parse+crc)").add(parse_s, 4).add(
+  table.row().add("MappedBkcm::open (map+crc+parse)").add(parse_s, 4).add(
       mb_per_sec(image.size(), parse_s));
   table.row()
       .add("Engine::load_compressed, 1 thread")

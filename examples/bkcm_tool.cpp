@@ -15,9 +15,10 @@
 //                                 [--sample-seed S] [--clusters K]
 //                                 [--threads N]
 //
-// The CTest smoke targets chain `compress --tiny` with `classify` and
-// `speedup` on the same file, proving the save -> load -> inference and
-// the save -> simulate paths end to end.
+// The CTest smoke targets chain `compress --tiny` with `info`,
+// `verify`, `classify` and `speedup` on the same file, proving the
+// save -> load -> inference and the save -> simulate paths end to end;
+// one more `info` run reads the permanent v1 golden container.
 
 #include <charconv>
 #include <cstdio>
@@ -98,8 +99,10 @@ int run_info(int argc, char** argv) {
   }
   sections.print("Section table");
 
-  const compress::BkcmContents contents = compress::read_bkcm(file, info);
-  const auto& config = contents.model_config;
+  // The section table above prints even when a payload is corrupt; the
+  // full parse comes second.
+  const compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
+  const auto& config = mapped.model_config();
   std::cout << "\nmodel: " << config.blocks.size() << " blocks, input "
             << config.input_channels << "x" << config.input_size << "x"
             << config.input_size << ", " << config.num_classes
@@ -109,8 +112,8 @@ int run_info(int argc, char** argv) {
   // grouped-huffman; the reader already gated every id against the
   // registry, so codec_for cannot fail here).
   Table codecs({"block", "codec id", "codec", "sequences", "stream bits"});
-  for (std::size_t b = 0; b < contents.streams.size(); ++b) {
-    const compress::KernelCompression& stream = contents.streams[b];
+  for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
+    const compress::KernelCompression& stream = mapped.blocks()[b].artifact;
     codecs.row()
         .add(std::to_string(b))
         .add(std::to_string(stream.codec_id))
@@ -119,10 +122,11 @@ int run_info(int argc, char** argv) {
         .add(std::to_string(stream.compressed.stream_bits));
   }
   codecs.print("Per-block codecs");
-  std::cout << "report: encoding " << ratio_str(contents.report.mean_encoding_ratio)
-            << ", clustering " << ratio_str(contents.report.mean_clustering_ratio)
-            << ", whole model " << ratio_str(contents.report.model_ratio)
-            << " (" << bits_str(contents.report.model_bits) << " total)\n";
+  const compress::ModelReport& report = mapped.report();
+  std::cout << "report: encoding " << ratio_str(report.mean_encoding_ratio)
+            << ", clustering " << ratio_str(report.mean_clustering_ratio)
+            << ", whole model " << ratio_str(report.model_ratio) << " ("
+            << bits_str(report.model_bits) << " total)\n";
   return 0;
 }
 
@@ -130,34 +134,26 @@ int run_verify(int argc, char** argv) {
   // The original weights are not stored, so verification means
   // cross-checking the container's INDEPENDENT artifacts against each
   // other (not decode-vs-what-decode-installed, which is circular).
-  // What "consistent" means is codec-specific — the grouped-huffman
-  // backend checks the decoded stream and the stored remap against the
+  // Loading runs every header/CRC/payload gate of MappedBkcm::open
+  // (including the registry gate: a CRC-valid hostile v2 file cannot
+  // select an unregistered codec) and decodes every stream. What
+  // "consistent" means is codec-specific — the grouped-huffman backend
+  // checks the decoded stream and the stored remap against the
   // frequency tables, mst-delta checks its dictionary instead — so each
-  // block dispatches to its codec's verify_artifact. The reader already
-  // rejected any codec id outside the registry (the plausibility gate:
-  // a CRC-valid hostile v2 file cannot select an unregistered codec).
-  // Afterwards a full Engine::load_compressed exercises the
-  // header/CRC/shape gates and the public decode path end to end.
+  // loaded block then dispatches to its codec's verify_artifact.
   const std::string path(
       flag_string_value(argc, argv, "--file", "model.bkcm"));
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
 
-  const auto file = read_file_bytes(path);
-  const compress::BkcmContents contents = compress::read_bkcm(file);
-  for (std::size_t b = 0; b < contents.streams.size(); ++b) {
-    const compress::KernelCompression& stream = contents.streams[b];
-    compress::codec_for(stream.codec_id).verify_artifact(stream, b);
-  }
-
-  // End-to-end load gate (CRC, shape checks, decode-and-install through
-  // the public API). Re-reading the file is deliberate: this is a
-  // verification tool, not a hot path. verify_streams() would be
-  // tautological here — load_compressed installed the kernels from
-  // these very streams — so it is not called.
   const Engine engine = Engine::load_compressed(path, num_threads);
-  std::cout << path << ": verified (" << engine.report().blocks.size()
-            << " blocks; every stream passed its codec's artifact "
-               "cross-checks, container loads cleanly)\n";
+  const std::vector<compress::KernelCompression>& streams =
+      engine.block_streams();
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    compress::codec_for(streams[b].codec_id).verify_artifact(streams[b], b);
+  }
+  std::cout << path << ": verified (" << streams.size()
+            << " blocks; container loads cleanly, every stream passed its "
+               "codec's artifact cross-checks)\n";
   return 0;
 }
 

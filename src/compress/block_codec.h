@@ -4,8 +4,8 @@
 // kernel into stream + tables + report (ModelCompressor delegates its
 // per-block work here), the decode back to the packed kernel, the
 // per-block container payload (BKCM v2 stores a codec id per block and
-// dispatches the payload bytes to the owning codec, for both the
-// buffered and the mapped zero-copy read paths), and the artifact
+// dispatches the payload bytes to the owning codec; MappedBkcm::open
+// parses them in place), and the artifact
 // cross-checks behind `bkcm_tool verify`.
 //
 // Two backends are registered:
@@ -55,8 +55,7 @@ inline constexpr std::int64_t kMaxModelUnits = 1 << 25;
 std::int64_t read_channel_count(ByteReader& reader, const char* what);
 
 /// Parsed CompressedKernel fields with the stream still borrowed from
-/// the reader's buffer — the shared front end of the copying
-/// (read_bkcm) and zero-copy (MappedBkcm) read paths.
+/// the reader's buffer — the per-stream front end of every read_block.
 struct CompressedKernelRef {
   std::int64_t out_channels = 0;
   std::int64_t in_channels = 0;
@@ -66,10 +65,11 @@ struct CompressedKernelRef {
 
 CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader);
 
-/// One block artifact parsed from a container section. Everything
-/// except the stream bytes is owned; `artifact.compressed.stream` is
-/// left EMPTY and the bytes stay borrowed in `stream` so the mapped
-/// path never copies a bitstream (the buffered path copies them in).
+/// One block artifact parsed from a container section (also
+/// MappedBkcm::Block). Everything except the stream bytes is owned;
+/// `artifact.compressed.stream` is left EMPTY and the bytes stay
+/// borrowed in `stream`, so parsing never copies a bitstream
+/// (Engine::load_compressed copies them in when it takes ownership).
 struct ParsedBlock {
   KernelCompression artifact;
   std::span<const std::uint8_t> stream;  ///< borrowed from the reader

@@ -290,16 +290,6 @@ void write_compressed_kernel(ByteWriter& writer,
   writer.write_bytes(kernel.stream);
 }
 
-CompressedKernel read_compressed_kernel(ByteReader& reader) {
-  const CompressedKernelRef ref = read_compressed_kernel_ref(reader);
-  CompressedKernel kernel;
-  kernel.out_channels = ref.out_channels;
-  kernel.in_channels = ref.in_channels;
-  kernel.stream_bits = ref.stream_bits;
-  kernel.stream.assign(ref.stream.begin(), ref.stream.end());
-  return kernel;
-}
-
 void write_kernel_compression(ByteWriter& writer,
                               const KernelCompression& stream) {
   write_frequency_table(writer, stream.frequencies);
@@ -307,17 +297,6 @@ void write_kernel_compression(ByteWriter& writer,
   write_frequency_table(writer, stream.coded_frequencies);
   write_codec(writer, stream.codec);
   write_compressed_kernel(writer, stream.compressed);
-}
-
-KernelCompression read_kernel_compression(ByteReader& reader) {
-  // The grouped-huffman BlockCodec owns the parse (coded_kernel stays
-  // default-constructed — the loader rebuilds it by decoding; the
-  // code-length vector comes from a prefix-only scan of the stream);
-  // this copying wrapper just materializes the borrowed stream bytes.
-  ParsedBlock parsed = codec_for(kCodecGroupedHuffman).read_block(reader);
-  parsed.artifact.compressed.stream.assign(parsed.stream.begin(),
-                                           parsed.stream.end());
-  return std::move(parsed.artifact);
 }
 
 void write_block_report(ByteWriter& writer, const BlockReport& report) {
@@ -437,12 +416,6 @@ const std::uint32_t kSectionOrder[kNumCoreSections] = {
 
 }  // namespace
 
-std::vector<std::uint8_t> write_bkcm(const BkcmContents& contents) {
-  return write_bkcm(contents.clustering, contents.tree,
-                    contents.clustering_config, contents.model_config,
-                    contents.report, contents.streams);
-}
-
 std::vector<std::uint8_t> write_bkcm(
     bool clustering, const GroupedTreeConfig& tree,
     const ClusteringConfig& clustering_config,
@@ -459,7 +432,7 @@ std::vector<std::uint8_t> write_bkcm(
   // which no checksum covers (magic/version/count/ids are constants and
   // offsets/lengths must tile the file exactly, so any other header
   // flip is caught structurally). Mirroring it here puts it under the
-  // CONF CRC; read_bkcm rejects a mismatch.
+  // CONF CRC; MappedBkcm::open rejects a mismatch.
   conf.write_u8(clustering ? 1 : 0);
   write_tree_config(conf, tree);
   write_clustering_config(conf, clustering_config);
@@ -604,107 +577,14 @@ BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file) {
   return info;
 }
 
-BkcmContents read_bkcm(std::span<const std::uint8_t> file) {
-  return read_bkcm(file, inspect_bkcm(file));
-}
-
 namespace {
 
-/// Guard against a stale or hand-rolled info (the section rows are
-/// indexed by the parsers, so a malformed table must fail cleanly).
-void check_bkcm_info(const BkcmInfo& info) {
-  check(info.sections.size() >= kNumCoreSections &&
-            info.sections.size() <= kMaxSections,
-        "BKCM: BkcmInfo does not describe a BKCM container (expected " +
-            std::to_string(kNumCoreSections) + ".." +
-            std::to_string(kMaxSections) + " sections, got " +
-            std::to_string(info.sections.size()) + ")");
-  for (int s = 0; s < kNumCoreSections; ++s) {
-    check(info.sections[static_cast<std::size_t>(s)].name ==
-              fourcc_name(kSectionOrder[s]),
-          "BKCM: BkcmInfo section " + std::to_string(s) + " must be '" +
-              fourcc_name(kSectionOrder[s]) + "'");
-  }
-}
-
 ByteReader bkcm_section_reader(const ByteReader& whole, const BkcmInfo& info,
-                               int index) {
-  const BkcmSection& section =
-      info.sections[static_cast<std::size_t>(index)];
+                               std::size_t index) {
+  const BkcmSection& section = info.sections[index];
   return whole.sub(static_cast<std::size_t>(section.offset),
                    static_cast<std::size_t>(section.length),
                    "BKCM section '" + section.name + "'");
-}
-
-/// Everything the 'CONF' section holds; shared by the copying and the
-/// mapped read paths.
-struct ConfSection {
-  bool clustering = true;
-  GroupedTreeConfig tree;
-  ClusteringConfig clustering_config;
-  bnn::ReActNetConfig model_config;
-};
-
-ConfSection parse_conf_section(ByteReader conf, std::uint32_t flags) {
-  ConfSection out;
-  const std::uint8_t clustering_mirror = conf.read_u8();
-  check(clustering_mirror <= 1,
-        conf.context() + ": clustering flag must be 0 or 1");
-  out.clustering = clustering_mirror == 1;
-  check(out.clustering == ((flags & kBkcmFlagClustering) != 0),
-        conf.context() + ": clustering flag does not match the header "
-                         "flags word (corrupt header)");
-  out.tree = read_tree_config(conf);
-  out.clustering_config = read_clustering_config(conf);
-  out.model_config = read_reactnet_config(conf);
-  conf.expect_exhausted();
-  return out;
-}
-
-std::uint64_t read_blks_stream_count(ByteReader& blks,
-                                     const bnn::ReActNetConfig& config) {
-  const std::uint64_t num_streams = blks.read_varint();
-  check(num_streams == config.blocks.size(),
-        blks.context() + ": stream count " + std::to_string(num_streams) +
-            " does not match the model's " +
-            std::to_string(config.blocks.size()) + " blocks");
-  return num_streams;
-}
-
-/// Every stream codec must use the container's tree config (the writer
-/// always emits them identical); a mismatch means CONF and BLKS
-/// describe different formats — same standard as the mirrored
-/// clustering flag.
-void check_stream_tree(const ByteReader& blks,
-                       const GroupedTreeConfig& stream_tree,
-                       const GroupedTreeConfig& conf_tree,
-                       std::uint64_t index) {
-  check(stream_tree.index_bits == conf_tree.index_bits,
-        blks.context() + ": stream " + std::to_string(index) +
-            " codec tree config does not match the 'CONF' section");
-}
-
-void check_report_covers_streams(std::size_t report_blocks,
-                                 std::size_t num_streams) {
-  check(report_blocks == num_streams,
-        "BKCM section 'REPT': report covers " +
-            std::to_string(report_blocks) +
-            " blocks, the container holds " + std::to_string(num_streams) +
-            " streams");
-}
-
-/// v2 prefixes every block payload with its codec id; v1 blocks are
-/// implicitly grouped-huffman. The registry gate here is what keeps a
-/// CRC-valid hostile container from selecting a codec that does not
-/// exist.
-std::uint32_t read_stream_codec_id(ByteReader& blks, std::uint32_t version,
-                                   std::uint64_t index) {
-  if (version < 2) return kCodecGroupedHuffman;
-  const std::uint32_t id = blks.read_u32();
-  check(block_codec_registered(id),
-        blks.context() + ": stream " + std::to_string(index) +
-            " selects unregistered codec id " + std::to_string(id));
-  return id;
 }
 
 /// Validate one 'CDCS' codec-directory payload against the registry and
@@ -728,110 +608,89 @@ void validate_codecs_section(ByteReader cdcs,
   cdcs.expect_exhausted();
 }
 
-/// Walk the optional sections: 'CDCS' is validated, unknown ids are
-/// skipped (their structure and checksum were already checked by
-/// inspect_bkcm).
-void validate_optional_sections(const ByteReader& whole,
-                                const BkcmInfo& info,
-                                std::vector<std::uint32_t> used) {
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  for (std::size_t s = kNumCoreSections; s < info.sections.size(); ++s) {
-    if (info.sections[s].name == "CDCS") {
-      validate_codecs_section(
-          bkcm_section_reader(whole, info, static_cast<int>(s)), used);
-    }
-  }
-}
-
 }  // namespace
-
-BkcmContents read_bkcm(std::span<const std::uint8_t> file,
-                       const BkcmInfo& info) {
-  check_bkcm_info(info);
-  const ByteReader whole(file, "BKCM");
-
-  BkcmContents contents;
-
-  ConfSection conf = parse_conf_section(bkcm_section_reader(whole, info, 0),
-                                        info.flags);
-  contents.clustering = conf.clustering;
-  contents.tree = std::move(conf.tree);
-  contents.clustering_config = conf.clustering_config;
-  contents.model_config = std::move(conf.model_config);
-
-  ByteReader rept = bkcm_section_reader(whole, info, 1);
-  contents.report = read_model_report(rept);
-  rept.expect_exhausted();
-
-  ByteReader blks = bkcm_section_reader(whole, info, 2);
-  const std::uint64_t num_streams =
-      read_blks_stream_count(blks, contents.model_config);
-  contents.streams.reserve(static_cast<std::size_t>(num_streams));
-  std::vector<std::uint32_t> used_codecs;
-  for (std::uint64_t b = 0; b < num_streams; ++b) {
-    const std::uint32_t codec_id =
-        read_stream_codec_id(blks, info.version, b);
-    ParsedBlock parsed = codec_for(codec_id).read_block(blks);
-    parsed.artifact.compressed.stream.assign(parsed.stream.begin(),
-                                             parsed.stream.end());
-    if (codec_id == kCodecGroupedHuffman) {
-      check_stream_tree(blks, parsed.artifact.codec.config(), contents.tree,
-                        b);
-    }
-    used_codecs.push_back(codec_id);
-    contents.streams.push_back(std::move(parsed.artifact));
-  }
-  blks.expect_exhausted();
-
-  check_report_covers_streams(contents.report.blocks.size(),
-                              contents.streams.size());
-  validate_optional_sections(whole, info, std::move(used_codecs));
-  return contents;
-}
 
 MappedBkcm MappedBkcm::open(const std::string& path) {
   MappedBkcm out;
   out.file_ = MmapFile::open(path);
   const std::span<const std::uint8_t> file = out.file_.bytes();
   out.info_ = inspect_bkcm(file);
+  const BkcmInfo& info = out.info_;
   const ByteReader whole(file, "BKCM");
 
-  ConfSection conf = parse_conf_section(
-      bkcm_section_reader(whole, out.info_, 0), out.info_.flags);
-  out.clustering_ = conf.clustering;
-  out.tree_ = std::move(conf.tree);
-  out.clustering_config_ = conf.clustering_config;
-  out.model_config_ = std::move(conf.model_config);
+  ByteReader conf = bkcm_section_reader(whole, info, 0);
+  const std::uint8_t clustering_mirror = conf.read_u8();
+  check(clustering_mirror <= 1,
+        conf.context() + ": clustering flag must be 0 or 1");
+  out.clustering_ = clustering_mirror == 1;
+  check(out.clustering_ == ((info.flags & kBkcmFlagClustering) != 0),
+        conf.context() + ": clustering flag does not match the header "
+                         "flags word (corrupt header)");
+  out.tree_ = read_tree_config(conf);
+  out.clustering_config_ = read_clustering_config(conf);
+  out.model_config_ = read_reactnet_config(conf);
+  conf.expect_exhausted();
 
-  ByteReader rept = bkcm_section_reader(whole, out.info_, 1);
+  ByteReader rept = bkcm_section_reader(whole, info, 1);
   out.report_ = read_model_report(rept);
   rept.expect_exhausted();
 
   // BLKS, zero-copy: the small artifacts are parsed into owned storage,
   // the bitstream stays a span into the mapping, and one prefix-only
   // scan per stream recovers the code-length vector. No kernel decode.
-  ByteReader blks = bkcm_section_reader(whole, out.info_, 2);
-  const std::uint64_t num_streams =
-      read_blks_stream_count(blks, out.model_config_);
+  ByteReader blks = bkcm_section_reader(whole, info, 2);
+  const std::uint64_t num_streams = blks.read_varint();
+  check(num_streams == out.model_config_.blocks.size(),
+        blks.context() + ": stream count " + std::to_string(num_streams) +
+            " does not match the model's " +
+            std::to_string(out.model_config_.blocks.size()) + " blocks");
   out.blocks_.reserve(static_cast<std::size_t>(num_streams));
   std::vector<std::uint32_t> used_codecs;
   for (std::uint64_t b = 0; b < num_streams; ++b) {
-    const std::uint32_t codec_id =
-        read_stream_codec_id(blks, out.info_.version, b);
-    ParsedBlock parsed = codec_for(codec_id).read_block(blks);
-    if (codec_id == kCodecGroupedHuffman) {
-      check_stream_tree(blks, parsed.artifact.codec.config(), out.tree_, b);
+    // v2 prefixes every block payload with its codec id; v1 blocks are
+    // implicitly grouped-huffman. The registry gate here is what keeps
+    // a CRC-valid hostile container from selecting a codec that does
+    // not exist.
+    std::uint32_t codec_id = kCodecGroupedHuffman;
+    if (info.version >= 2) {
+      codec_id = blks.read_u32();
+      check(block_codec_registered(codec_id),
+            blks.context() + ": stream " + std::to_string(b) +
+                " selects unregistered codec id " + std::to_string(codec_id));
     }
+    Block block = codec_for(codec_id).read_block(blks);
+    // Every grouped stream codec must use the container's tree config
+    // (the writer always emits them identical); a mismatch means CONF
+    // and BLKS describe different formats — same standard as the
+    // mirrored clustering flag.
+    check(codec_id != kCodecGroupedHuffman ||
+              block.artifact.codec.config().index_bits ==
+                  out.tree_.index_bits,
+          blks.context() + ": stream " + std::to_string(b) +
+              " codec tree config does not match the 'CONF' section");
     used_codecs.push_back(codec_id);
-    out.blocks_.push_back(
-        Block{.artifact = std::move(parsed.artifact), .stream = parsed.stream});
+    out.blocks_.push_back(std::move(block));
   }
   blks.expect_exhausted();
 
-  check_report_covers_streams(out.report_.blocks.size(),
-                              out.blocks_.size());
-  validate_optional_sections(whole, out.info_, std::move(used_codecs));
+  check(out.report_.blocks.size() == out.blocks_.size(),
+        "BKCM section 'REPT': report covers " +
+            std::to_string(out.report_.blocks.size()) +
+            " blocks, the container holds " +
+            std::to_string(out.blocks_.size()) + " streams");
+
+  // Optional sections: 'CDCS' is validated, unknown ids are skipped
+  // (their structure and checksum were already checked by
+  // inspect_bkcm).
+  std::sort(used_codecs.begin(), used_codecs.end());
+  used_codecs.erase(std::unique(used_codecs.begin(), used_codecs.end()),
+                    used_codecs.end());
+  for (std::size_t s = kNumCoreSections; s < info.sections.size(); ++s) {
+    if (info.sections[s].name == "CDCS") {
+      validate_codecs_section(bkcm_section_reader(whole, info, s),
+                              used_codecs);
+    }
+  }
   return out;
 }
 

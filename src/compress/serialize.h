@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bnn/reactnet.h"
+#include "compress/block_codec.h"
 #include "compress/kernel_codec.h"
 #include "compress/model_view.h"
 #include "compress/pipeline.h"
@@ -78,20 +79,6 @@ inline constexpr std::uint32_t kBkcmSectionBlocks = fourcc('B', 'L', 'K', 'S');
 /// registry and the streams, and tooling can list the codecs without
 /// parsing a single block payload.
 inline constexpr std::uint32_t kBkcmSectionCodecs = fourcc('C', 'D', 'C', 'S');
-
-/// Everything a BKCM container holds. `streams` carries one
-/// KernelCompression per basic block in model order; its `coded_kernel`
-/// member is NOT part of the container (the loader reconstructs it by
-/// decoding `compressed` with `codec`) and is left default-constructed
-/// by read_bkcm().
-struct BkcmContents {
-  bool clustering = true;
-  GroupedTreeConfig tree;
-  ClusteringConfig clustering_config;
-  bnn::ReActNetConfig model_config;
-  ModelReport report;
-  std::vector<KernelCompression> streams;
-};
 
 // ---- Per-struct serializers ----
 // Each write_x/read_x pair is an exact inverse (locked down field by
@@ -130,17 +117,18 @@ ClusteringResult read_clustering_result(ByteReader& reader);
 void write_codec(ByteWriter& writer, const GroupedHuffmanCodec& codec);
 GroupedHuffmanCodec read_codec(ByteReader& reader);
 
+/// The stream header and bytes; read back by read_compressed_kernel_ref
+/// (compress/block_codec.h), which borrows the bytes in place.
 void write_compressed_kernel(ByteWriter& writer,
                              const CompressedKernel& kernel);
-CompressedKernel read_compressed_kernel(ByteReader& reader);
 
 /// Everything except `coded_kernel` (reconstructed by decoding). The
 /// GROUPED-HUFFMAN per-block payload — the v1 block layout, and the v2
-/// grouped payload behind its codec-id word. Other codecs serialize
-/// through their BlockCodec::write_block/read_block instead.
+/// grouped payload behind its codec-id word — parsed back by
+/// GroupedBlockCodec::read_block. Other codecs serialize through their
+/// BlockCodec::write_block/read_block instead.
 void write_kernel_compression(ByteWriter& writer,
                               const KernelCompression& stream);
-KernelCompression read_kernel_compression(ByteReader& reader);
 
 void write_block_report(ByteWriter& writer, const BlockReport& report);
 BlockReport read_block_report(ByteReader& reader);
@@ -151,22 +139,15 @@ ModelReport read_model_report(ByteReader& reader);
 // ---- Container ----
 
 /// Serialize to a complete BKCM file image (header, section table,
-/// checksummed sections). Deterministic: the same contents always
-/// produce the same bytes (the golden-file test pins this).
-std::vector<std::uint8_t> write_bkcm(const BkcmContents& contents);
-
-/// Same bytes from the individual parts — lets callers that already
-/// hold them (Engine::save_compressed) serialize without first copying
-/// the report and every stream into a BkcmContents.
+/// checksummed sections). `streams` carries one KernelCompression per
+/// basic block in model order; their `coded_kernel` is not stored.
+/// Deterministic: the same parts always produce the same bytes (the
+/// golden-file test pins this).
 std::vector<std::uint8_t> write_bkcm(
     bool clustering, const GroupedTreeConfig& tree,
     const ClusteringConfig& clustering_config,
     const bnn::ReActNetConfig& model_config, const ModelReport& report,
     const std::vector<KernelCompression>& streams);
-
-/// Parse and validate a BKCM file image. CheckError (naming the header
-/// or section at fault) on any structural or checksum failure.
-BkcmContents read_bkcm(std::span<const std::uint8_t> file);
 
 /// One validated row of the section table.
 struct BkcmSection {
@@ -186,13 +167,6 @@ struct BkcmInfo {
 };
 
 BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file);
-
-/// read_bkcm reusing an `info` previously returned by inspect_bkcm() on
-/// the SAME bytes — skips the header walk and the per-section CRC pass
-/// (tooling that prints the section table and then parses would
-/// otherwise checksum the whole file twice).
-BkcmContents read_bkcm(std::span<const std::uint8_t> file,
-                       const BkcmInfo& info);
 
 // ---- Zero-copy container access ----
 
@@ -218,14 +192,11 @@ class MappedBkcm {
   /// (everything a KernelCompression carries, with
   /// `artifact.compressed.stream` left EMPTY and `artifact.coded_kernel`
   /// never decoded) plus the stream bytes borrowed from the mapping.
-  struct Block {
-    KernelCompression artifact;
-    std::span<const std::uint8_t> stream;  ///< borrowed from the mapping
-  };
+  using Block = ParsedBlock;
 
-  /// Map `path` and parse it as described above. CheckError (naming the
-  /// path, header or section at fault) on any I/O, structural, checksum
-  /// or payload failure — the same gates as read_bkcm.
+  /// Map `path` and parse it as described above — the one parser of
+  /// container bytes. CheckError (naming the path, header or section at
+  /// fault) on any I/O, structural, checksum or payload failure.
   static MappedBkcm open(const std::string& path);
 
   const BkcmInfo& info() const { return info_; }

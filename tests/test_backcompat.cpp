@@ -1,9 +1,8 @@
 // Container back-compat: the PERMANENT v1 fixture
 // (tests/golden/reactnet_tiny_v1.bkcm, written by the last v1 build
 // with the same tiny/seed-42 recipe as the current golden) must keep
-// parsing identically through both readers (buffered read_bkcm and
-// mapped MappedBkcm) and loading bit-identically to a from-scratch
-// compression. Plus the
+// parsing through MappedBkcm::open into the artifacts a from-scratch
+// compression emits, and loading bit-identically to it. Plus the
 // forward contract: every codec in the block-codec registry must
 // round-trip an engine through a v2 container.
 //
@@ -94,28 +93,28 @@ TEST(BackCompatV1, FixtureIsAVersion1Container) {
   EXPECT_EQ(info.sections[1].name, "REPT");
   EXPECT_EQ(info.sections[2].name, "BLKS");
   // v1 blocks are implicitly grouped-huffman; the reader stamps the id.
-  const compress::BkcmContents contents = compress::read_bkcm(file, info);
-  for (const compress::KernelCompression& stream : contents.streams) {
-    EXPECT_EQ(stream.codec_id, compress::kCodecGroupedHuffman);
+  const MappedBkcm mapped = MappedBkcm::open(v1_path());
+  for (const MappedBkcm::Block& block : mapped.blocks()) {
+    EXPECT_EQ(block.artifact.codec_id, compress::kCodecGroupedHuffman);
   }
 }
 
-TEST(BackCompatV1, BufferedParserMatchesMappedParser) {
-  // read_bkcm (the buffered parser tooling uses) and MappedBkcm (the
-  // parser every engine load goes through) must agree on the v1 fixture
-  // artifact for artifact, and the buffered streams must decode to the
-  // reference kernels.
-  const compress::BkcmContents buffered =
-      compress::read_bkcm(read_file_bytes(v1_path()));
+TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
+  // MappedBkcm (the parser every engine load goes through) must restore
+  // the v1 fixture artifact for artifact as the reference compression
+  // emits it, and the reference streams must decode to the kernels the
+  // fixture loads into.
   const MappedBkcm mapped = MappedBkcm::open(v1_path());
-  EXPECT_EQ(mapped.clustering(), buffered.clustering);
-  EXPECT_EQ(mapped.model_config().seed, buffered.model_config.seed);
-  ASSERT_EQ(mapped.blocks().size(), buffered.streams.size());
   const Engine& reference = reference_engine();
-  ASSERT_EQ(buffered.streams.size(), reference.model().num_blocks());
-  for (std::size_t b = 0; b < buffered.streams.size(); ++b) {
+  const Engine loaded = Engine::load_compressed(v1_path());
+  EXPECT_EQ(mapped.clustering(), reference.options().clustering);
+  EXPECT_EQ(mapped.model_config().seed, reference.model().config().seed);
+  const std::vector<compress::KernelCompression>& streams =
+      reference.block_streams();
+  ASSERT_EQ(mapped.blocks().size(), streams.size());
+  for (std::size_t b = 0; b < streams.size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
-    const compress::KernelCompression& stream = buffered.streams[b];
+    const compress::KernelCompression& stream = streams[b];
     EXPECT_EQ(block.artifact.codec_id, stream.codec_id) << "block " << b;
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits)
@@ -127,7 +126,7 @@ TEST(BackCompatV1, BufferedParserMatchesMappedParser) {
     EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths)
         << "block " << b;
     EXPECT_TRUE(compress::decode_block(stream) ==
-                reference.model().block(b).conv3x3().kernel())
+                loaded.model().block(b).conv3x3().kernel())
         << "block " << b;
   }
 }
@@ -176,22 +175,24 @@ TEST_P(BackCompatCodecs, EngineRoundTripsThroughAV2Container) {
   EXPECT_TRUE(source.verify_streams(2));
   source.save_compressed(path);
 
-  // The buffered parser decodes every stream to the source kernels;
-  // the engine load (mapped parser) installs the same kernels.
-  const compress::BkcmContents buffered =
-      compress::read_bkcm(read_file_bytes(path));
-  const Engine loaded = Engine::load_compressed(path, 2);
+  // Every parsed block names the codec and carries the source's stream
+  // bytes; the engine load installs the source kernels.
+  const MappedBkcm mapped = MappedBkcm::open(path);
+  const Engine loaded = Engine::load_compressed(mapped, 2);
   EXPECT_EQ(loaded.options().codec_id, codec_id);
   EXPECT_TRUE(loaded.verify_streams(2));
-  ASSERT_EQ(buffered.streams.size(), source.model().num_blocks());
+  ASSERT_EQ(mapped.blocks().size(), source.model().num_blocks());
   ASSERT_EQ(loaded.model().num_blocks(), source.model().num_blocks());
   for (std::size_t b = 0; b < source.model().num_blocks(); ++b) {
-    const bnn::PackedKernel& kernel =
-        source.model().block(b).conv3x3().kernel();
-    EXPECT_EQ(buffered.streams[b].codec_id, codec_id);
-    EXPECT_TRUE(compress::decode_block(buffered.streams[b]) == kernel)
-        << "codec " << codec_id << ", block " << b << " (buffered)";
-    EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() == kernel)
+    const MappedBkcm::Block& block = mapped.blocks()[b];
+    const std::vector<std::uint8_t>& bytes =
+        source.block_streams()[b].compressed.stream;
+    EXPECT_EQ(block.artifact.codec_id, codec_id);
+    EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
+                           bytes.begin(), bytes.end()))
+        << "codec " << codec_id << ", block " << b << " (parsed)";
+    EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() ==
+                source.model().block(b).conv3x3().kernel())
         << "codec " << codec_id << ", block " << b << " (loaded)";
   }
   std::remove(path.c_str());

@@ -1,4 +1,7 @@
-// Corruption and truncation robustness of the BKCM reader.
+// Corruption and truncation robustness of the BKCM reader,
+// MappedBkcm::open (the one parser of container bytes; every
+// Engine::load_compressed goes through it). Each case writes its image
+// to a temp file and opens that.
 //
 // The contract under test: ANY structurally broken container — cut off
 // at a section boundary or mid-field, flipped magic/version/flag/crc
@@ -10,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/serialize.h"
@@ -21,17 +25,24 @@
 namespace bkc::compress {
 namespace {
 
+/// The engine behind the suite's valid container, compressed once.
+const Engine& source_engine() {
+  static const Engine engine = [] {
+    Engine fresh(test::tiny_config(/*seed=*/37));
+    fresh.compress();
+    return fresh;
+  }();
+  return engine;
+}
+
 /// One valid tiny container, built once for the whole suite.
 const std::vector<std::uint8_t>& valid_file() {
   static const std::vector<std::uint8_t> file = [] {
-    Engine engine(test::tiny_config(/*seed=*/37));
-    engine.compress();
-    return write_bkcm({.clustering = engine.options().clustering,
-                       .tree = engine.options().tree,
-                       .clustering_config = engine.options().clustering_config,
-                       .model_config = engine.model().config(),
-                       .report = engine.report(),
-                       .streams = engine.block_streams()});
+    const Engine& engine = source_engine();
+    return write_bkcm(engine.options().clustering, engine.options().tree,
+                      engine.options().clustering_config,
+                      engine.model().config(), engine.report(),
+                      engine.block_streams());
   }();
   return file;
 }
@@ -41,15 +52,30 @@ const BkcmInfo& valid_info() {
   return info;
 }
 
-/// read_bkcm(file) must throw CheckError whose message contains
-/// `needle` (case-sensitive).
+/// MappedBkcm::open over a temp file holding `file`. The temp file is
+/// removed before returning (or throwing); the mapping outlives it.
+MappedBkcm open_image(const std::vector<std::uint8_t>& file) {
+  const std::string path = ::testing::TempDir() + "/bkc_robustness.bkcm";
+  write_file_bytes(path, file);
+  try {
+    MappedBkcm mapped = MappedBkcm::open(path);
+    std::remove(path.c_str());
+    return mapped;
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
+  }
+}
+
+/// Opening `file` must throw CheckError whose message contains `needle`
+/// (case-sensitive).
 void expect_read_fails(const std::vector<std::uint8_t>& file,
                        const std::string& needle,
                        const std::string& what_case) {
   try {
-    read_bkcm(file);
+    open_image(file);
     FAIL() << what_case << ": expected CheckError containing '" << needle
-           << "', but the read succeeded";
+           << "', but the open succeeded";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << what_case << ": error was: " << e.what();
@@ -78,8 +104,18 @@ void fix_crc(std::vector<std::uint8_t>& file, std::size_t index) {
 }
 
 TEST(BkcmRobustness, ValidFileLoads) {
-  const BkcmContents contents = read_bkcm(valid_file());
-  EXPECT_EQ(contents.streams.size(), 13u);
+  const MappedBkcm mapped = open_image(valid_file());
+  const std::vector<KernelCompression>& streams =
+      source_engine().block_streams();
+  ASSERT_EQ(mapped.blocks().size(), 13u);
+  ASSERT_EQ(streams.size(), 13u);
+  // The prefix scan recovers exactly the code lengths the encoder
+  // emitted.
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    EXPECT_EQ(mapped.blocks()[b].artifact.code_lengths,
+              streams[b].code_lengths)
+        << "block " << b;
+  }
 }
 
 TEST(BkcmRobustness, TruncationAtEverySectionBoundary) {
@@ -173,15 +209,21 @@ TEST(BkcmRobustness, WrongSectionIdIsRejected) {
 }
 
 TEST(BkcmRobustness, FlippedPayloadByteFailsTheNamedChecksum) {
+  // One flip at the last payload byte and one mid-payload, per section.
   for (std::size_t s = 0; s < 3; ++s) {
     const BkcmSection& section = valid_info().sections[s];
-    auto file = valid_file();
-    file[static_cast<std::size_t>(section.offset + section.length - 1)] ^=
-        0x01;
-    expect_read_fails(file,
-                      "BKCM section '" + section.name +
-                          "': checksum mismatch",
-                      "payload flip in " + section.name);
+    using Flip = std::pair<std::uint64_t, std::uint8_t>;
+    for (const auto& [at, mask] :
+         {Flip{section.offset + section.length - 1, 0x01},
+          Flip{section.offset + section.length / 2, 0x10}}) {
+      auto file = valid_file();
+      file[static_cast<std::size_t>(at)] ^= mask;
+      expect_read_fails(file,
+                        "BKCM section '" + section.name +
+                            "': checksum mismatch",
+                        "payload flip at " + std::to_string(at) + " in " +
+                            section.name);
+    }
   }
 }
 
@@ -270,7 +312,7 @@ TEST(BkcmRobustness, UnregisteredCodecIdBehindValidCrcIsRejected) {
 TEST(BkcmRobustness, SwappedCodecIdFailsTheCodecDirectoryCrossCheck) {
   // mst-delta IS registered, so the per-stream gate passes — but the
   // payload (and the 'CDCS' directory) still describe grouped-huffman,
-  // so the read must fail before any kernel is accepted.
+  // so the open must fail before any kernel is accepted.
   expect_read_fails(file_with_codec_id(kCodecMstDelta), "BKCM section",
                     "registered-but-wrong codec id");
 }
@@ -286,76 +328,13 @@ TEST(BkcmRobustness, CorruptCodecDirectoryBehindValidCrcIsRejected) {
   expect_read_fails(file, "BKCM section 'CDCS'", "corrupt codec name");
 }
 
-/// MappedBkcm::open on a temp file holding `file` must throw CheckError
-/// containing `needle` — the mapped view path enforces the same gates
-/// as the buffered reader.
-void expect_mapped_open_fails(const std::vector<std::uint8_t>& file,
-                              const std::string& needle,
-                              const std::string& what_case) {
-  const std::string path =
-      ::testing::TempDir() + "/bkc_mapped_robustness.bkcm";
-  write_file_bytes(path, file);
-  try {
-    MappedBkcm::open(path);
-    std::remove(path.c_str());
-    FAIL() << what_case << " (mapped): expected CheckError containing '"
-           << needle << "', but the open succeeded";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << what_case << " (mapped): error was: " << e.what();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BkcmRobustness, MappedOpenRejectsTruncationAtEveryBoundary) {
-  std::vector<std::size_t> boundaries = {0, 10, 16};
-  for (const BkcmSection& section : valid_info().sections) {
-    boundaries.push_back(static_cast<std::size_t>(section.offset));
-  }
-  boundaries.push_back(valid_file().size() - 1);
-  for (std::size_t boundary : boundaries) {
-    expect_mapped_open_fails(truncated(boundary), "BKCM",
-                             "truncated at " + std::to_string(boundary));
-  }
-}
-
-TEST(BkcmRobustness, MappedOpenRejectsHeaderAndPayloadFlips) {
-  {
-    auto file = valid_file();
-    file[0] ^= 0xff;
-    expect_mapped_open_fails(file, "bad magic", "flipped magic byte");
-  }
-  {
-    auto file = valid_file();
-    file[4] = 99;
-    expect_mapped_open_fails(file, "unsupported version", "future version");
-  }
-  for (std::size_t s = 0; s < 3; ++s) {
-    const BkcmSection& section = valid_info().sections[s];
-    auto file = valid_file();
-    file[static_cast<std::size_t>(section.offset + section.length / 2)] ^=
-        0x10;
-    expect_mapped_open_fails(file,
-                             "BKCM section '" + section.name +
-                                 "': checksum mismatch",
-                             "payload flip in " + section.name);
-  }
-}
-
-TEST(BkcmRobustness, MappedOpenRejectsUnregisteredCodecId) {
-  // Same registry gate as the buffered reader — the zero-copy path must
-  // not hand out views over a stream no codec can decode.
-  expect_mapped_open_fails(file_with_codec_id(99u), "unregistered codec",
-                           "hostile codec id (mapped)");
-}
-
-TEST(BkcmRobustness, MappedOpenRejectsCorruptStreamBehindValidCrc) {
+TEST(BkcmRobustness, CorruptStreamBehindValidCrcIsRejected) {
   // Flip a bit INSIDE the last stream's payload and recompute the BLKS
   // CRC: the structural gates all pass, so the failure must come from
-  // the mapped parser itself — the prefix scan notices the stream no
-  // longer consumes its declared bit count. (A flip can also leave the
-  // bit budget intact — e.g. inside an index field — which is exactly
-  // why classify-grade integrity needs the frequency cross-check of
+  // the parser itself — the prefix scan notices the stream no longer
+  // consumes its declared bit count. (A flip can also leave the bit
+  // budget intact — e.g. inside an index field — which is exactly why
+  // classify-grade integrity needs the frequency cross-check of
   // `bkcm_tool verify`; the flip position below is chosen inside a
   // prefix-dense region so the scan does catch it.)
   const auto& blks = valid_info().sections[2];
@@ -368,34 +347,17 @@ TEST(BkcmRobustness, MappedOpenRejectsCorruptStreamBehindValidCrc) {
     auto file = valid_file();
     file[static_cast<std::size_t>(blks.offset + blks.length - back)] ^= 0xff;
     fix_crc(file, 2);
-    const std::string path =
-        ::testing::TempDir() + "/bkc_mapped_scanfail.bkcm";
-    write_file_bytes(path, file);
     try {
-      MappedBkcm::open(path);
+      open_image(file);
     } catch (const CheckError& e) {
       caught_any = true;
       EXPECT_NE(std::string(e.what()).find("BKCM section 'BLKS'"),
                 std::string::npos)
           << e.what();
     }
-    std::remove(path.c_str());
   }
   EXPECT_TRUE(caught_any)
       << "no stream-byte flip near the section end derailed the scan";
-}
-
-TEST(BkcmRobustness, MappedOpenMatchesBufferedReaderOnValidFile) {
-  const std::string path = ::testing::TempDir() + "/bkc_mapped_valid.bkcm";
-  write_file_bytes(path, valid_file());
-  const MappedBkcm mapped = MappedBkcm::open(path);
-  const BkcmContents contents = read_bkcm(valid_file());
-  ASSERT_EQ(mapped.blocks().size(), contents.streams.size());
-  for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
-    EXPECT_EQ(mapped.blocks()[b].artifact.code_lengths,
-              contents.streams[b].code_lengths);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(BkcmRobustness, LoadCompressedPropagatesContainerErrors) {

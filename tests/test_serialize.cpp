@@ -9,7 +9,7 @@
 //      counts 1/2/4/7,
 //   3. a checked-in golden container (tests/golden/reactnet_tiny.bkcm)
 //      that today's writer must reproduce byte-for-byte and today's
-//      reader must load — pinning format v1 against accidental drift.
+//      reader must load — pinning format v2 against accidental drift.
 //      Regenerate deliberately with BKC_UPDATE_GOLDEN=1 (a format
 //      change must also bump kBkcmVersion).
 
@@ -270,12 +270,17 @@ TEST(Serialize, CompressedKernelRoundTrip) {
   const FrequencyTable table = FrequencyTable::from_kernel(kernel);
   const GroupedHuffmanCodec codec(table);
   const CompressedKernel compressed = compress_kernel(kernel, codec);
-  const CompressedKernel read = round_trip(
-      compressed, write_compressed_kernel, read_compressed_kernel);
+  ByteWriter writer;
+  write_compressed_kernel(writer, compressed);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  ByteReader reader(bytes, "round-trip");
+  const CompressedKernelRef read = read_compressed_kernel_ref(reader);
+  reader.expect_exhausted();
   EXPECT_EQ(read.out_channels, compressed.out_channels);
   EXPECT_EQ(read.in_channels, compressed.in_channels);
   EXPECT_EQ(read.stream_bits, compressed.stream_bits);
-  EXPECT_EQ(read.stream, compressed.stream);
+  EXPECT_TRUE(std::equal(read.stream.begin(), read.stream.end(),
+                         compressed.stream.begin(), compressed.stream.end()));
 }
 
 TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
@@ -283,8 +288,15 @@ TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
   for (bool clustering : {true, false}) {
     const KernelCompression stream =
         compress_kernel_pipeline(kernel, clustering);
-    const KernelCompression read = round_trip(
-        stream, write_kernel_compression, read_kernel_compression);
+    ByteWriter writer;
+    write_kernel_compression(writer, stream);
+    const std::vector<std::uint8_t> bytes = writer.take();
+    ByteReader reader(bytes, "round-trip");
+    ParsedBlock parsed = codec_for(kCodecGroupedHuffman).read_block(reader);
+    reader.expect_exhausted();
+    // The parse borrows the stream bytes; copy them in to decode.
+    KernelCompression& read = parsed.artifact;
+    read.compressed.stream.assign(parsed.stream.begin(), parsed.stream.end());
     expect_tables_equal(read.frequencies, stream.frequencies);
     expect_clustering_equal(read.clustering, stream.clustering);
     expect_tables_equal(read.coded_frequencies, stream.coded_frequencies);
@@ -306,19 +318,18 @@ TEST(Serialize, ModelReportRoundTripIsBitExact) {
       round_trip(report, write_model_report, read_model_report), report);
 }
 
-TEST(Serialize, ContainerRoundTripInMemory) {
+TEST(Serialize, ContainerRoundTrip) {
   Engine engine(test::tiny_config(23));
   const ModelReport& report = engine.compress();
-  const BkcmContents contents{
-      .clustering = engine.options().clustering,
-      .tree = engine.options().tree,
-      .clustering_config = engine.options().clustering_config,
-      .model_config = engine.model().config(),
-      .report = report,
-      .streams = engine.block_streams()};
-  const std::vector<std::uint8_t> file = write_bkcm(contents);
-  // Deterministic: the same contents always serialize to the same bytes.
-  EXPECT_EQ(write_bkcm(contents), file);
+  const auto write = [&] {
+    return write_bkcm(engine.options().clustering, engine.options().tree,
+                      engine.options().clustering_config,
+                      engine.model().config(), report,
+                      engine.block_streams());
+  };
+  const std::vector<std::uint8_t> file = write();
+  // Deterministic: the same parts always serialize to the same bytes.
+  EXPECT_EQ(write(), file);
 
   const BkcmInfo info = inspect_bkcm(file);
   EXPECT_EQ(info.version, kBkcmVersion);
@@ -329,25 +340,24 @@ TEST(Serialize, ContainerRoundTripInMemory) {
   EXPECT_EQ(info.sections[2].name, "BLKS");
   EXPECT_EQ(info.sections[3].name, "CDCS");
 
-  // The field-wise overload (the Engine::save_compressed path) must
-  // produce the identical image, and reusing a pre-computed BkcmInfo
-  // must parse identically while a malformed one fails cleanly.
-  EXPECT_EQ(write_bkcm(contents.clustering, contents.tree,
-                       contents.clustering_config, contents.model_config,
-                       contents.report, contents.streams),
-            file);
-  EXPECT_EQ(read_bkcm(file, info).streams.size(), contents.streams.size());
-  EXPECT_THROW(read_bkcm(file, BkcmInfo{}), CheckError);
-
-  const BkcmContents read = read_bkcm(file);
-  EXPECT_EQ(read.clustering, contents.clustering);
-  EXPECT_EQ(read.tree.index_bits, contents.tree.index_bits);
-  EXPECT_EQ(read.model_config.seed, contents.model_config.seed);
-  expect_model_reports_equal(read.report, contents.report);
-  ASSERT_EQ(read.streams.size(), contents.streams.size());
-  for (std::size_t b = 0; b < read.streams.size(); ++b) {
-    EXPECT_EQ(read.streams[b].compressed.stream,
-              contents.streams[b].compressed.stream);
+  // Parse the image back through the one container parser.
+  const std::string path = ::testing::TempDir() + "/bkc_round_trip.bkcm";
+  write_file_bytes(path, file);
+  const MappedBkcm read = MappedBkcm::open(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(read.info().sections.size(), info.sections.size());
+  EXPECT_EQ(read.clustering(), engine.options().clustering);
+  EXPECT_EQ(read.tree().index_bits, engine.options().tree.index_bits);
+  EXPECT_EQ(read.model_config().seed, engine.model().config().seed);
+  expect_model_reports_equal(read.report(), report);
+  const std::vector<KernelCompression>& streams = engine.block_streams();
+  ASSERT_EQ(read.blocks().size(), streams.size());
+  for (std::size_t b = 0; b < streams.size(); ++b) {
+    const std::span<const std::uint8_t> stream = read.blocks()[b].stream;
+    EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
+                           streams[b].compressed.stream.begin(),
+                           streams[b].compressed.stream.end()))
+        << "block " << b;
   }
 }
 
@@ -452,14 +462,10 @@ std::vector<std::uint8_t> golden_container_bytes() {
   // regenerate there instead of bumping the version.
   Engine engine(test::tiny_config(/*seed=*/42));
   engine.compress();
-  const BkcmContents contents{
-      .clustering = engine.options().clustering,
-      .tree = engine.options().tree,
-      .clustering_config = engine.options().clustering_config,
-      .model_config = engine.model().config(),
-      .report = engine.report(),
-      .streams = engine.block_streams()};
-  return write_bkcm(contents);
+  return write_bkcm(engine.options().clustering, engine.options().tree,
+                    engine.options().clustering_config,
+                    engine.model().config(), engine.report(),
+                    engine.block_streams());
 }
 
 TEST(SerializeGolden, WriterReproducesTheCheckedInContainer) {
@@ -503,28 +509,28 @@ TEST(SerializeGolden, ReaderLoadsTheCheckedInContainer) {
 // Cycle-level equality lives in hwsim::cycles_identical (also used by
 // the bench/speedup self-check); nothing serialize-specific to add.
 
-TEST(SerializeMapped, BufferedAndMappedParsersAgree) {
+TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
   const std::string path =
-      ::testing::TempDir() + "/bkc_mapped_vs_buffered.bkcm";
+      ::testing::TempDir() + "/bkc_mapped_vs_source.bkcm";
   Engine source(test::tiny_config(51));
   source.compress(2);
   source.save_compressed(path);
 
-  // Buffered: read_bkcm over an in-memory copy. Mapped: MappedBkcm::open
-  // parses the mapping in place (Engine::load_compressed's path). Both
-  // parsers must yield the same artifacts, and every buffered stream
-  // must decode to the kernel the loaded engine installed.
-  const BkcmContents buffered = read_bkcm(read_file_bytes(path));
+  // MappedBkcm::open parses the mapping in place (Engine::load_compressed's
+  // path). Every block must carry the artifacts the source engine wrote,
+  // and the source's streams must decode to the kernels the loaded
+  // engine installed.
   const MappedBkcm mapped = MappedBkcm::open(path);
   const Engine loaded = Engine::load_compressed(path, 2);
-  EXPECT_EQ(mapped.clustering(), buffered.clustering);
-  EXPECT_EQ(mapped.model_config().seed, buffered.model_config.seed);
-  expect_model_reports_equal(mapped.report(), buffered.report);
-  ASSERT_EQ(mapped.blocks().size(), buffered.streams.size());
-  ASSERT_EQ(loaded.model().num_blocks(), buffered.streams.size());
-  for (std::size_t b = 0; b < buffered.streams.size(); ++b) {
+  EXPECT_EQ(mapped.clustering(), source.options().clustering);
+  EXPECT_EQ(mapped.model_config().seed, source.model().config().seed);
+  expect_model_reports_equal(mapped.report(), source.report());
+  const std::vector<KernelCompression>& streams = source.block_streams();
+  ASSERT_EQ(mapped.blocks().size(), streams.size());
+  ASSERT_EQ(loaded.model().num_blocks(), streams.size());
+  for (std::size_t b = 0; b < streams.size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
-    const KernelCompression& stream = buffered.streams[b];
+    const KernelCompression& stream = streams[b];
     EXPECT_EQ(block.artifact.codec_id, stream.codec_id);
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
@@ -556,22 +562,24 @@ TEST(SerializeMapped, MappedViewBorrowsTheMappingAndDecodesNothing) {
   EXPECT_EQ(delta.cluster_sequences_calls, 0u);
   EXPECT_EQ(delta.grouped_codec_builds, 0u);
 
-  // Parsed sections agree with the buffered reader.
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  const BkcmContents contents = read_bkcm(bytes);
-  EXPECT_EQ(mapped.clustering(), contents.clustering);
-  EXPECT_EQ(mapped.tree().index_bits, contents.tree.index_bits);
-  EXPECT_EQ(mapped.model_config().seed, contents.model_config.seed);
-  expect_model_reports_equal(mapped.report(), contents.report);
+  // Parsed sections agree with a fresh compression of the golden recipe
+  // (tiny config, seed 42, default options).
+  Engine fresh(test::tiny_config(/*seed=*/42));
+  fresh.compress();
+  EXPECT_EQ(mapped.clustering(), fresh.options().clustering);
+  EXPECT_EQ(mapped.tree().index_bits, fresh.options().tree.index_bits);
+  EXPECT_EQ(mapped.model_config().seed, fresh.model().config().seed);
+  expect_model_reports_equal(mapped.report(), fresh.report());
 
   // Every block's stream span points INSIDE the mapping (zero-copy)
-  // and matches the buffered bytes; the scanned code lengths match the
-  // buffered reader's scan.
+  // and matches the written bytes; the scanned code lengths match the
+  // ones the encoder emitted.
   const std::span<const std::uint8_t> image = mapped.file_bytes();
-  ASSERT_EQ(mapped.blocks().size(), contents.streams.size());
+  const std::vector<KernelCompression>& streams = fresh.block_streams();
+  ASSERT_EQ(mapped.blocks().size(), streams.size());
   for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
-    const KernelCompression& stream = contents.streams[b];
+    const KernelCompression& stream = streams[b];
     EXPECT_GE(block.stream.data(), image.data());
     EXPECT_LE(block.stream.data() + block.stream.size(),
               image.data() + image.size());
