@@ -35,8 +35,8 @@ TEST(Engine, CompressRunsOnePipelinePassPerBlock) {
   // Engine::compress is a single compress_model pass: one frequency
   // count and one clustering search per block, two grouped-codec builds
   // (encoding + clustering columns) — and nothing else. Before the
-  // refactor the same call ran 3 / 2 / 3 per block across analyze()
-  // and compress_blocks().
+  // refactor the same call ran 3 / 2 / 3 per block across separate
+  // report and stream passes.
   Engine engine(test::tiny_config(19));
   const auto blocks =
       static_cast<std::uint64_t>(engine.model().num_blocks());
@@ -94,6 +94,28 @@ TEST(Engine, SimulateSpeedupUsesTheDeployedStreams) {
   const auto via_engine = engine.simulate_speedup();
   const auto via_view = hwsim::compare_model(engine.artifact_view());
   EXPECT_TRUE(hwsim::cycles_identical(via_engine, via_view));
+}
+
+TEST(Engine, EncodingOnlySimulationMatchesFreshCompress) {
+  // Without clustering the model keeps its original kernels and
+  // compression is a pure function of them, so simulating the encoding
+  // streams of a fresh compress_model pass must reproduce the view-fed
+  // report cycle-for-cycle. (With clustering a fresh pass would
+  // re-cluster the installed, already-clustered kernels and drift.)
+  Engine engine(test::tiny_config(42), no_clustering());
+  engine.compress();
+  const hwsim::SpeedupReport via_view = engine.simulate_speedup();
+  const compress::CompressedModel fresh =
+      compress::ModelCompressor(engine.options().tree,
+                                engine.options().clustering_config)
+          .compress_model(engine.model());
+  std::vector<compress::KernelCompression> streams;
+  for (const compress::CompressedBlock& block : fresh.blocks) {
+    streams.push_back(block.encoding);
+  }
+  const hwsim::SpeedupReport via_compress = hwsim::compare_model(
+      compress::view_of(engine.model().op_records(), streams));
+  EXPECT_TRUE(hwsim::cycles_identical(via_view, via_compress));
 }
 
 TEST(Engine, VerifyStreamsPreconditionNamesTheFix) {
