@@ -6,15 +6,8 @@
 // in the three execution variants on the A53-class timing model.
 //
 // The simulation consumes the engine's artifact view — the compressed
-// streams compress() already produced — so simulate_speedup costs zero
-// compression-pipeline work. Three self-checks pin the refactor:
-//   1. the view-fed run bumps no pipeline instrumentation counter,
-//   2. it beats the wall clock of the pre-refactor shape (a whole
-//      compress_blocks pass per simulation, then the same simulation),
-//   3. on an encoding-only engine — where re-compression is idempotent,
-//      unlike re-clustering an already-clustered model, which is the
-//      exact report drift the view removes — the view-fed report is
-//      cycle-for-cycle identical to compress-then-simulate.
+// streams compress() already produced — and self-checks that it bumps
+// no pipeline instrumentation counter.
 //
 // The bench ends with the sampled-simulation scaling section
 // (hwsim/sampled.h): a DEEP schedule — every stride-1 non-expanding
@@ -25,8 +18,8 @@
 //
 //   ./bench/speedup [--tiny] [--sampled] [--repeat R] [--threads N]
 //
-// --sampled skips the exact-path self-checks above and runs only the
-// scaling section (the smoke_speedup_sampled CTest target).
+// --sampled skips the Sec VI table and runs only the scaling section
+// (the smoke_speedup_sampled CTest target).
 
 #include <chrono>
 #include <cmath>
@@ -191,13 +184,11 @@ int main(int argc, char** argv) {
   std::cout << "Simulating 13 conv3x3 layers x 3 variants (sampled rows, "
                "this takes ~10s)...\n";
 
-  // After: the artifact-view path Engine::simulate_speedup uses. The
+  // The artifact-view path Engine::simulate_speedup uses. The
   // instrumentation counters prove no pipeline primitive runs.
   const compress::PipelineCounters before_sim =
       compress::pipeline_counters();
-  const auto after_start = clock_type::now();
   const hwsim::SpeedupReport report = engine.simulate_speedup();
-  const double after_seconds = seconds_since(after_start);
   const compress::PipelineCounters sim_delta =
       compress::pipeline_counters().delta_since(before_sim);
   if (sim_delta.frequency_counts != 0 ||
@@ -209,61 +200,6 @@ int main(int argc, char** argv) {
               << sim_delta.cluster_sequences_calls << ", codec builds "
               << sim_delta.grouped_codec_builds << ")\n";
     return 1;
-  }
-
-  // Before: an honest reconstruction of the pre-refactor
-  // compare_model(model, compressor) cost — a full compression pass per
-  // simulation, then the same view-fed simulation. (Its report is NOT
-  // compared against `report` here: compress() installed clustered
-  // kernels, and re-clustering a clustered model drifts — the very
-  // simulated-vs-deployed mismatch the artifact view eliminates.)
-  const auto before_start = clock_type::now();
-  const compress::ModelCompressor compressor(
-      engine.options().tree, engine.options().clustering_config);
-  const auto recompressed =
-      compressor.compress_blocks(engine.model(), /*apply_clustering=*/true);
-  const hwsim::SpeedupReport legacy_report = hwsim::compare_model(
-      compress::view_of(engine.model().op_records(), recompressed));
-  const double before_seconds = seconds_since(before_start);
-  if (legacy_report.total_baseline != report.total_baseline) {
-    // Baseline cycles never depend on the streams, so these must agree.
-    std::cerr << "speedup: SELF-CHECK FAILED — baseline cycles diverged "
-                 "between the view-fed and reconstructed runs\n";
-    return 1;
-  }
-  // The counter check above is the deterministic gate; the wall clock
-  // backs it up with a tolerance so scheduler noise on a loaded box
-  // cannot flake the smoke run (a regression that re-grew a compression
-  // pass inside simulate_speedup would blow well past 1.25x).
-  if (after_seconds >= before_seconds * 1.25) {
-    std::cerr << "speedup: SELF-CHECK FAILED — view-fed simulation ("
-              << after_seconds << " s) slower than compress-then-"
-              << "simulate (" << before_seconds << " s)\n";
-    return 1;
-  }
-
-  // Bit-identity leg, on an encoding-only engine: without clustering
-  // the model keeps its original kernels and compression is a pure
-  // function of them, so compress-then-simulate must reproduce the
-  // view-fed report cycle-for-cycle.
-  {
-    EngineOptions plain_options;
-    plain_options.clustering = false;
-    Engine plain(engine.model().config(), plain_options);
-    plain.compress();
-    const hwsim::SpeedupReport via_view = plain.simulate_speedup();
-    const auto replayed = compress::ModelCompressor(
-                              plain.options().tree,
-                              plain.options().clustering_config)
-                              .compress_blocks(plain.model(),
-                                               /*apply_clustering=*/false);
-    const hwsim::SpeedupReport via_compress = hwsim::compare_model(
-        compress::view_of(plain.model().op_records(), replayed));
-    if (!hwsim::cycles_identical(via_view, via_compress)) {
-      std::cerr << "speedup: SELF-CHECK FAILED — encoding-only view-fed "
-                   "report diverged from compress-then-simulate\n";
-      return 1;
-    }
   }
 
   Table table({"layer", "baseline kcycles", "sw-decode kcycles",
@@ -307,13 +243,6 @@ int main(int argc, char** argv) {
             << big.hw_detail.ldps_stall_cycles << " cycles, DRAM accesses "
             << big.baseline_detail.dram_accesses << " -> "
             << big.hw_detail.dram_accesses << "\n";
-
-  std::cout << "\nArtifact-view refactor: simulate from engine streams "
-            << after_seconds << " s vs compress-then-simulate "
-            << before_seconds << " s ("
-            << ratio_str(before_seconds / after_seconds)
-            << " — the duplicate compression pass the view removes); "
-               "pipeline counters flat during simulation: yes\n";
 
   return run_sampled_section(tiny, repeat, num_threads);
 }

@@ -44,7 +44,7 @@ using ConvKernelFn = void (*)(const PackedFeature& input,
                               std::int64_t o_begin, std::int64_t o_end);
 
 /// A registered kernel implementation. `name` is the stable identifier
-/// used by the test suites and the BENCH_kernels.json variant labels.
+/// the test suites report variants by.
 struct ConvKernelInfo {
   const char* name;
   ConvKernelFn fn;
@@ -66,8 +66,8 @@ const ConvKernelInfo& active_conv_kernel();
 
 /// RAII pin of a specific registered kernel, overriding both the ISA
 /// pick and simd::scalar_forced(). Process-global; the bit-identity
-/// suites and bench/micro_kernels use it to benchmark and diff each
-/// variant from one binary. Establish before fanning out to the pool.
+/// suites use it to diff each variant from one binary. Establish before
+/// fanning out to the pool.
 class ScopedConvKernelOverride {
  public:
   explicit ScopedConvKernelOverride(const ConvKernelInfo& kernel);

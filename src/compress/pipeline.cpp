@@ -108,27 +108,4 @@ ModelReport ModelCompressor::analyze(const bnn::ReActNet& model,
   return compress_model(model, num_threads).report;
 }
 
-std::vector<KernelCompression> ModelCompressor::compress_blocks(
-    const bnn::ReActNet& model, bool apply_clustering,
-    int num_threads) const {
-  CompressedModel compressed = compress_model(model, num_threads);
-  std::vector<KernelCompression> out;
-  out.reserve(compressed.blocks.size());
-  for (CompressedBlock& block : compressed.blocks) {
-    out.push_back(std::move(apply_clustering ? block.clustered
-                                             : block.encoding));
-  }
-  return out;
-}
-
-ModelReport ModelCompressor::compress_and_install(bnn::ReActNet& model,
-                                                  int num_threads) const {
-  CompressedModel compressed = compress_model(model, num_threads);
-  for (std::size_t b = 0; b < model.num_blocks(); ++b) {
-    model.block(b).conv3x3().set_kernel(
-        std::move(compressed.blocks[b].clustered.coded_kernel));
-  }
-  return std::move(compressed.report);
-}
-
 }  // namespace bkc::compress

@@ -132,20 +132,6 @@ class ModelCompressor {
   /// code path is the point of the design (no report/stream drift).
   ModelReport analyze(const bnn::ReActNet& model, int num_threads = 1) const;
 
-  /// Per-block compression artifacts (codec + stream + coded kernel),
-  /// with or without the clustering pass. Thin view over
-  /// compress_model(): returns the selected artifact per block (and,
-  /// like analyze(), costs one full pass).
-  std::vector<KernelCompression> compress_blocks(const bnn::ReActNet& model,
-                                                 bool apply_clustering,
-                                                 int num_threads = 1) const;
-
-  /// Install the clustered kernels into the model (this is what the
-  /// deployed network evaluates) and return the analysis report — one
-  /// compress_model() pass end to end.
-  ModelReport compress_and_install(bnn::ReActNet& model,
-                                   int num_threads = 1) const;
-
   const GroupedTreeConfig& tree() const { return tree_; }
   const ClusteringConfig& clustering() const { return clustering_; }
   std::uint32_t codec_id() const { return codec_id_; }

@@ -27,16 +27,6 @@ std::atomic<int> g_force_scalar_depth{0};
 
 }  // namespace
 
-const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
 bool cpu_supports_avx2() {
 #if defined(BKC_DISABLE_SIMD)
   return false;

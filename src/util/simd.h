@@ -21,15 +21,6 @@
 
 namespace bkc::simd {
 
-/// Instruction-set tiers a kernel implementation can target. kScalar is
-/// the portable reference; wider entries are only ever *additions* on
-/// top of it, never replacements.
-enum class Isa { kScalar, kAvx2 };
-
-/// Human-readable tier name ("scalar", "avx2") for benchmarks, logs and
-/// the BENCH_kernels.json variant labels.
-const char* isa_name(Isa isa);
-
 /// True when the CPU executing this process supports AVX2 (cached after
 /// the first call). Always false on non-x86 builds and when the build
 /// was configured with -DBKC_DISABLE_SIMD=ON.

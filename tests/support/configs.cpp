@@ -29,6 +29,18 @@ EngineOptions no_clustering() {
   return options;
 }
 
+std::vector<compress::KernelCompression> clustered_artifacts(
+    const bnn::ReActNet& model) {
+  compress::CompressedModel compressed =
+      compress::ModelCompressor().compress_model(model);
+  std::vector<compress::KernelCompression> artifacts;
+  artifacts.reserve(compressed.blocks.size());
+  for (compress::CompressedBlock& block : compressed.blocks) {
+    artifacts.push_back(std::move(block.clustered));
+  }
+  return artifacts;
+}
+
 std::vector<compress::GroupedTreeConfig> codec_tree_configs() {
   return {
       compress::GroupedTreeConfig::paper(),   // capacity 672

@@ -32,6 +32,11 @@ Tensor run_forward(const bnn::ReActNet& model, const Tensor& image);
 /// (encoding-only mode; inference stays bit-exact).
 EngineOptions no_clustering();
 
+/// Every block's clustered artifact from one default compress_model
+/// pass over `model`, in the contiguous form compress::view_of borrows.
+std::vector<compress::KernelCompression> clustered_artifacts(
+    const bnn::ReActNet& model);
+
 /// Grouped-Huffman tree shapes under test: the paper's config, the
 /// fixed-width baseline, and assorted capacities (tight, tiny,
 /// two-node, 1-entry nodes) that stress prefix handling and partially

@@ -76,8 +76,7 @@ TEST(ModelView, ViewConstructionRunsNoPipelineWork) {
 
 TEST(ModelView, RejectsStreamCountMismatch) {
   const bnn::ReActNet model(test::tiny_config(9));
-  const ModelCompressor compressor;
-  auto streams = compressor.compress_blocks(model, /*apply_clustering=*/true);
+  auto streams = test::clustered_artifacts(model);
   auto extra = streams;
   extra.push_back(streams.back());
   EXPECT_THROW(view_of(model.op_records(), extra), CheckError);
@@ -87,8 +86,7 @@ TEST(ModelView, RejectsStreamCountMismatch) {
 
 TEST(ModelView, RejectsShapeMismatchAndMissingLengths) {
   const bnn::ReActNet model(test::tiny_config(11));
-  const ModelCompressor compressor;
-  auto streams = compressor.compress_blocks(model, /*apply_clustering=*/true);
+  auto streams = test::clustered_artifacts(model);
   {
     auto broken = streams;
     broken[0].compressed.out_channels += 1;

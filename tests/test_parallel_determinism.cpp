@@ -1,7 +1,7 @@
 // The determinism guarantee of the parallel execution layer: every
 // parallel entry point (Engine::classify / classify_batch /
 // verify_streams / compress, ModelCompressor::compress_model and its
-// analyze / compress_blocks views) must produce results bit-identical
+// analyze view) must produce results bit-identical
 // to the serial path at every thread count, with and without the
 // clustering pass.
 
@@ -204,25 +204,6 @@ TEST(ParallelDeterminismCompressModel, MatchesSerialAtEveryThreadCount) {
       expect_kernel_compressions_equal(parallel.blocks[b].clustered,
                                        serial.blocks[b].clustered);
     }
-  }
-}
-
-TEST_P(ParallelDeterminism, CompressBlocksMatchesSerial) {
-  // Like analyze(), a thin view: the full thread sweep lives in the
-  // CompressModel test, so one uneven fan-out suffices here.
-  const bool clustering = GetParam();
-  const EngineOptions options = options_for(clustering);
-  const bnn::ReActNet model(test::tiny_config(27));
-  const compress::ModelCompressor compressor(options.tree,
-                                             options.clustering_config);
-  const auto serial = compressor.compress_blocks(model, clustering, 1);
-  const auto parallel = compressor.compress_blocks(model, clustering, 7);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t b = 0; b < parallel.size(); ++b) {
-    EXPECT_EQ(parallel[b].compressed.stream, serial[b].compressed.stream);
-    EXPECT_EQ(parallel[b].compressed.stream_bits,
-              serial[b].compressed.stream_bits);
-    EXPECT_TRUE(parallel[b].coded_kernel == serial[b].coded_kernel);
   }
 }
 

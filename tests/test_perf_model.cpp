@@ -67,9 +67,7 @@ TEST(PerfModel, ModelTimingFractionsSumToOne) {
 
 TEST(PerfModel, CompareModelShapes) {
   const bnn::ReActNet model(mid_config(5));
-  const compress::ModelCompressor compressor;
-  const auto streams =
-      compressor.compress_blocks(model, /*apply_clustering=*/true);
+  const auto streams = test::clustered_artifacts(model);
   const SpeedupReport report = compare_model(view_for(model, streams));
   ASSERT_EQ(report.conv3x3.size(), 13u);
   EXPECT_GT(report.other_cycles, 0u);
@@ -88,9 +86,7 @@ TEST(PerfModel, SwSlowerHwNotSlower) {
   // The paper's two headline directions: software decoding loses,
   // hardware decoding wins (Secs IV-B and VI).
   const bnn::ReActNet model(mid_config(7));
-  const compress::ModelCompressor compressor;
-  const auto streams =
-      compressor.compress_blocks(model, /*apply_clustering=*/true);
+  const auto streams = test::clustered_artifacts(model);
   const SpeedupReport report = compare_model(view_for(model, streams));
   EXPECT_GT(report.model_sw_slowdown(), 1.02);
   EXPECT_GT(report.conv3x3_sw_slowdown(), 1.05);
@@ -141,9 +137,7 @@ TEST(PerfModel, StreamInfoForRejectsArtifactWithoutLengths) {
 
 TEST(PerfModel, CompareModelRejectsMismatchedView) {
   const bnn::ReActNet model(mid_config(9));
-  const compress::ModelCompressor compressor;
-  auto streams =
-      compressor.compress_blocks(model, /*apply_clustering=*/true);
+  auto streams = test::clustered_artifacts(model);
   streams.pop_back();  // one stream short of the op layout
   EXPECT_THROW(view_for(model, streams), bkc::CheckError);
 }

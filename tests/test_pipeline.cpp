@@ -194,27 +194,31 @@ TEST(Pipeline, BlockStatisticsTrackTableII) {
   }
 }
 
-TEST(Pipeline, CompressBlocksRoundtrip) {
+TEST(Pipeline, EncodingArtifactsRoundtrip) {
   const bnn::ReActNet model(mid_config(9));
   const ModelCompressor compressor;
-  const auto artifacts = compressor.compress_blocks(model, false);
-  ASSERT_EQ(artifacts.size(), model.num_blocks());
-  for (std::size_t b = 0; b < artifacts.size(); ++b) {
+  const CompressedModel compressed = compressor.compress_model(model);
+  ASSERT_EQ(compressed.blocks.size(), model.num_blocks());
+  for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
+    const KernelCompression& encoding = compressed.blocks[b].encoding;
     const auto decoded =
-        decompress_kernel(artifacts[b].compressed, artifacts[b].codec);
+        decompress_kernel(encoding.compressed, encoding.codec);
     EXPECT_TRUE(decoded == model.block(b).conv3x3().kernel());
   }
 }
 
-TEST(Pipeline, CompressAndInstallMutatesKernels) {
+TEST(Pipeline, InstallingClusteredKernelsMutatesKernels) {
   bnn::ReActNet model(mid_config(11));
   // Remember a kernel before installing.
   const auto before = model.block(5).conv3x3().kernel();
-  const ModelCompressor compressor;
-  const ModelReport report = compressor.compress_and_install(model);
+  CompressedModel compressed = ModelCompressor().compress_model(model);
+  for (std::size_t b = 0; b < model.num_blocks(); ++b) {
+    model.block(b).conv3x3().set_kernel(
+        std::move(compressed.blocks[b].clustered.coded_kernel));
+  }
   const auto& after = model.block(5).conv3x3().kernel();
   EXPECT_FALSE(before == after);  // clustering flipped some weights
-  EXPECT_GT(report.mean_clustering_ratio, 1.0);
+  EXPECT_GT(compressed.report.mean_clustering_ratio, 1.0);
 }
 
 TEST(Pipeline, InstalledModelStillRunsInference) {
@@ -222,8 +226,11 @@ TEST(Pipeline, InstalledModelStillRunsInference) {
   bnn::WeightGenerator gen(14);
   const Tensor image = gen.sample_activation(model.input_shape());
   const Tensor before = test::run_forward(model, image);
-  const ModelCompressor compressor;
-  compressor.compress_and_install(model);
+  CompressedModel compressed = ModelCompressor().compress_model(model);
+  for (std::size_t b = 0; b < model.num_blocks(); ++b) {
+    model.block(b).conv3x3().set_kernel(
+        std::move(compressed.blocks[b].clustered.coded_kernel));
+  }
   const Tensor after = test::run_forward(model, image);
   ASSERT_EQ(after.shape(), before.shape());
   // Outputs shift slightly (clustering flips ~1-3% of weights) but stay
@@ -311,25 +318,26 @@ TEST(Pipeline, CompressModelRunsEachPrimitiveOncePerBlock) {
   EXPECT_EQ(delta.grouped_codec_builds, 2 * blocks);
 }
 
-TEST(Pipeline, CompressBlocksViewMatchesPerKernelPipeline) {
-  // The compress_blocks view must hand out exactly what the
-  // single-kernel pipeline produces for the selected column.
+TEST(Pipeline, CompressModelArtifactsMatchPerKernelPipeline) {
+  // Both artifact columns of compress_model must be exactly what the
+  // single-kernel pipeline produces for that column.
   const bnn::ReActNet model(test::tiny_config(23));
   const ModelCompressor compressor;
+  const CompressedModel compressed = compressor.compress_model(model);
+  ASSERT_EQ(compressed.blocks.size(), model.num_blocks());
   for (bool apply_clustering : {false, true}) {
-    const auto artifacts =
-        compressor.compress_blocks(model, apply_clustering);
-    ASSERT_EQ(artifacts.size(), model.num_blocks());
-    for (std::size_t b = 0; b < artifacts.size(); ++b) {
+    for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
+      const KernelCompression& artifact =
+          apply_clustering ? compressed.blocks[b].clustered
+                           : compressed.blocks[b].encoding;
       const KernelCompression reference = compress_kernel_pipeline(
           model.block(b).conv3x3().kernel(), apply_clustering,
           compressor.tree(), compressor.clustering());
-      EXPECT_EQ(artifacts[b].compressed.stream,
-                reference.compressed.stream);
-      EXPECT_EQ(artifacts[b].compressed.stream_bits,
+      EXPECT_EQ(artifact.compressed.stream, reference.compressed.stream);
+      EXPECT_EQ(artifact.compressed.stream_bits,
                 reference.compressed.stream_bits);
-      EXPECT_TRUE(artifacts[b].coded_kernel == reference.coded_kernel);
-      EXPECT_EQ(artifacts[b].coded_frequencies.counts(),
+      EXPECT_TRUE(artifact.coded_kernel == reference.coded_kernel);
+      EXPECT_EQ(artifact.coded_frequencies.counts(),
                 reference.coded_frequencies.counts());
     }
   }
