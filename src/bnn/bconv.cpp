@@ -25,6 +25,8 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
         "binary_conv2d_into: channel mismatch between input and kernel");
   check(input.words_per_pixel() == kernel.words_per_position(),
         "binary_conv2d_into: packing mismatch");
+  check(input.padding() == geometry.padding,
+        "binary_conv2d_into: input ring must equal the geometry's padding");
   const FeatureShape out_shape =
       geometry.output_shape(input.shape(), kernel.shape());
   check(out.shape() == out_shape,

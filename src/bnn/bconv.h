@@ -9,7 +9,9 @@
 //
 // Spatial padding follows the paper (Sec IV-B): padded positions hold
 // the value -1 (stored bit 0) and *do* contribute to the dot product,
-// exactly like the reference convolution with pad_value = -1.
+// exactly like the reference convolution with pad_value = -1. The
+// input carries them as its zero ring (bitpack.h): it must be packed
+// with padding() == geometry.padding.
 
 #include "bnn/bitpack.h"
 #include "tensor/tensor.h"
@@ -34,7 +36,8 @@ Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
 
 /// Allocation-free core that binary_conv2d wraps: convolve into
 /// caller-provided storage of exactly the geometry's output shape
-/// (CheckError otherwise). The caller owns the pack scratch (typically
+/// (CheckError otherwise, and when the input's ring differs from
+/// geometry.padding). The caller owns the pack scratch (typically
 /// the Workspace's, filled via pack_feature_into). When
 /// current_num_threads() is 1 the kernel is invoked directly — no
 /// parallel_for, no std::function — so the single-thread path performs

@@ -8,8 +8,14 @@
 
 namespace bkc::bnn {
 
-namespace internal {
+namespace {
 
+/// Matches (agreeing weight/input bit pairs) for one output pixel, with
+/// full spatial-padding and channel-tail masking - the scalar reference
+/// arithmetic. base_y/base_x are the top-left logical input coordinates
+/// of the kernel window (may be negative or out of bounds; padded taps
+/// contribute where the weight bit is 0). Reads logical pixels only, so
+/// it never depends on the ring the fast kernels read.
 std::int64_t scalar_pixel_matches(const PackedFeature& input,
                                   const PackedKernel& kernel, std::int64_t o,
                                   std::int64_t base_y, std::int64_t base_x) {
@@ -47,13 +53,10 @@ std::int64_t scalar_pixel_matches(const PackedFeature& input,
   return matches;
 }
 
-}  // namespace internal
-
-namespace {
-
 // The seed's loop: masked scalar xnor+popcount over every pixel. This
 // is the reference every other kernel is diffed against, so it must not
-// share fast-path shortcuts - only the per-pixel arithmetic helper.
+// share fast-path shortcuts: it ignores the ring and applies the padding
+// term itself.
 void conv_kernel_scalar(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out,
                         std::int64_t o_begin, std::int64_t o_end) {
@@ -65,7 +68,7 @@ void conv_kernel_scalar(const PackedFeature& input, const PackedKernel& kernel,
       for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
         const std::int64_t base_x = ox * geometry.stride - geometry.padding;
         const std::int64_t matches =
-            internal::scalar_pixel_matches(input, kernel, o, base_y, base_x);
+            scalar_pixel_matches(input, kernel, o, base_y, base_x);
         out.at(o, oy, ox) = static_cast<float>(2 * matches - receptive);
       }
     }

@@ -12,14 +12,15 @@
 // tolerance. tests/test_bconv_simd.cpp sweeps that contract across
 // every registered kernel.
 //
-// Fast kernels split the output plane into an interior region - every
-// kernel tap lands in bounds, so the inner loop is branchless and
-// mask-free - and a border rim that reuses the masked scalar per-pixel
-// path. The mask-free interior relies on a bitpack.h layout invariant:
-// storage bits above `channels` in a tail word are always zero in both
-// features and kernels, so the spurious xnor matches they contribute
-// are the *constant* (64 * words - channels) per kernel position,
-// subtracted once per pixel instead of masked once per word.
+// Fast kernels run one branchless, mask-free loop over every output
+// pixel. They rely on the bitpack.h layout invariant: tail lanes *and*
+// the padding ring are zero. The input is packed with a ring as wide as
+// the conv's padding, so every kernel tap reads storage; a ring tap
+// reads zero words, and ~(w ^ 0) == ~w is the scalar padding term. The
+// tail lanes are zero in both features and kernels, so the spurious
+// xnor matches they contribute are the *constant*
+// (64 * words - channels) per kernel position, subtracted once per
+// pixel instead of masked once per word.
 
 #include <cstdint>
 #include <span>
@@ -34,10 +35,11 @@ namespace bkc::bnn {
 /// inside binary_conv2d's parallel_for, so implementations must write
 /// only the rows of their channel range. Preconditions (checked by
 /// binary_conv2d before dispatch): input/kernel channels and packing
-/// match, out has the output shape. `out` is a view so the destination
-/// can live in a Workspace arena (Tensor converts implicitly); kernels
-/// assign every pixel of their range, never read-modify-write, so the
-/// destination may be uninitialised.
+/// match, the input's ring equals geometry.padding, out has the output
+/// shape. `out` is a view so the destination can live in a Workspace
+/// arena (Tensor converts implicitly); kernels assign every pixel of
+/// their range, never read-modify-write, so the destination may be
+/// uninitialised.
 using ConvKernelFn = void (*)(const PackedFeature& input,
                               const PackedKernel& kernel,
                               ConvGeometry geometry, TensorView out,
@@ -80,27 +82,17 @@ class ScopedConvKernelOverride {
   const ConvKernelInfo* previous_;
 };
 
+#if defined(BKC_HAVE_AVX2)
 namespace internal {
 
-/// Matches (agreeing weight/input bit pairs) for one output pixel, with
-/// full spatial-padding and channel-tail masking - the scalar reference
-/// arithmetic. base_y/base_x are the top-left input coordinates of the
-/// kernel window (may be negative or out of bounds; padded taps
-/// contribute where the weight bit is 0). Fast kernels call this for
-/// border pixels so every path shares one definition of the edge math.
-std::int64_t scalar_pixel_matches(const PackedFeature& input,
-                                  const PackedKernel& kernel, std::int64_t o,
-                                  std::int64_t base_y, std::int64_t base_x);
-
-#if defined(BKC_HAVE_AVX2)
 /// The AVX2 kernel (defined in bconv_kernels_avx2.cpp, compiled with
 /// -mavx2). Only registered - and only callable - when
 /// simd::cpu_supports_avx2() is true.
 void conv_kernel_avx2(const PackedFeature& input, const PackedKernel& kernel,
                       ConvGeometry geometry, TensorView out,
                       std::int64_t o_begin, std::int64_t o_end);
-#endif
 
 }  // namespace internal
+#endif
 
 }  // namespace bkc::bnn

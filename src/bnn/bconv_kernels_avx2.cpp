@@ -3,14 +3,16 @@
 // the rest of the library stays baseline-ISA; only registered for
 // dispatch when the running CPU reports AVX2.
 //
-// Structure: interior output pixels - every kernel tap in bounds - run
-// branchless and mask-free; the border rim reuses the masked scalar
-// per-pixel reference. Mask-free works because tail-word lanes above
-// the channel count are zero in both operands (bitpack.h invariant), so
-// each kernel position contributes exactly (64 * words - channels)
-// spurious xnor agreements - a constant subtracted once per pixel.
+// Structure: every output pixel runs branchless and mask-free over the
+// padded input plane. The input carries a zero ring as wide as the
+// conv's padding (bitpack.h invariant: tail lanes and the ring are
+// zero), so every kernel tap lies in storage and a ring tap reads zero
+// words: ~(w ^ 0) == ~w, the scalar padding term. Tail-word lanes above
+// the channel count are zero in both operands, so each kernel position
+// contributes exactly (64 * words - channels) spurious xnor agreements -
+// a constant subtracted once per pixel.
 //
-// Two interior shapes:
+// Two pixel shapes:
 //   * words_per_pixel == 1, stride 1: four consecutive output columns
 //     per vector op. Their input words are contiguous, and the per-
 //     64-bit-lane _mm256_sad_epu8 sums keep the four pixels' counts in
@@ -81,25 +83,6 @@ inline std::int64_t xnor_popcount_row(const std::uint64_t* a,
   return total;
 }
 
-/// First/last interior output index along one dimension: positions
-/// whose kernel window lies fully inside the input.
-struct InteriorRange {
-  std::int64_t lo;
-  std::int64_t hi;  // exclusive
-};
-
-InteriorRange interior_range(std::int64_t out_extent, std::int64_t in_extent,
-                             std::int64_t k, std::int64_t stride,
-                             std::int64_t padding) {
-  std::int64_t lo = (padding + stride - 1) / stride;
-  const std::int64_t max_base = in_extent - k + padding;
-  std::int64_t hi = max_base >= 0 ? max_base / stride + 1 : 0;
-  if (lo > out_extent) lo = out_extent;
-  if (hi < lo) hi = lo;
-  if (hi > out_extent) hi = out_extent;
-  return {lo, hi};
-}
-
 /// kWpp/kIs3x3 are the BKC_WORDS_SWITCH / BKC_BOOL_SWITCH
 /// monomorphization constants (0 / false = stay runtime-generic): with
 /// both pinned the row loops below have compile-time trip counts and
@@ -116,28 +99,17 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
   const std::int64_t kh = kIs3x3 ? 3 : k_shape.kernel_h;
   const std::int64_t kw = kIs3x3 ? 3 : k_shape.kernel_w;
   const std::int64_t stride = geometry.stride;
-  const std::int64_t padding = geometry.padding;
-  const std::int64_t in_w = in_shape.width;
+  // Pixels per row of the padded plane; storage pixel (oy * stride,
+  // ox * stride) is the top-left tap of output pixel (oy, ox).
+  const std::int64_t in_w = in_shape.width + 2 * geometry.padding;
   const std::int64_t receptive = k_shape.receptive_size();
   // Constant spurious agreements from the zeroed tail lanes (see file
   // comment); zero when the channel count fills every word.
   const std::int64_t spurious =
       kh * kw * (wpp * kWordBits - in_shape.channels);
 
-  const InteriorRange ry =
-      interior_range(out_shape.height, in_shape.height, kh, stride, padding);
-  const InteriorRange rx =
-      interior_range(out_shape.width, in_w, kw, stride, padding);
-
-  const std::uint64_t* in_base = input.at(0, 0).data();
+  const std::uint64_t* in_base = input.words().data();
   float* out_base = out.data().data();
-
-  const auto emit_border = [&](std::int64_t o, std::int64_t oy,
-                               std::int64_t ox, float* out_row) {
-    const std::int64_t matches = scalar_pixel_matches(
-        input, kernel, o, oy * stride - padding, ox * stride - padding);
-    out_row[ox] = static_cast<float>(2 * matches - receptive);
-  };
 
   for (std::int64_t o = o_begin; o < o_end; ++o) {
     // All kh*kw*wpp kernel words of output channel o are contiguous.
@@ -145,29 +117,18 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
     for (std::int64_t oy = 0; oy < out_shape.height; ++oy) {
       float* out_row =
           out_base + (o * out_shape.height + oy) * out_shape.width;
-      if (oy < ry.lo || oy >= ry.hi) {
-        for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
-          emit_border(o, oy, ox, out_row);
-        }
-        continue;
-      }
-      const std::int64_t base_y = oy * stride - padding;
-      for (std::int64_t ox = 0; ox < rx.lo; ++ox) {
-        emit_border(o, oy, ox, out_row);
-      }
-      std::int64_t ox = rx.lo;
+      const std::int64_t base_y = oy * stride;
+      std::int64_t ox = 0;
       if (kWpp == 1 && stride == 1) {
         // Four consecutive output columns per iteration: with one word
         // per pixel their input words are contiguous, and SAD keeps
         // each pixel's count in its own 64-bit lane.
         const __m256i ones = _mm256_set1_epi64x(-1);
         const __m256i zero = _mm256_setzero_si256();
-        for (; ox + 4 <= rx.hi; ox += 4) {
-          const std::int64_t base_x = ox - padding;
+        for (; ox + 4 <= out_shape.width; ox += 4) {
           __m256i acc = _mm256_setzero_si256();
           for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::uint64_t* row =
-                in_base + (base_y + ky) * in_w + base_x;
+            const std::uint64_t* row = in_base + (base_y + ky) * in_w + ox;
             for (std::int64_t kx = 0; kx < kw; ++kx) {
               const __m256i w = _mm256_set1_epi64x(
                   static_cast<long long>(kbase[ky * kw + kx]));
@@ -187,11 +148,10 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
           }
         }
       }
-      // Generic interior pixel (and the <4-column remainder above):
-      // kernel rows and input row segments are contiguous runs of
-      // kw * wpp words.
-      for (; ox < rx.hi; ++ox) {
-        const std::int64_t base_x = ox * stride - padding;
+      // Generic pixel (and the <4-column remainder above): kernel rows
+      // and input row segments are contiguous runs of kw * wpp words.
+      for (; ox < out_shape.width; ++ox) {
+        const std::int64_t base_x = ox * stride;
         std::int64_t raw = 0;
         for (std::int64_t ky = 0; ky < kh; ++ky) {
           raw += xnor_popcount_row(
@@ -200,9 +160,6 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
         }
         out_row[ox] =
             static_cast<float>(2 * (raw - spurious) - receptive);
-      }
-      for (std::int64_t bx = rx.hi; bx < out_shape.width; ++bx) {
-        emit_border(o, oy, bx, out_row);
       }
     }
   }

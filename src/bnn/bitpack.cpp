@@ -10,19 +10,25 @@ std::uint64_t channel_tail_mask(std::int64_t channels) {
   return rem == 0 ? ~0ULL : ((1ULL << rem) - 1);
 }
 
-PackedFeature::PackedFeature(FeatureShape shape) { reshape(shape); }
+PackedFeature::PackedFeature(FeatureShape shape, std::int64_t padding) {
+  reshape(shape, padding);
+}
 
-void PackedFeature::reshape(FeatureShape shape) {
+void PackedFeature::reshape(FeatureShape shape, std::int64_t padding) {
   check(shape.channels > 0 && shape.height > 0 && shape.width > 0,
         "PackedFeature::reshape: dimensions must be positive");
+  check(padding >= 0, "PackedFeature::reshape: negative padding");
   shape_ = shape;
+  padding_ = padding;
   words_per_pixel_ = words_per_group(shape.channels);
   tail_mask_ = channel_tail_mask(shape.channels);
   // assign() reuses capacity when it suffices (the reserve_words
-  // contract); zero-filling restores the tail-word layout invariant.
-  words_.assign(
-      static_cast<std::size_t>(shape.height * shape.width * words_per_pixel_),
-      0);
+  // contract); zero-filling restores the tail-lane and ring layout
+  // invariant.
+  words_.assign(static_cast<std::size_t>((shape.height + 2 * padding) *
+                                         (shape.width + 2 * padding) *
+                                         words_per_pixel_),
+                0);
 }
 
 void PackedFeature::reserve_words(std::int64_t words) {
@@ -34,8 +40,9 @@ std::span<const std::uint64_t> PackedFeature::at(std::int64_t y,
                                                  std::int64_t x) const {
   check(y >= 0 && y < shape_.height && x >= 0 && x < shape_.width,
         "PackedFeature::at out of range");
-  const auto offset =
-      static_cast<std::size_t>((y * shape_.width + x) * words_per_pixel_);
+  const auto offset = static_cast<std::size_t>(
+      ((y + padding_) * (shape_.width + 2 * padding_) + x + padding_) *
+      words_per_pixel_);
   return {words_.data() + offset,
           static_cast<std::size_t>(words_per_pixel_)};
 }
@@ -112,8 +119,8 @@ void PackedKernel::set_bit(std::int64_t o, std::int64_t i, std::int64_t ky,
   word = value ? (word | mask) : (word & ~mask);
 }
 
-PackedFeature pack_feature(const Tensor& input) {
-  PackedFeature packed(input.shape());
+PackedFeature pack_feature(const Tensor& input, std::int64_t padding) {
+  PackedFeature packed(input.shape(), padding);
   const auto& s = input.shape();
   for (std::int64_t c = 0; c < s.channels; ++c) {
     for (std::int64_t y = 0; y < s.height; ++y) {
@@ -125,24 +132,29 @@ PackedFeature pack_feature(const Tensor& input) {
   return packed;
 }
 
-void pack_feature_into(ConstTensorView input, PackedFeature& out) {
-  out.reshape(input.shape());
+void pack_feature_into(ConstTensorView input, PackedFeature& out,
+                       std::int64_t padding) {
+  out.reshape(input.shape(), padding);
   const FeatureShape& s = input.shape();
-  const std::int64_t pixels = s.height * s.width;
   const std::int64_t wpp = out.words_per_pixel();
-  std::uint64_t* words = out.words().data();
+  const std::int64_t row_words = (s.width + 2 * padding) * wpp;
+  // Storage of logical pixel (0, 0); logical rows are row_words apart.
+  std::uint64_t* origin = out.at(0, 0).data();
   const float* data = input.data().data();
   // Channel-major like the CHW input: each channel contributes one bit
-  // lane, OR'd over its whole spatial plane with sequential float
-  // reads. Words start zeroed (reshape), so OR alone builds the map
-  // and the tail invariant (bits above `channels` stay zero) holds by
+  // lane, OR'd over its spatial plane row by row with sequential float
+  // reads. Words start zeroed (reshape), so OR alone builds the map,
+  // and the invariant (tail lanes and the ring stay zero) holds by
   // construction.
   for (std::int64_t c = 0; c < s.channels; ++c) {
     const std::uint64_t mask = 1ULL << (c % kWordBits);
-    std::uint64_t* word = words + c / kWordBits;
-    const float* plane = data + c * pixels;
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      word[p * wpp] |= plane[p] >= 0.0f ? mask : 0;
+    const float* plane = data + c * s.height * s.width;
+    for (std::int64_t y = 0; y < s.height; ++y) {
+      std::uint64_t* word = origin + y * row_words + c / kWordBits;
+      const float* row = plane + y * s.width;
+      for (std::int64_t x = 0; x < s.width; ++x) {
+        word[x * wpp] |= row[x] >= 0.0f ? mask : 0;
+      }
     }
   }
 }

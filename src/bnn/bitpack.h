@@ -13,12 +13,21 @@
 // block uses a partial word; the general case is still fully supported
 // and tested.)
 //
-// Layout invariant: storage bits above `channels` in the tail word are
-// always zero - the constructors zero-fill and set_bit touches valid
-// lanes only. The mask-free interior loops of the fast convolution
-// kernels (bnn/bconv_kernels.h) rely on this: with both operands zero
-// there, every masked-off lane contributes a constant xnor agreement
-// instead of needing a per-word mask.
+// A packed feature map may carry a ring of `padding` zero pixels around
+// the logical map: storage is a (height + 2p) x (width + 2p) plane and
+// logical pixel (y, x) lives at storage pixel (y + p, x + p). A zero
+// word is stored bit 0, i.e. -1, which is exactly the value the paper
+// pads binary convolutions with (Sec IV-B), so a conv whose padding
+// equals the ring reads every kernel tap from storage.
+//
+// Layout invariant: tail lanes *and* the padding ring are zero - storage
+// bits above `channels` in the tail word and every word of the ring.
+// The constructors zero-fill and set_bit / pack_feature_into touch valid
+// lanes of logical pixels only. The fast convolution kernels
+// (bnn/bconv_kernels.h) rely on this: a ring tap reads zero words, which
+// is the scalar reference's padding term, and with both operands zero in
+// the tail lanes every masked-off lane contributes a constant xnor
+// agreement instead of needing a per-word mask.
 
 #include <cstdint>
 #include <span>
@@ -46,25 +55,29 @@ class PackedFeature {
  public:
   PackedFeature() = default;
 
-  /// Zero-initialised (all weights -1) packed map of the given shape.
-  explicit PackedFeature(FeatureShape shape);
+  /// Zero-initialised (all values -1) packed map of the given shape,
+  /// surrounded by a zero ring `padding` pixels wide.
+  explicit PackedFeature(FeatureShape shape, std::int64_t padding = 0);
 
-  /// Re-dimension in place to `shape`, zeroing all words. Reuses the
-  /// existing word storage when it is large enough (see
-  /// reserve_words), so a Workspace can recycle one PackedFeature as
-  /// pack scratch across every binary conv of a model without heap
-  /// traffic.
-  void reshape(FeatureShape shape);
+  /// Re-dimension in place to `shape` with a `padding`-pixel ring,
+  /// zeroing all words. Reuses the existing word storage when it is
+  /// large enough (see reserve_words), so a Workspace can recycle one
+  /// PackedFeature as pack scratch across every binary conv of a model
+  /// without heap traffic.
+  void reshape(FeatureShape shape, std::int64_t padding = 0);
 
   /// Pre-grow the word storage so later reshape() calls up to `words`
   /// total words never allocate.
   void reserve_words(std::int64_t words);
 
+  /// Logical shape, without the ring.
   const FeatureShape& shape() const { return shape_; }
+  /// Width of the zero ring, in pixels.
+  std::int64_t padding() const { return padding_; }
   std::int64_t words_per_pixel() const { return words_per_pixel_; }
   std::uint64_t tail_mask() const { return tail_mask_; }
 
-  /// Words for pixel (y, x), lowest channels in word 0 bit 0.
+  /// Words for logical pixel (y, x), lowest channels in word 0 bit 0.
   std::span<const std::uint64_t> at(std::int64_t y, std::int64_t x) const;
   std::span<std::uint64_t> at(std::int64_t y, std::int64_t x);
 
@@ -75,15 +88,17 @@ class PackedFeature {
   /// Total payload bits actually used (channels * height * width).
   std::int64_t payload_bits() const { return shape_.size(); }
 
-  /// Whole word storage, pixel-major: pixel (y, x) owns words
-  /// [(y*width + x) * words_per_pixel, ...). Writers must preserve the
-  /// layout invariant (tail-word bits above `channels` stay zero);
+  /// Whole word storage including the ring, pixel-major over the
+  /// padded plane: logical pixel (y, x) owns words
+  /// [((y+p)*(width+2p) + x+p) * words_per_pixel, ...). Writers must
+  /// preserve the layout invariant (tail lanes and the ring stay zero);
   /// pack_feature_into is the intended bulk writer.
   std::span<const std::uint64_t> words() const { return words_; }
   std::span<std::uint64_t> words() { return words_; }
 
  private:
   FeatureShape shape_;
+  std::int64_t padding_ = 0;
   std::int64_t words_per_pixel_ = 0;
   std::uint64_t tail_mask_ = 0;
   std::vector<std::uint64_t> words_;
@@ -124,17 +139,19 @@ class PackedKernel {
   std::vector<std::uint64_t> words_;
 };
 
-/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map.
-/// Reference implementation: one checked set_bit per element, obviously
-/// correct, used as the bit-identity oracle for pack_feature_into.
-PackedFeature pack_feature(const Tensor& input);
+/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map
+/// inside a zero ring `padding` pixels wide. Reference implementation:
+/// one checked set_bit per element, obviously correct, used as the
+/// bit-identity oracle for pack_feature_into.
+PackedFeature pack_feature(const Tensor& input, std::int64_t padding = 0);
 
 /// Fast pack into caller-provided storage: reshapes `out` to the input
-/// shape (no allocation once storage is reserved) and ORs whole channel
-/// planes into the packed words with one branch-free pass per channel.
-/// Bit-for-bit identical to pack_feature; the arena-backed forward path
-/// packs through here using the Workspace pack scratch.
-void pack_feature_into(ConstTensorView input, PackedFeature& out);
+/// shape and ring (no allocation once storage is reserved) and ORs
+/// whole channel rows into the packed words with one branch-free pass
+/// per channel. Bit-for-bit identical to pack_feature; the arena-backed
+/// forward path packs through here using the Workspace pack scratch.
+void pack_feature_into(ConstTensorView input, PackedFeature& out,
+                       std::int64_t padding = 0);
 
 /// Expand a packed feature back to a +/-1-valued float tensor.
 Tensor unpack_feature(const PackedFeature& packed);

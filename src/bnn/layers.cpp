@@ -36,8 +36,13 @@ void BinaryConv2d::forward_into(ConstTensorView input, TensorView output,
   // reuses its reserved word storage, so packing allocates nothing.
   // pack_feature_into applies Eq. 1's sign (bit = v >= 0) as it packs.
   PackedFeature& packed = workspace.pack_scratch();
-  pack_feature_into(input, packed);
-  binary_conv2d_into(packed, kernel_, geometry_, output);
+  pack_feature_into(input, packed, geometry_.padding);
+  forward_packed(packed, output);
+}
+
+void BinaryConv2d::forward_packed(const PackedFeature& input,
+                                  TensorView output) const {
+  binary_conv2d_into(input, kernel_, geometry_, output);
 }
 
 LayerInfo BinaryConv2d::info(const FeatureShape& input_shape) const {

@@ -82,11 +82,15 @@ class BinaryConv2d final : public Layer {
  public:
   BinaryConv2d(std::string name, PackedKernel kernel, ConvGeometry geometry);
 
-  /// Packs the input into the workspace's shared pack scratch (caller-
-  /// provided storage, no per-call pack allocation), then convolves
-  /// into `output`.
+  /// Packs the input, ringed with the geometry's padding, into the
+  /// workspace's shared pack scratch (caller-provided storage, no
+  /// per-call pack allocation), then runs forward_packed.
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
+  /// Convolve an already packed input into `output`; its ring must equal
+  /// geometry().padding. Lets convs that read the same tensor share one
+  /// pack.
+  void forward_packed(const PackedFeature& input, TensorView output) const;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
     return geometry_.output_shape(input_shape, kernel_.shape());
   }

@@ -34,7 +34,8 @@ MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
   MemoryPlan plan;
   for (const OpRecord& op : records) {
     // Ping-pong buffers hold the largest activation any op reads or
-    // writes; the pack scratch the largest packed input of a 1-bit conv.
+    // writes; the pack scratch the largest packed input of a 1-bit conv,
+    // ring included.
     plan.activation_floats =
         std::max({plan.activation_floats, op.input_shape.size(),
                   op.output_shape.size()});
@@ -46,9 +47,11 @@ MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
                         static_cast<std::int64_t>(sizeof(std::int8_t)));
     } else if (op.precision_bits == 1) {
       const FeatureShape& in = op.input_shape;
-      plan.pack_words =
-          std::max(plan.pack_words,
-                   words_per_group(in.channels) * in.height * in.width);
+      const std::int64_t ring = op.geometry.padding;
+      plan.pack_words = std::max(plan.pack_words,
+                                 words_per_group(in.channels) *
+                                     (in.height + 2 * ring) *
+                                     (in.width + 2 * ring));
       if (op.op_class == OpClass::kConv3x3) {
         // A basic block holds its 3x3 conv output (the mid tensor `y`)
         // in scratch; a stride-2 block additionally holds the pooled

@@ -52,7 +52,8 @@ struct MemoryPlan {
   /// Peak block-local scratch beyond the ping-pong buffers, already
   /// rounded to Arena allocation granules.
   std::int64_t scratch_bytes = 0;
-  /// Word storage for the largest packed input of any binary conv.
+  /// Word storage for the largest packed input of any binary conv,
+  /// including its padding ring.
   std::int64_t pack_words = 0;
 
   /// Exact arena capacity a planned forward pass needs — and exactly

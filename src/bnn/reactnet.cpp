@@ -140,15 +140,18 @@ void BasicBlock::forward_into(ConstTensorView input, TensorView output,
 
   // Second half: the 1x1 conv(s) write straight into the channel
   // halves of the concat destination (CHW makes channel subranges
-  // contiguous), so no za/zb temporaries or concat copy exist.
+  // contiguous), so no za/zb temporaries or concat copy exist. Both
+  // read y, so y is packed once for the pair.
+  PackedFeature& packed = workspace.pack_scratch();
+  pack_feature_into(y, packed, conv1a_->geometry().padding);
   const std::int64_t in = config_.in_channels;
   TensorView za = output.channels(0, in);
-  conv1a_->forward_into(y, za, workspace);
+  conv1a_->forward_packed(packed, za);
   bn2a_->forward_into(za, za, workspace);
   residual_add_into(za, y, za);
   if (conv1b_) {
     TensorView zb = output.channels(in, in);
-    conv1b_->forward_into(y, zb, workspace);
+    conv1b_->forward_packed(packed, zb);
     bn2b_->forward_into(zb, zb, workspace);
     residual_add_into(zb, y, zb);
   }

@@ -27,7 +27,8 @@ void expect_matches_reference(const FeatureShape& in_shape,
   const Tensor expected =
       reference_conv2d(input, weights, geometry, /*pad_value=*/-1.0f);
   const Tensor actual =
-      binary_conv2d(pack_feature(input), pack_kernel(weights), geometry);
+      binary_conv2d(pack_feature(input, geometry.padding),
+                    pack_kernel(weights), geometry);
   ASSERT_EQ(actual.shape(), expected.shape());
   for (std::size_t i = 0; i < actual.data().size(); ++i) {
     ASSERT_FLOAT_EQ(actual.data()[i], expected.data()[i]) << "at " << i;
@@ -99,7 +100,7 @@ TEST(BinaryConv, DotProductRangeBound) {
   Rng rng(31);
   const Tensor input = random_pm1_tensor({24, 5, 5}, rng);
   const WeightTensor weights = random_pm1_weights({6, 24, 3, 3}, rng);
-  const Tensor out = binary_conv2d(pack_feature(input),
+  const Tensor out = binary_conv2d(pack_feature(input, 1),
                                    pack_kernel(weights),
                                    {.stride = 1, .padding = 1});
   const std::int64_t receptive = 24 * 9;
@@ -123,6 +124,22 @@ TEST(BinaryConv, ChannelMismatchThrows) {
   PackedFeature f(FeatureShape{8, 4, 4});
   PackedKernel k(KernelShape{2, 16, 3, 3});
   EXPECT_THROW(binary_conv2d(f, k, {.stride = 1, .padding = 1}), CheckError);
+}
+
+TEST(BinaryConv, RingDifferentFromPaddingThrows) {
+  // The fast kernels read padded taps from the input's zero ring, so a
+  // ring narrower or wider than the geometry's padding is rejected.
+  const PackedKernel k(KernelShape{2, 8, 3, 3});
+  for (std::int64_t ring : {0, 2}) {
+    const PackedFeature f(FeatureShape{8, 4, 4}, ring);
+    EXPECT_THROW(binary_conv2d(f, k, {.stride = 1, .padding = 1}),
+                 CheckError)
+        << "ring " << ring;
+  }
+  const PackedFeature ringed(FeatureShape{8, 4, 4}, 1);
+  EXPECT_THROW(binary_conv2d(ringed, k, {.stride = 1, .padding = 0}),
+               CheckError);
+  EXPECT_NO_THROW(binary_conv2d(ringed, k, {.stride = 1, .padding = 1}));
 }
 
 TEST(BinaryConv, WordOpAccounting) {

@@ -3,7 +3,8 @@
 // the scalar reference for every shape, geometry and thread count - not
 // approximately equal, memcmp-equal. The sweep is deliberately hostile:
 // odd widths, channel counts straddling the 64-lane tail mask, strides
-// and paddings that leave empty interiors, 1x1 next to 3x3.
+// and paddings on planes so small that every output pixel reads the
+// zero ring, 1x1 next to 3x3.
 
 #include <gtest/gtest.h>
 
@@ -47,10 +48,10 @@ struct ConvCase {
   }
 };
 
-// ~50 shapes. Channel counts bracket every word boundary the tail mask
+// ~100 shapes. Channel counts bracket every word boundary the tail mask
 // can straddle (63/64/65, 96 = word + half, 127/128/129, multi-word);
-// spatial extents mix odd/even and include inputs so small the
-// mask-free interior of the fast kernels is empty or a single pixel.
+// spatial extents mix odd/even and include inputs so small that no
+// output pixel has its whole window inside the logical map.
 std::vector<ConvCase> conv_cases() {
   std::vector<ConvCase> cases;
   const std::int64_t tail_channels[] = {1,  17,  63,  64,  65, 96,
@@ -73,14 +74,28 @@ std::vector<ConvCase> conv_cases() {
     cases.push_back({c, 8, 6, 5, 3, 1, 0});
     cases.push_back({c, 6, 8, 5, 3, 1, 2});
   }
-  // Degenerate spatial extents: empty or one-pixel interiors, a
-  // single-pixel plane, stride larger than the kernel.
-  cases.push_back({70, 2, 2, 3, 3, 1, 1});  // interior empty both axes
-  cases.push_back({70, 3, 3, 3, 3, 1, 1});  // interior exactly one pixel
+  // Degenerate spatial extents: no or one window fully inside the
+  // map, a single-pixel plane, stride larger than the kernel.
+  cases.push_back({70, 2, 2, 3, 3, 1, 1});  // every window touches the ring
+  cases.push_back({70, 3, 3, 3, 3, 1, 1});  // one window inside the map
   cases.push_back({64, 1, 1, 4, 1, 1, 0});  // single pixel, 1x1
   cases.push_back({64, 3, 9, 4, 3, 4, 1});  // stride > kernel
   cases.push_back({100, 11, 3, 2, 3, 1, 1});  // tall and narrow
   cases.push_back({320, 3, 3, 8, 3, 1, 1});  // 5 words per pixel
+  // The paper model's late maps, 7x7 (224 input) down to 1x1, at 512
+  // and 1024 channels: 8 and 16 words per pixel, the generic
+  // BKC_WORDS_SWITCH instantiation. Stride 1 and 2, ring 0/1/2.
+  for (std::int64_t c : {512, 1024}) {
+    for (std::int64_t size : {1, 2, 4, 7}) {
+      cases.push_back({c, size, size, 3, 1, 1, 0});
+      for (std::int64_t stride : {1, 2}) {
+        for (std::int64_t padding : {0, 1, 2}) {
+          if (size + 2 * padding < 3) continue;  // no 3x3 window fits
+          cases.push_back({c, size, size, 3, 3, stride, padding});
+        }
+      }
+    }
+  }
   return cases;
 }
 
@@ -91,7 +106,7 @@ void seeded_inputs(const ConvCase& c, std::uint64_t seed,
       {c.channels, c.height, c.width}, rng);
   const WeightTensor weights = test::random_pm1_weights(
       {c.out_channels, c.channels, c.kernel, c.kernel}, rng);
-  feature = pack_feature(input);
+  feature = pack_feature(input, c.padding);
   kernel = pack_kernel(weights);
 }
 

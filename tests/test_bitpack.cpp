@@ -161,6 +161,33 @@ TEST(PackFeatureInto, MatchesPackFeatureOnRandomShapes) {
   }
 }
 
+TEST(PackFeatureInto, MatchesPackFeatureWithARing) {
+  // Same agreement when the map sits inside a zero ring: the ring is
+  // part of the storage both packers produce.
+  Rng rng(29);
+  const FeatureShape shapes[] = {{1, 1, 1}, {7, 4, 3}, {64, 2, 2},
+                                 {130, 3, 5}};
+  PackedFeature scratch;
+  for (const FeatureShape& shape : shapes) {
+    Tensor t(shape);
+    for (auto& v : t.data()) v = static_cast<float>(rng.uniform() - 0.5);
+    for (std::int64_t ring : {1, 2}) {
+      const PackedFeature expected = pack_feature(t, ring);
+      pack_feature_into(t, scratch, ring);
+      ASSERT_EQ(scratch.shape(), shape);
+      ASSERT_EQ(scratch.padding(), ring);
+      ASSERT_EQ(scratch.words().size(),
+                static_cast<std::size_t>((shape.height + 2 * ring) *
+                                         (shape.width + 2 * ring) *
+                                         words_per_group(shape.channels)));
+      EXPECT_EQ(std::memcmp(scratch.words().data(), expected.words().data(),
+                            expected.words().size_bytes()),
+                0)
+          << shape.to_string() << " ring " << ring;
+    }
+  }
+}
+
 TEST(PackFeatureInto, ReshapeReusesReservedCapacity) {
   PackedFeature scratch;
   scratch.reserve_words(words_per_group(130) * 3 * 2);
@@ -183,7 +210,7 @@ TEST(PackFeatureInto, ReshapeReusesReservedCapacity) {
 }
 
 TEST(PackFeatureInto, TailWordBitsStayZero) {
-  // The layout invariant the mask-free AVX2 interior relies on: bits
+  // The layout invariant the mask-free AVX2 kernel relies on: bits
   // above the channel count in the tail word are always zero, even
   // when the scratch previously held a wider feature.
   Rng rng(23);
@@ -199,6 +226,37 @@ TEST(PackFeatureInto, TailWordBitsStayZero) {
       const auto words = scratch.at(y, x);
       ASSERT_EQ(words.size(), 2u);
       EXPECT_EQ(words[1] & ~channel_tail_mask(70), 0u);
+    }
+  }
+}
+
+TEST(PackFeatureInto, RingStaysZeroAfterRepackingIntoDirtyScratch) {
+  // The other half of the invariant: repacking a smaller ringed map
+  // into scratch that held a larger all-ones map leaves every ring word
+  // zero (the fast kernels read padded taps from it).
+  PackedFeature scratch;
+  Tensor large(FeatureShape{128, 6, 6});
+  for (auto& v : large.data()) v = 1.0f;  // all bits set
+  pack_feature_into(large, scratch);
+  const std::int64_t ring = 1;
+  Tensor small(FeatureShape{128, 3, 4});
+  for (auto& v : small.data()) v = 1.0f;
+  pack_feature_into(small, scratch, ring);
+  const std::int64_t wpp = scratch.words_per_pixel();
+  const std::int64_t padded_h = 3 + 2 * ring;
+  const std::int64_t padded_w = 4 + 2 * ring;
+  ASSERT_EQ(scratch.words().size(),
+            static_cast<std::size_t>(padded_h * padded_w * wpp));
+  for (std::int64_t py = 0; py < padded_h; ++py) {
+    for (std::int64_t px = 0; px < padded_w; ++px) {
+      const bool in_ring = py < ring || py >= padded_h - ring || px < ring ||
+                           px >= padded_w - ring;
+      for (std::int64_t t = 0; t < wpp; ++t) {
+        const std::uint64_t word = scratch.words()[static_cast<std::size_t>(
+            (py * padded_w + px) * wpp + t)];
+        EXPECT_EQ(word, in_ring ? 0u : ~0ULL)
+            << "storage pixel (" << py << ", " << px << ") word " << t;
+      }
     }
   }
 }

@@ -3,8 +3,8 @@
 // as the hex of its IEEE-754 bit pattern, so a single-ulp drift in any
 // layer fails the comparison. Two configs cover both ends of the
 // schedule: the tiny test model, and the paper-width model at 64x64
-// input (1024-channel late blocks on 2x2 maps, the border-only conv
-// case). Regenerate with BKC_UPDATE_GOLDEN=1 — only when a change is
+// input (1024-channel late blocks on 2x2 maps, where every conv tap
+// window touches the padding ring). Regenerate with BKC_UPDATE_GOLDEN=1 — only when a change is
 // meant to alter inference results.
 
 #include <gtest/gtest.h>

@@ -205,7 +205,8 @@ TEST(ForwardInto, BinaryConvMatchesScalarPackedConv) {
     {
       simd::ScopedForceScalar force;
       expected =
-          binary_conv2d(pack_feature(input), conv.kernel(), conv.geometry());
+          binary_conv2d(pack_feature(input, conv.geometry().padding),
+                        conv.kernel(), conv.geometry());
     }
     EXPECT_TRUE(bit_identical(run(conv, input), expected)) << conv.name();
   }

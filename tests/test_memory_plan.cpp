@@ -187,6 +187,22 @@ TEST(ReActNetPlan, ArenaStaysFlatAcrossRepeatCalls) {
   EXPECT_EQ(workspace.arena().high_water(), high_water);
 }
 
+TEST(ReActNetPlan, PackScratchNeverRegrowsOnTheFirstPass) {
+  // pack_words must cover every binary conv's packed input, padding
+  // ring included: the pack scratch sits outside the arena, so only its
+  // storage address shows a reservation that was too small.
+  const ReActNet model(test::tiny_config(49));
+  Workspace workspace(model.memory_plan());
+  PackedFeature& scratch = workspace.pack_scratch();
+  scratch.reshape(FeatureShape{1, 1, 1});
+  const std::uint64_t* storage = scratch.words().data();
+  WeightGenerator gen(13);
+  Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
+  model.forward_into(gen.sample_activation(model.input_shape()), scores,
+                     workspace);
+  EXPECT_EQ(scratch.words().data(), storage);
+}
+
 TEST(ReActNetPlan, UndersizedWorkspaceThrows) {
   const ReActNet model(test::tiny_config(45));
   Workspace workspace(MemoryPlan{});  // covers nothing
@@ -234,10 +250,12 @@ TEST(ReActNetPlan, PlanFieldsMatchTheOpRecordWalk) {
     max_activation = std::max({max_activation, op.input_shape.size(),
                                op.output_shape.size()});
     if (op.precision_bits == 1) {
+      // The packed input carries a zero ring as wide as the padding.
+      const std::int64_t p = op.geometry.padding;
       max_pack_words =
           std::max(max_pack_words, words_per_group(op.input_shape.channels) *
-                                       op.input_shape.height *
-                                       op.input_shape.width);
+                                       (op.input_shape.height + 2 * p) *
+                                       (op.input_shape.width + 2 * p));
     }
   }
   EXPECT_EQ(plan.activation_floats, max_activation);
