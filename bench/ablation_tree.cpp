@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    check(static_cast<bool>(out), "ablation_tree: cannot open " + json_path);
+    check(static_cast<bool>(out), "ablation_tree: cannot open ", json_path);
     out << json_out.str();
     std::cout << "wrote " << json_path << "\n";
   }

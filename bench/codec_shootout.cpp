@@ -79,7 +79,7 @@ void write_json(const std::string& path, bool tiny, int num_threads,
   w.end_array();
   w.end_object();
   std::ofstream file(path);
-  check(static_cast<bool>(file), "codec_shootout: cannot open " + path);
+  check(static_cast<bool>(file), "codec_shootout: cannot open ", path);
   file << w.str();
 }
 
@@ -103,8 +103,7 @@ int main(int argc, char** argv) {
       // Round-trip gate: every deployed stream must decode back to the
       // installed kernel bit-exactly before its numbers are reported.
       check(engine.verify_streams(num_threads),
-            "codec_shootout: codec " + std::to_string(id) +
-                " streams do not round-trip");
+            "codec_shootout: codec ", id, " streams do not round-trip");
 
       CodecResult r;
       r.id = id;

@@ -200,7 +200,7 @@ void write_json(const std::string& path, const SweepConfig& config,
   w.end_array();
   w.end_object();
   std::ofstream file(path);
-  check(static_cast<bool>(file), "serve_load: cannot open " + path);
+  check(static_cast<bool>(file), "serve_load: cannot open ", path);
   file << w.str();
 }
 

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     w.end_object();
     std::ofstream out(json_path);
     check(static_cast<bool>(out),
-          "table5_compression: cannot open " + json_path);
+          "table5_compression: cannot open ", json_path);
     out << w.str();
     std::cout << "wrote " << json_path << "\n";
   }

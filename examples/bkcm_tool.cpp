@@ -44,7 +44,7 @@ std::uint64_t seed_flag(int argc, char** argv, const char* flag = "--seed",
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), seed);
   check(ec == std::errc() && ptr == text.data() + text.size(),
-        std::string(flag) + ": malformed unsigned integer '" + text + "'");
+        flag, ": malformed unsigned integer '", text, "'");
   return seed;
 }
 
@@ -69,7 +69,7 @@ int run_compress(int argc, char** argv) {
 
   std::error_code ec;
   const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
-  check(!ec, "bkcm_tool: cannot stat " + path);
+  check(!ec, "bkcm_tool: cannot stat ", path);
   std::cout << "wrote " << path << ": " << file_size << " bytes, "
             << report.blocks.size() << " blocks, kernel ratio "
             << ratio_str(options.clustering ? report.mean_clustering_ratio

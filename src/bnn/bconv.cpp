@@ -11,8 +11,7 @@ Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
   const FeatureShape in_shape = input.shape();
   const KernelShape k_shape = kernel.shape();
   check(in_shape.channels == k_shape.in_channels,
-        "binary_conv2d: channel mismatch (" + in_shape.to_string() + " vs " +
-            k_shape.to_string() + ")");
+        "binary_conv2d: channel mismatch (", in_shape, " vs ", k_shape, ")");
   const FeatureShape out_shape = geometry.output_shape(in_shape, k_shape);
   Tensor out(out_shape);
   binary_conv2d_into(input, kernel, geometry, out);

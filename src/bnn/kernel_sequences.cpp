@@ -7,8 +7,7 @@ namespace bkc::bnn {
 namespace {
 void check_3x3(const KernelShape& shape) {
   check(shape.kernel_h == kSeqSide && shape.kernel_w == kSeqSide,
-        "bit sequences are defined for 3x3 kernels, got " +
-            shape.to_string());
+        "bit sequences are defined for 3x3 kernels, got ", shape);
 }
 }  // namespace
 

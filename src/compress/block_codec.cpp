@@ -14,8 +14,7 @@ namespace bkc::compress {
 std::int64_t read_channel_count(ByteReader& reader, const char* what) {
   const std::int64_t value = reader.read_i64();
   check(value >= 1 && value <= kMaxChannels,
-        reader.context() + ": implausible " + what + " (" +
-            std::to_string(value) + ")");
+        reader.context(), ": implausible ", what, " (", value, ")");
   return value;
 }
 
@@ -24,10 +23,10 @@ CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader) {
   kernel.out_channels = read_channel_count(reader, "stream out_channels");
   kernel.in_channels = read_channel_count(reader, "stream in_channels");
   check(kernel.out_channels * kernel.in_channels <= kMaxModelUnits,
-        reader.context() + ": implausible stream kernel size");
+        reader.context(), ": implausible stream kernel size");
   const std::uint64_t stream_bits = reader.read_varint();
   check(stream_bits <= std::numeric_limits<std::size_t>::max() - 7,
-        reader.context() + ": implausible stream bit count");
+        reader.context(), ": implausible stream bit count");
   kernel.stream_bits = static_cast<std::size_t>(stream_bits);
   kernel.stream = reader.read_span((kernel.stream_bits + 7) / 8);
   return kernel;
@@ -196,13 +195,13 @@ class GroupedBlockCodec final : public BlockCodec {
         stream.compressed.num_sequences());
     const auto observed = FrequencyTable::from_sequences(decoded);
     check(observed.counts() == stream.coded_frequencies.counts(),
-          "verify: block " + std::to_string(index) +
-              ": decoded stream does not reproduce the stored frequency "
-              "table (tampered stream?)");
+          "verify: block ", index,
+          ": decoded stream does not reproduce the stored frequency table "
+          "(tampered stream?)");
     const auto remapped = stream.clustering.apply(stream.frequencies);
     check(remapped.counts() == stream.coded_frequencies.counts(),
-          "verify: block " + std::to_string(index) +
-              ": stored remap and frequency tables are inconsistent");
+          "verify: block ", index,
+          ": stored remap and frequency tables are inconsistent");
   }
 
  private:
@@ -224,20 +223,19 @@ void write_mst_dictionary(ByteWriter& writer, const MstDictionary& dict) {
 MstDictionary read_mst_dictionary(ByteReader& reader) {
   const std::uint64_t size = reader.read_varint();
   check(size >= 1 && size <= bnn::kNumSequences,
-        reader.context() + ": implausible MST dictionary size (" +
-            std::to_string(size) + ")");
+        reader.context(), ": implausible MST dictionary size (", size, ")");
   const std::uint64_t root = reader.read_varint();
   check(root < bnn::kNumSequences,
-        reader.context() + ": MST dictionary root out of range");
+        reader.context(), ": MST dictionary root out of range");
   std::vector<MstEdge> edges;
   edges.reserve(static_cast<std::size_t>(size) - 1);
   for (std::uint64_t i = 1; i < size; ++i) {
     const std::uint64_t parent = reader.read_varint();
     check(parent < i,
-          reader.context() + ": MST edge parent is not an earlier entry");
+          reader.context(), ": MST edge parent is not an earlier entry");
     const std::uint64_t delta = reader.read_varint();
     check(delta >= 1 && delta < bnn::kNumSequences,
-          reader.context() + ": MST edge delta out of range");
+          reader.context(), ": MST edge delta out of range");
     edges.push_back(MstEdge{.parent = static_cast<std::uint16_t>(parent),
                             .delta = static_cast<std::uint16_t>(delta)});
   }
@@ -339,7 +337,7 @@ class MstBlockCodec final : public BlockCodec {
     artifact.codec_id = kCodecMstDelta;
     artifact.coded_frequencies = read_frequency_table(reader);
     check(artifact.coded_frequencies.total() > 0,
-          reader.context() + ": MST block has an empty frequency table");
+          reader.context(), ": MST block has an empty frequency table");
     artifact.frequencies = artifact.coded_frequencies;
     artifact.mst = read_mst_dictionary(reader);
 
@@ -347,28 +345,27 @@ class MstBlockCodec final : public BlockCodec {
     // missing sequence could not have been encoded, an extra one pads
     // the index width for nothing (non-canonical).
     check(artifact.mst.size() == artifact.coded_frequencies.distinct(),
-          reader.context() + ": MST dictionary size does not match the "
-                             "distinct sequence count");
+          reader.context(),
+          ": MST dictionary size does not match the distinct sequence count");
     for (int s = 0; s < bnn::kNumSequences; ++s) {
       if (artifact.coded_frequencies.count(static_cast<SeqId>(s)) == 0) {
         continue;
       }
       check(artifact.mst.contains(static_cast<SeqId>(s)),
-            reader.context() +
-                ": frequency-table sequence missing from the MST "
-                "dictionary");
+            reader.context(),
+            ": frequency-table sequence missing from the MST dictionary");
     }
 
     const CompressedKernelRef ref = read_compressed_kernel_ref(reader);
     const auto count =
         static_cast<std::size_t>(ref.out_channels * ref.in_channels);
     check(artifact.coded_frequencies.total() == count,
-          reader.context() + ": frequency total does not match the "
-                             "stream's sequence count");
+          reader.context(),
+          ": frequency total does not match the stream's sequence count");
     const unsigned width = artifact.mst.index_width();
     check(ref.stream_bits == count * width,
-          reader.context() + ": stream bit count does not match the "
-                             "dictionary index width");
+          reader.context(),
+          ": stream bit count does not match the dictionary index width");
     artifact.compressed.out_channels = ref.out_channels;
     artifact.compressed.in_channels = ref.in_channels;
     artifact.compressed.stream_bits = ref.stream_bits;
@@ -384,15 +381,15 @@ class MstBlockCodec final : public BlockCodec {
         stream.compressed.num_sequences(), stream.mst);
     const auto observed = FrequencyTable::from_sequences(decoded);
     check(observed.counts() == stream.coded_frequencies.counts(),
-          "verify: block " + std::to_string(index) +
-              ": decoded stream does not reproduce the stored frequency "
-              "table (tampered stream?)");
+          "verify: block ", index,
+          ": decoded stream does not reproduce the stored frequency table "
+          "(tampered stream?)");
     check(stream.frequencies.counts() == stream.coded_frequencies.counts(),
-          "verify: block " + std::to_string(index) +
-              ": MST artifact tables differ (the codec never remaps)");
+          "verify: block ", index,
+          ": MST artifact tables differ (the codec never remaps)");
     check(stream.clustering.replacements().empty(),
-          "verify: block " + std::to_string(index) +
-              ": MST artifact carries a non-identity remap");
+          "verify: block ", index,
+          ": MST artifact carries a non-identity remap");
   }
 };
 

@@ -252,23 +252,22 @@ std::vector<std::uint8_t> scan_code_lengths(
     int node = 0;
     while (node < config.num_nodes() - 1) {
       check(reader.remaining() >= 1,
-            "scan_code_lengths: stream ends mid-codeword (sequence " +
-                std::to_string(i) + " of " + std::to_string(count) + ")");
+            "scan_code_lengths: stream ends mid-codeword (sequence ", i, " of ",
+            count, ")");
       if (!reader.read_bit()) break;
       ++node;
     }
     const auto index_bits = static_cast<std::size_t>(
         config.index_bits[static_cast<std::size_t>(node)]);
     check(reader.remaining() >= index_bits,
-          "scan_code_lengths: stream ends mid-codeword (sequence " +
-              std::to_string(i) + " of " + std::to_string(count) + ")");
+          "scan_code_lengths: stream ends mid-codeword (sequence ", i, " of ",
+          count, ")");
     reader.skip_bits(index_bits);
     lengths.push_back(static_cast<std::uint8_t>(config.code_length(node)));
   }
   check(reader.remaining() == 0,
-        "scan_code_lengths: " + std::to_string(count) +
-            " codewords consumed " + std::to_string(reader.position()) +
-            " bits, the stream declares " + std::to_string(bit_count));
+        "scan_code_lengths: ", count, " codewords consumed ", reader.position(),
+        " bits, the stream declares ", bit_count);
   return lengths;
 }
 

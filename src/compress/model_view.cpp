@@ -16,24 +16,21 @@ CompressedModelView assemble_view(std::vector<bnn::OpRecord> ops,
     if (!is_3x3_binary) continue;
     check(next < blocks.size(),
           "CompressedModelView: op layout has more 3x3 binary convs than "
-          "blocks (" +
-              std::to_string(blocks.size()) + ")");
+          "blocks (", blocks.size(), ")");
     const BlockStreamView& block = blocks[next];
     check(block.out_channels == op.kernel_shape.out_channels &&
               block.in_channels == op.kernel_shape.in_channels,
-          "CompressedModelView: block " + std::to_string(next) +
-              " channel shape does not match op '" + op.name + "'");
+          "CompressedModelView: block ", next,
+          " channel shape does not match op '", op.name, "'");
     check(block.code_lengths.size() == block.num_sequences(),
-          "CompressedModelView: block " + std::to_string(next) +
-              " carries " + std::to_string(block.code_lengths.size()) +
-              " code lengths for " + std::to_string(block.num_sequences()) +
-              " sequences");
+          "CompressedModelView: block ", next, " carries ",
+          block.code_lengths.size(), " code lengths for ",
+          block.num_sequences(), " sequences");
     ++next;
   }
   check(next == blocks.size(),
-        "CompressedModelView: " + std::to_string(blocks.size()) +
-            " blocks for " + std::to_string(next) +
-            " 3x3 binary convs in the op layout");
+        "CompressedModelView: ", blocks.size(), " blocks for ", next,
+        " 3x3 binary convs in the op layout");
   return CompressedModelView{.ops = std::move(ops),
                              .blocks = std::move(blocks)};
 }

@@ -51,9 +51,8 @@ ModelReport aggregate_block_reports(std::vector<BlockReport> blocks,
 
   report.model_bits = model_bits;
   check(report.model_bits >= report.conv3x3_bits,
-        "ModelCompressor: inconsistent storage breakdown: model_bits (" +
-            std::to_string(report.model_bits) + ") < summed 3x3 bits (" +
-            std::to_string(report.conv3x3_bits) + ")");
+        "ModelCompressor: inconsistent storage breakdown: model_bits (",
+        report.model_bits, ") < summed 3x3 bits (", report.conv3x3_bits, ")");
   const std::uint64_t other_bits = report.model_bits - report.conv3x3_bits;
   const std::uint64_t compressed_bits =
       other_bits + report.conv3x3_clustering_bits;

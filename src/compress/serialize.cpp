@@ -12,20 +12,25 @@ namespace bkc::compress {
 
 namespace {
 
-/// Render a fourcc for error messages ("CONF", or hex for garbage).
-std::string fourcc_name(std::uint32_t id) {
-  std::string name;
-  for (int shift = 0; shift < 32; shift += 8) {
-    const char c = static_cast<char>((id >> shift) & 0xff);
-    if (c < 0x20 || c > 0x7e) {
-      char hex[16];
-      std::snprintf(hex, sizeof(hex), "0x%08x", id);
-      return hex;
+/// A fourcc as error messages render it ("CONF", or hex for garbage);
+/// passed to check() as an object so it is rendered only on failure.
+struct FourCC {
+  std::uint32_t id = 0;
+
+  std::string to_string() const {
+    std::string name;
+    for (int shift = 0; shift < 32; shift += 8) {
+      const char c = static_cast<char>((id >> shift) & 0xff);
+      if (c < 0x20 || c > 0x7e) {
+        char hex[16];
+        std::snprintf(hex, sizeof(hex), "0x%08x", id);
+        return hex;
+      }
+      name.push_back(c);
     }
-    name.push_back(c);
+    return name;
   }
-  return name;
-}
+};
 
 }  // namespace
 
@@ -39,15 +44,14 @@ void write_tree_config(ByteWriter& writer, const GroupedTreeConfig& config) {
 GroupedTreeConfig read_tree_config(ByteReader& reader) {
   const std::uint64_t count = reader.read_varint();
   check(count >= 1 && count <= 14,
-        reader.context() + ": tree config needs 1..14 nodes, found " +
-            std::to_string(count));
+        reader.context(), ": tree config needs 1..14 nodes, found ", count);
   GroupedTreeConfig config;
   config.index_bits.clear();
   for (std::uint64_t n = 0; n < count; ++n) {
     const std::uint64_t bits = reader.read_varint();
-    check(bits <= 16, reader.context() +
-                          ": tree index width must be in [0, 16], found " +
-                          std::to_string(bits));
+    check(bits <= 16,
+          reader.context(), ": tree index width must be in [0, 16], found ",
+          bits);
     config.index_bits.push_back(static_cast<int>(bits));
   }
   config.validate();
@@ -67,9 +71,8 @@ ClusteringConfig read_clustering_config(ByteReader& reader) {
   config.least_common = static_cast<std::size_t>(reader.read_varint());
   const std::uint64_t distance = reader.read_varint();
   check(distance >= 1 && distance <= bnn::kSeqBits,
-        reader.context() + ": clustering max_distance must be in [1, 9], "
-                           "found " +
-            std::to_string(distance));
+        reader.context(), ": clustering max_distance must be in [1, 9], found ",
+        distance);
   config.max_distance = static_cast<int>(distance);
   return config;
 }
@@ -86,8 +89,8 @@ bnn::BlockConfig read_block_config(ByteReader& reader) {
   config.out_channels = read_channel_count(reader, "block out_channels");
   config.stride = reader.read_i64();
   check(config.stride == 1 || config.stride == 2,
-        reader.context() + ": block stride must be 1 or 2, found " +
-            std::to_string(config.stride));
+        reader.context(), ": block stride must be 1 or 2, found ",
+        config.stride);
   return config;
 }
 
@@ -114,23 +117,21 @@ bnn::ReActNetConfig read_reactnet_config(ByteReader& reader) {
   config.input_channels = read_channel_count(reader, "input_channels");
   config.input_size = reader.read_i64();
   check(config.input_size >= 1 && config.input_size <= 4096,
-        reader.context() + ": implausible input_size (" +
-            std::to_string(config.input_size) + ")");
+        reader.context(), ": implausible input_size (", config.input_size, ")");
   config.stem_channels = read_channel_count(reader, "stem_channels");
   check(config.stem_channels * config.input_channels * 9 <= kMaxModelUnits,
-        reader.context() + ": implausible stem weight size");
+        reader.context(), ": implausible stem weight size");
   config.stem_stride = reader.read_i64();
   check(config.stem_stride >= 1 && config.stem_stride <= 16,
-        reader.context() + ": implausible stem_stride (" +
-            std::to_string(config.stem_stride) + ")");
+        reader.context(), ": implausible stem_stride (", config.stem_stride,
+        ")");
   config.num_classes = reader.read_i64();
   check(config.num_classes >= 1 && config.num_classes <= (1 << 14),
-        reader.context() + ": implausible num_classes (" +
-            std::to_string(config.num_classes) + ")");
+        reader.context(), ": implausible num_classes (", config.num_classes,
+        ")");
   const std::uint64_t num_blocks = reader.read_varint();
   check(num_blocks >= 1 && num_blocks <= 4096,
-        reader.context() + ": implausible block count (" +
-            std::to_string(num_blocks) + ")");
+        reader.context(), ": implausible block count (", num_blocks, ")");
   config.blocks.clear();
   std::int64_t total_units = 0;
   for (std::uint64_t b = 0; b < num_blocks; ++b) {
@@ -141,15 +142,15 @@ bnn::ReActNetConfig read_reactnet_config(ByteReader& reader) {
     total_units += block.in_channels *
                    std::max(block.in_channels, block.out_channels);
     check(total_units <= kMaxModelUnits,
-          reader.context() + ": implausible total model size (blocks)");
+          reader.context(), ": implausible total model size (blocks)");
   }
   check(config.num_classes * config.blocks.back().out_channels <=
             kMaxModelUnits,
-        reader.context() + ": implausible classifier size");
+        reader.context(), ": implausible classifier size");
   config.seed = reader.read_u64();
   const std::uint8_t calibrated = reader.read_u8();
   check(calibrated <= 1,
-        reader.context() + ": calibrated_weights must be 0 or 1");
+        reader.context(), ": calibrated_weights must be 0 or 1");
   config.calibrated_weights = calibrated == 1;
   return config;
 }
@@ -167,9 +168,8 @@ void write_frequency_table(ByteWriter& writer, const FrequencyTable& table) {
 FrequencyTable read_frequency_table(ByteReader& reader) {
   const std::uint64_t distinct = reader.read_varint();
   check(distinct <= bnn::kNumSequences,
-        reader.context() + ": frequency table has " +
-            std::to_string(distinct) + " entries, the alphabet only " +
-            std::to_string(bnn::kNumSequences));
+        reader.context(), ": frequency table has ", distinct,
+        " entries, the alphabet only ", bnn::kNumSequences);
   FrequencyTable table;
   std::int64_t previous = -1;
   // Cap the running total so hostile counts can neither wrap the
@@ -181,16 +181,17 @@ FrequencyTable read_frequency_table(ByteReader& reader) {
   for (std::uint64_t i = 0; i < distinct; ++i) {
     const std::uint64_t id = reader.read_varint();
     check(id < bnn::kNumSequences,
-          reader.context() + ": frequency entry id out of range");
+          reader.context(), ": frequency entry id out of range");
     check(static_cast<std::int64_t>(id) > previous,
-          reader.context() + ": frequency entries must be strictly "
-                             "ascending (non-canonical encoding)");
+          reader.context(),
+          ": frequency entries must be strictly ascending (non-canonical "
+          "encoding)");
     previous = static_cast<std::int64_t>(id);
     const std::uint64_t count = reader.read_varint();
-    check(count > 0, reader.context() + ": zero count in frequency table");
+    check(count > 0, reader.context(), ": zero count in frequency table");
     check(count <= kMaxTotal - total,
-          reader.context() + ": implausible frequency counts (the total "
-                             "would overflow)");
+          reader.context(),
+          ": implausible frequency counts (the total would overflow)");
     total += count;
     table.add(static_cast<SeqId>(id), count);
   }
@@ -213,7 +214,7 @@ void write_clustering_result(ByteWriter& writer,
 ClusteringResult read_clustering_result(ByteReader& reader) {
   const std::uint64_t count = reader.read_varint();
   check(count <= bnn::kNumSequences,
-        reader.context() + ": more replacements than sequences");
+        reader.context(), ": more replacements than sequences");
   std::vector<Replacement> replacements;
   replacements.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -221,13 +222,13 @@ ClusteringResult read_clustering_result(ByteReader& reader) {
     const std::uint64_t from = reader.read_varint();
     const std::uint64_t to = reader.read_varint();
     check(from < bnn::kNumSequences && to < bnn::kNumSequences,
-          reader.context() + ": replacement sequence id out of range");
+          reader.context(), ": replacement sequence id out of range");
     r.from = static_cast<SeqId>(from);
     r.to = static_cast<SeqId>(to);
     r.occurrences = reader.read_varint();
     const std::uint64_t distance = reader.read_varint();
     check(distance >= 1 && distance <= bnn::kSeqBits,
-          reader.context() + ": replacement distance must be in [1, 9]");
+          reader.context(), ": replacement distance must be in [1, 9]");
     r.distance = static_cast<int>(distance);
     replacements.push_back(r);
   }
@@ -258,16 +259,14 @@ GroupedHuffmanCodec read_codec(ByteReader& reader) {
   for (int n = 0; n < config.num_nodes(); ++n) {
     const std::uint64_t occupancy = reader.read_varint();
     check(occupancy <= config.capacity(n),
-          reader.context() + ": decode table overflows node " +
-              std::to_string(n) + " (occupancy " +
-              std::to_string(occupancy) + ", capacity " +
-              std::to_string(config.capacity(n)) + ")");
+          reader.context(), ": decode table overflows node ", n, " (occupancy ",
+          occupancy, ", capacity ", config.capacity(n), ")");
     std::vector<SeqId> table;
     table.reserve(static_cast<std::size_t>(occupancy));
     for (std::uint64_t i = 0; i < occupancy; ++i) {
       const std::uint64_t id = reader.read_varint();
       check(id < bnn::kNumSequences,
-            reader.context() + ": decode-table sequence id out of range");
+            reader.context(), ": decode-table sequence id out of range");
       table.push_back(static_cast<SeqId>(id));
     }
     tables.push_back(std::move(table));
@@ -326,7 +325,7 @@ namespace {
 
 std::vector<double> read_node_shares(ByteReader& reader) {
   const std::uint64_t count = reader.read_varint();
-  check(count <= 14, reader.context() + ": implausible node-share count");
+  check(count <= 14, reader.context(), ": implausible node-share count");
   std::vector<double> shares;
   shares.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -381,8 +380,8 @@ void write_model_report(ByteWriter& writer, const ModelReport& report) {
 ModelReport read_model_report(ByteReader& reader) {
   const std::uint64_t num_blocks = reader.read_varint();
   check(num_blocks >= 1 && num_blocks <= 4096,
-        reader.context() + ": implausible report block count (" +
-            std::to_string(num_blocks) + ")");
+        reader.context(), ": implausible report block count (", num_blocks,
+        ")");
   ModelReport report;
   report.blocks.reserve(static_cast<std::size_t>(num_blocks));
   for (std::uint64_t b = 0; b < num_blocks; ++b) {
@@ -494,16 +493,15 @@ std::vector<std::uint8_t> write_bkcm(
 BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file) {
   ByteReader header(file, "BKCM header");
   const std::uint32_t magic = header.read_u32();
-  check(magic == kBkcmMagic, "BKCM header: bad magic " +
-                                 fourcc_name(magic) +
-                                 " (not a BKCM file)");
+  check(magic == kBkcmMagic,
+        "BKCM header: bad magic ", FourCC{magic}, " (not a BKCM file)");
   BkcmInfo info;
   info.file_size = file.size();
   info.version = header.read_u32();
   check(info.version >= kBkcmMinVersion && info.version <= kBkcmVersion,
-        "BKCM header: unsupported version " + std::to_string(info.version) +
-            " (this build reads versions " + std::to_string(kBkcmMinVersion) +
-            ".." + std::to_string(kBkcmVersion) + ")");
+        "BKCM header: unsupported version ", info.version,
+        " (this build reads versions ", kBkcmMinVersion, "..", kBkcmVersion,
+        ")");
   info.flags = header.read_u32();
   check((info.flags & ~kBkcmFlagClustering) == 0,
         "BKCM header: unknown flag bits set");
@@ -511,15 +509,13 @@ BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file) {
   if (info.version == 1) {
     // v1 is strict: exactly the three core sections.
     check(section_count == kNumCoreSections,
-          "BKCM header: expected " + std::to_string(kNumCoreSections) +
-              " sections, found " + std::to_string(section_count));
+          "BKCM header: expected ", kNumCoreSections, " sections, found ",
+          section_count);
   } else {
     // v2: the three core sections plus bounded optional sections.
     check(section_count >= kNumCoreSections && section_count <= kMaxSections,
-          "BKCM header: implausible section count " +
-              std::to_string(section_count) + " (expected " +
-              std::to_string(kNumCoreSections) + ".." +
-              std::to_string(kMaxSections) + " sections)");
+          "BKCM header: implausible section count ", section_count,
+          " (expected ", kNumCoreSections, "..", kMaxSections, " sections)");
   }
 
   std::vector<std::uint32_t> seen_ids;
@@ -531,49 +527,46 @@ BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file) {
     const std::uint32_t id = header.read_u32();
     if (s < kNumCoreSections) {
       check(id == kSectionOrder[s],
-            "BKCM header: section " + std::to_string(s) + " must be '" +
-                fourcc_name(kSectionOrder[s]) + "', found '" +
-                fourcc_name(id) + "'");
+            "BKCM header: section ", s, " must be '",
+            FourCC{kSectionOrder[s]}, "', found '", FourCC{id}, "'");
     } else {
       // Optional sections: any id that is not a core section and does
       // not repeat. Unknown ids are structurally validated (range,
       // checksum, contiguity) and skipped by the parsers.
       for (const std::uint32_t core : kSectionOrder) {
-        check(id != core, "BKCM header: optional section duplicates core "
-                          "section '" +
-                              fourcc_name(core) + "'");
+        check(id != core,
+              "BKCM header: optional section duplicates core section '",
+              FourCC{core}, "'");
       }
       check(std::find(seen_ids.begin(), seen_ids.end(), id) ==
                 seen_ids.end(),
-            "BKCM header: duplicate optional section '" + fourcc_name(id) +
-                "'");
+            "BKCM header: duplicate optional section '", FourCC{id}, "'");
       seen_ids.push_back(id);
     }
-    section.name = fourcc_name(id);
+    section.name = FourCC{id}.to_string();
     section.offset = header.read_u64();
     section.length = header.read_u64();
     section.crc = header.read_u32();
-    const std::string context = "BKCM section '" + section.name + "'";
     check(section.offset == expected_offset,
-          context + ": offset " + std::to_string(section.offset) +
-              " does not follow the previous section (expected " +
-              std::to_string(expected_offset) + ")");
+          "BKCM section '", section.name, "': offset ", section.offset,
+          " does not follow the previous section (expected ", expected_offset,
+          ")");
     check(section.offset <= file.size() &&
               section.length <= file.size() - section.offset,
-          context + ": extends past the end of the file (truncated or "
-                    "oversized length)");
+          "BKCM section '", section.name,
+          "': extends past the end of the file (truncated or oversized "
+          "length)");
     const std::uint32_t actual_crc = crc32(file.subspan(
         static_cast<std::size_t>(section.offset),
         static_cast<std::size_t>(section.length)));
     check(actual_crc == section.crc,
-          context + ": checksum mismatch (file corrupt)");
+          "BKCM section '", section.name, "': checksum mismatch (file corrupt)");
     expected_offset += section.length;
     info.sections.push_back(std::move(section));
   }
   check(expected_offset == file.size(),
-        "BKCM: file size " + std::to_string(file.size()) +
-            " does not match the section table (expected " +
-            std::to_string(expected_offset) + ")");
+        "BKCM: file size ", file.size(),
+        " does not match the section table (expected ", expected_offset, ")");
   return info;
 }
 
@@ -593,17 +586,17 @@ void validate_codecs_section(ByteReader cdcs,
                              const std::vector<std::uint32_t>& used) {
   const std::uint64_t count = cdcs.read_varint();
   check(count == used.size(),
-        cdcs.context() + ": directory lists " + std::to_string(count) +
-            " codecs, 'BLKS' uses " + std::to_string(used.size()));
+        cdcs.context(), ": directory lists ", count, " codecs, 'BLKS' uses ",
+        used.size());
   for (const std::uint32_t expected : used) {
     const std::uint32_t id = cdcs.read_u32();
     check(id == expected,
-          cdcs.context() +
-              ": directory does not match the codecs used by 'BLKS'");
+          cdcs.context(),
+          ": directory does not match the codecs used by 'BLKS'");
     const std::string name = cdcs.read_string(/*max_length=*/64);
     check(name == codec_for(id).name(),
-          cdcs.context() + ": codec " + std::to_string(id) + " name '" +
-              name + "' does not match the registered codec");
+          cdcs.context(), ": codec ", id, " name '", name,
+          "' does not match the registered codec");
   }
   cdcs.expect_exhausted();
 }
@@ -621,11 +614,12 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
   ByteReader conf = bkcm_section_reader(whole, info, 0);
   const std::uint8_t clustering_mirror = conf.read_u8();
   check(clustering_mirror <= 1,
-        conf.context() + ": clustering flag must be 0 or 1");
+        conf.context(), ": clustering flag must be 0 or 1");
   out.clustering_ = clustering_mirror == 1;
   check(out.clustering_ == ((info.flags & kBkcmFlagClustering) != 0),
-        conf.context() + ": clustering flag does not match the header "
-                         "flags word (corrupt header)");
+        conf.context(),
+        ": clustering flag does not match the header flags word (corrupt "
+        "header)");
   out.tree_ = read_tree_config(conf);
   out.clustering_config_ = read_clustering_config(conf);
   out.model_config_ = read_reactnet_config(conf);
@@ -641,9 +635,9 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
   ByteReader blks = bkcm_section_reader(whole, info, 2);
   const std::uint64_t num_streams = blks.read_varint();
   check(num_streams == out.model_config_.blocks.size(),
-        blks.context() + ": stream count " + std::to_string(num_streams) +
-            " does not match the model's " +
-            std::to_string(out.model_config_.blocks.size()) + " blocks");
+        blks.context(), ": stream count ", num_streams,
+        " does not match the model's ", out.model_config_.blocks.size(),
+        " blocks");
   out.blocks_.reserve(static_cast<std::size_t>(num_streams));
   std::vector<std::uint32_t> used_codecs;
   for (std::uint64_t b = 0; b < num_streams; ++b) {
@@ -655,8 +649,8 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
     if (info.version >= 2) {
       codec_id = blks.read_u32();
       check(block_codec_registered(codec_id),
-            blks.context() + ": stream " + std::to_string(b) +
-                " selects unregistered codec id " + std::to_string(codec_id));
+            blks.context(), ": stream ", b, " selects unregistered codec id ",
+            codec_id);
     }
     Block block = codec_for(codec_id).read_block(blks);
     // Every grouped stream codec must use the container's tree config
@@ -666,18 +660,16 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
     check(codec_id != kCodecGroupedHuffman ||
               block.artifact.codec.config().index_bits ==
                   out.tree_.index_bits,
-          blks.context() + ": stream " + std::to_string(b) +
-              " codec tree config does not match the 'CONF' section");
+          blks.context(), ": stream ", b,
+          " codec tree config does not match the 'CONF' section");
     used_codecs.push_back(codec_id);
     out.blocks_.push_back(std::move(block));
   }
   blks.expect_exhausted();
 
   check(out.report_.blocks.size() == out.blocks_.size(),
-        "BKCM section 'REPT': report covers " +
-            std::to_string(out.report_.blocks.size()) +
-            " blocks, the container holds " +
-            std::to_string(out.blocks_.size()) + " streams");
+        "BKCM section 'REPT': report covers ", out.report_.blocks.size(),
+        " blocks, the container holds ", out.blocks_.size(), " streams");
 
   // Optional sections: 'CDCS' is validated, unknown ids are skipped
   // (their structure and checksum were already checked by

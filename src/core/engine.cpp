@@ -140,9 +140,8 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
     const compress::CompressedKernel& stream = blocks[b].artifact.compressed;
     check(stream.out_channels == shape.out_channels &&
               stream.in_channels == shape.in_channels,
-          "Engine::load_compressed: stream shape for block " +
-              std::to_string(b) + " (" + engine.model_.block(b).name() +
-              ") does not match the model");
+          "Engine::load_compressed: stream shape for block ", b, " (",
+          engine.model_.block(b).name(), ") does not match the model");
   }
   // Copy the small per-block artifacts (and the compressed bytes, so
   // the engine owns everything and outlives the mapping) serially, then

@@ -41,9 +41,8 @@ std::vector<std::vector<double>> project_signatures(
   check(dims >= 1, "project_signatures: dims must be >= 1");
   for (const auto& signature : signatures) {
     check(static_cast<int>(signature.size()) == kSignatureBins,
-          "project_signatures: signature has " +
-              std::to_string(signature.size()) + " entries, expected " +
-              std::to_string(kSignatureBins));
+          "project_signatures: signature has ", signature.size(),
+          " entries, expected ", kSignatureBins);
   }
   // One shared matrix, entries in fixed row-major order: the projection
   // of a signature depends on (dims, seed) alone, never on how many

@@ -90,9 +90,8 @@ KMeansResult kmeans(const std::vector<std::vector<double>>& points,
   check(!points.empty(), "kmeans: no points");
   check(config.k >= 1 &&
             static_cast<std::size_t>(config.k) <= points.size(),
-        "kmeans: k must be in [1, points.size()], got " +
-            std::to_string(config.k) + " for " +
-            std::to_string(points.size()) + " points");
+        "kmeans: k must be in [1, points.size()], got ", config.k, " for ",
+        points.size(), " points");
   check(config.max_iters >= 1, "kmeans: max_iters must be >= 1");
   const std::size_t dims = points.front().size();
   check(dims >= 1, "kmeans: zero-dimensional points");

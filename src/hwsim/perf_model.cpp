@@ -133,11 +133,9 @@ bool cycles_identical(const SpeedupReport& a, const SpeedupReport& b) {
 StreamInfo stream_info_for(const compress::KernelCompression& compression) {
   check(compression.code_lengths.size() ==
             compression.compressed.num_sequences(),
-        "stream_info_for: artifact code-length vector has " +
-            std::to_string(compression.code_lengths.size()) +
-            " entries for " +
-            std::to_string(compression.compressed.num_sequences()) +
-            " sequences");
+        "stream_info_for: artifact code-length vector has ",
+        compression.code_lengths.size(), " entries for ",
+        compression.compressed.num_sequences(), " sequences");
   // The lengths are borrowed, the total is already known: nothing is
   // recomputed here (their sum is stream_bits by construction).
   return StreamInfo{.code_lengths = compression.code_lengths,
@@ -146,9 +144,9 @@ StreamInfo stream_info_for(const compress::KernelCompression& compression) {
 
 StreamInfo stream_info_for(const compress::BlockStreamView& block) {
   check(block.code_lengths.size() == block.num_sequences(),
-        "stream_info_for: block view code-length vector has " +
-            std::to_string(block.code_lengths.size()) + " entries for " +
-            std::to_string(block.num_sequences()) + " sequences");
+        "stream_info_for: block view code-length vector has ",
+        block.code_lengths.size(), " entries for ", block.num_sequences(),
+        " sequences");
   return StreamInfo{.code_lengths = block.code_lengths,
                     .total_bits = block.stream_bits};
 }

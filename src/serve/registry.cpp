@@ -18,9 +18,8 @@ ModelHandle ModelRegistry::open(const std::string& name,
   const auto it = models_.find(name);
   if (it != models_.end()) {
     check(it->second->path() == path,
-          "ModelRegistry::open: model '" + name +
-              "' is already resident from '" + it->second->path() +
-              "', refusing to shadow it with '" + path + "'");
+          "ModelRegistry::open: model '", name, "' is already resident from '",
+          it->second->path(), "', refusing to shadow it with '", path, "'");
     return it->second;
   }
   // Validate once (header, sections, CRCs, payload plausibility), then
@@ -37,7 +36,7 @@ ModelHandle ModelRegistry::open(const std::string& name,
 ModelHandle ModelRegistry::get(const std::string& name) const {
   ModelHandle handle = find(name);
   check(handle != nullptr,
-        "ModelRegistry::get: no resident model named '" + name + "'");
+        "ModelRegistry::get: no resident model named '", name, "'");
   return handle;
 }
 

@@ -11,7 +11,7 @@ Tensor::Tensor(FeatureShape shape)
 Tensor::Tensor(FeatureShape shape, std::vector<float> data)
     : shape_(shape), data_(std::move(data)) {
   check(static_cast<std::int64_t>(data_.size()) == shape.size(),
-        "Tensor: data size does not match shape " + shape.to_string());
+        "Tensor: data size does not match shape ", shape);
 }
 
 float& Tensor::at(std::int64_t c, std::int64_t y, std::int64_t x) {
@@ -44,7 +44,7 @@ WeightTensor::WeightTensor(KernelShape shape)
 WeightTensor::WeightTensor(KernelShape shape, std::vector<float> data)
     : shape_(shape), data_(std::move(data)) {
   check(static_cast<std::int64_t>(data_.size()) == shape.size(),
-        "WeightTensor: data size does not match shape " + shape.to_string());
+        "WeightTensor: data size does not match shape ", shape);
 }
 
 float& WeightTensor::at(std::int64_t o, std::int64_t i, std::int64_t ky,

@@ -49,8 +49,7 @@ class Tensor {
 /// Non-owning mutable view of CHW float storage — a Tensor that lives
 /// somewhere else, typically inside a Workspace arena. Shallow-const
 /// like std::span: a `const TensorView` still refers to mutable
-/// elements. Element access checks bounds with literal messages only,
-/// so the view is safe on the zero-allocation forward path.
+/// elements. Element access is bounds-checked.
 class TensorView {
  public:
   TensorView() = default;

@@ -70,9 +70,8 @@ ByteReader::ByteReader(std::span<const std::uint8_t> bytes,
 
 void ByteReader::require(std::size_t count) const {
   check(count <= remaining(),
-        context_ + ": truncated: need " + std::to_string(count) +
-            " byte(s) at offset " + std::to_string(position_) + ", have " +
-            std::to_string(remaining()));
+        context_, ": truncated: need ", count, " byte(s) at offset ", position_,
+        ", have ", remaining());
 }
 
 std::uint8_t ByteReader::read_u8() {
@@ -126,9 +125,8 @@ std::uint64_t ByteReader::read_varint() {
     const auto payload = static_cast<std::uint64_t>(byte & 0x7f);
     // The 10th byte (shift 63) may only contribute the last bit.
     check(shift < 63 || payload <= 1,
-          context_ + ": malformed varint (overflows 64 bits) ending at "
-                     "offset " +
-              std::to_string(position_));
+          context_, ": malformed varint (overflows 64 bits) ending at offset ",
+          position_);
     value |= payload << shift;
     if ((byte & 0x80) == 0) {
       // Reject non-minimal encodings (a terminating zero byte after a
@@ -136,8 +134,7 @@ std::uint64_t ByteReader::read_varint() {
       // one accepted byte form, which the canonical-encoding guarantees
       // of the BKCM readers rely on.
       check(byte != 0 || shift == 0,
-            context_ + ": non-minimal varint ending at offset " +
-                std::to_string(position_));
+            context_, ": non-minimal varint ending at offset ", position_);
       return value;
     }
   }
@@ -168,8 +165,8 @@ std::span<const std::uint8_t> ByteReader::read_span(std::size_t count) {
 std::string ByteReader::read_string(std::size_t max_length) {
   const std::uint64_t length = read_varint();
   check(length <= max_length,
-        context_ + ": string length " + std::to_string(length) +
-            " exceeds the limit of " + std::to_string(max_length));
+        context_, ": string length ", length, " exceeds the limit of ",
+        max_length);
   const std::vector<std::uint8_t> raw =
       read_bytes(static_cast<std::size_t>(length));
   return std::string(raw.begin(), raw.end());
@@ -178,16 +175,14 @@ std::string ByteReader::read_string(std::size_t max_length) {
 ByteReader ByteReader::sub(std::size_t offset, std::size_t length,
                            std::string context) const {
   check(offset <= bytes_.size() && length <= bytes_.size() - offset,
-        context + ": section range [" + std::to_string(offset) + ", " +
-            std::to_string(offset) + " + " + std::to_string(length) +
-            ") exceeds the file size of " + std::to_string(bytes_.size()));
+        context, ": section range [", offset, ", ", offset, " + ", length,
+        ") exceeds the file size of ", bytes_.size());
   return ByteReader(bytes_.subspan(offset, length), std::move(context));
 }
 
 void ByteReader::expect_exhausted() const {
   check(remaining() == 0,
-        context_ + ": " + std::to_string(remaining()) +
-            " trailing byte(s) after the last field");
+        context_, ": ", remaining(), " trailing byte(s) after the last field");
 }
 
 namespace {
@@ -217,16 +212,16 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  check(in.good(), "cannot open file for reading: " + path);
+  check(in.good(), "cannot open file for reading: ", path);
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
-  check(size >= 0, "cannot determine file size: " + path);
+  check(size >= 0, "cannot determine file size: ", path);
   in.seekg(0, std::ios::beg);
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   if (size > 0) {
     in.read(reinterpret_cast<char*>(bytes.data()), size);
   }
-  check(in.good(), "cannot read file: " + path);
+  check(in.good(), "cannot read file: ", path);
   return bytes;
 }
 
@@ -244,7 +239,7 @@ void write_file_bytes(const std::string& path,
       std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    check(out.good(), "cannot open file for writing: " + temp_path);
+    check(out.good(), "cannot open file for writing: ", temp_path);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
     out.flush();

@@ -35,7 +35,7 @@ inline bool flag_value_at(int argc, char** argv, int i, std::string_view flag,
   const std::string_view arg = argv[i];
   used_next_arg = false;
   if (arg == flag) {
-    check(i + 1 < argc, std::string(flag) + " requires a value");
+    check(i + 1 < argc, flag, " requires a value");
     text = argv[i + 1];
     used_next_arg = true;
     return true;
@@ -43,8 +43,7 @@ inline bool flag_value_at(int argc, char** argv, int i, std::string_view flag,
   if (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
       arg[flag.size()] == '=') {
     text = arg.substr(flag.size() + 1);
-    check(!text.empty(), std::string(flag) + " requires a value (got '" +
-                             std::string(arg) + "')");
+    check(!text.empty(), flag, " requires a value (got '", arg, "')");
     return true;
   }
   return false;
@@ -65,11 +64,9 @@ inline int flag_value(int argc, char** argv, std::string_view flag,
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), value);
     check(ec != std::errc::result_out_of_range,
-          std::string(flag) + ": value '" + std::string(text) +
-              "' is out of range");
+          flag, ": value '", text, "' is out of range");
     check(ec == std::errc() && ptr == text.data() + text.size(),
-          std::string(flag) + ": malformed integer '" + std::string(text) +
-              "'");
+          flag, ": malformed integer '", text, "'");
     return value;
   }
   return fallback;
@@ -94,8 +91,7 @@ inline std::string flag_string_value(int argc, char** argv,
     // "--tiny". The "=" form is explicit about attachment, so it may
     // carry any text.
     check(!used_next_arg || value.substr(0, 2) != "--",
-          std::string(flag) + " requires a value, got flag-like '" +
-              std::string(value) + "'");
+          flag, " requires a value, got flag-like '", value, "'");
     return std::string(value);
   }
   return std::string(fallback);
@@ -110,8 +106,7 @@ inline std::string flag_string_value(int argc, char** argv,
 inline int positive_flag_value(int argc, char** argv, std::string_view flag,
                                int fallback) {
   const int value = flag_value(argc, argv, flag, fallback);
-  check(value >= 1, std::string(flag) + ": must be >= 1, got " +
-                        std::to_string(value));
+  check(value >= 1, flag, ": must be >= 1, got ", value);
   return value;
 }
 

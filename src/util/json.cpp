@@ -54,8 +54,7 @@ std::string quoted(std::string_view s) {
 std::string number(double v, NonFinitePolicy policy) {
   if (!std::isfinite(v)) {
     check(policy == NonFinitePolicy::kNull,
-          "json: non-finite number (" + std::to_string(v) +
-              ") under the kCheck policy");
+          "json: non-finite number (", v, ") under the kCheck policy");
     return "null";
   }
   // Shortest round-trip form: locale-independent, and never fewer

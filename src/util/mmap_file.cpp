@@ -21,7 +21,7 @@ MmapFile MmapFile::open(const std::string& path) {
   MmapFile file;
 #if BKC_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  check(fd >= 0, "MmapFile: cannot open " + path);
+  check(fd >= 0, "MmapFile: cannot open ", path);
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
@@ -41,7 +41,7 @@ MmapFile MmapFile::open(const std::string& path) {
   // The mapping keeps its own reference to the file; the descriptor is
   // not needed past this point either way.
   ::close(fd);
-  check(addr != MAP_FAILED, "MmapFile: mmap failed for " + path);
+  check(addr != MAP_FAILED, "MmapFile: mmap failed for ", path);
   file.data_ = static_cast<const std::uint8_t*>(addr);
   file.size_ = size;
   file.mapped_ = true;

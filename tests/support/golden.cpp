@@ -18,9 +18,10 @@ std::string golden_path(const std::string& name) {
 }
 
 std::string read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  check(in.good(), "missing golden file " + golden_path(name) +
-                       " (set BKC_UPDATE_GOLDEN=1 to create it)");
+  const std::string path = golden_path(name);
+  std::ifstream in(path);
+  check(in.good(), "missing golden file ", path,
+        " (set BKC_UPDATE_GOLDEN=1 to create it)");
   std::ostringstream contents;
   contents << in.rdbuf();
   return contents.str();
@@ -34,8 +35,9 @@ bool update_goldens() {
 void expect_matches_golden(const std::string& name,
                            const std::string& actual) {
   if (update_goldens()) {
-    std::ofstream out(golden_path(name));
-    check(out.good(), "cannot write golden file " + golden_path(name));
+    const std::string path = golden_path(name);
+    std::ofstream out(path);
+    check(out.good(), "cannot write golden file ", path);
     out << actual;
     return;
   }
@@ -67,7 +69,7 @@ std::string golden_scores(const std::string& name, const std::string& key) {
   for (std::string line; std::getline(lines, line);) {
     if (line.starts_with(key + " ")) return line.substr(key.size());
   }
-  check(false, "golden file " + name + " has no line '" + key + "'");
+  check(false, "golden file ", name, " has no line '", key, "'");
   return {};
 }
 
