@@ -15,9 +15,12 @@
 #include <cstring>
 #include <new>
 
+#include "bnn/kernel_sequences.h"
 #include "bnn/memory_plan.h"
 #include "core/engine.h"
 #include "support/support.h"
+#include "util/binary_io.h"
+#include "util/check.h"
 #include "util/simd.h"
 
 namespace {
@@ -90,6 +93,52 @@ TEST(ZeroAlloc, CounterSeesOrdinaryAllocations) {
   volatile int* p = new int(7);
   delete p;
   EXPECT_GT(allocation_count(), before);
+}
+
+TEST(ZeroAlloc, PassingChecksAllocateNothing) {
+  // The per-element accessors the codec runs once per kernel slice or
+  // field: a passing check must not build its message.
+  bnn::PackedKernel kernel(KernelShape{3, 70, 3, 3});
+  constexpr int kFields = 16;
+  ByteWriter writer;
+  for (int f = 0; f < kFields; ++f) {
+    writer.write_u32(0x01020304u + static_cast<std::uint32_t>(f));
+    writer.write_varint(300u + static_cast<std::uint64_t>(f));
+    writer.write_bytes(std::vector<std::uint8_t>(8, 0xa5));
+  }
+  const std::vector<std::uint8_t> bytes = writer.take();
+  // Longer than any small-string buffer, so an eagerly built message
+  // that starts from it must allocate.
+  const std::string context = "zero-allocation reader context";
+  ByteReader reader(bytes, context);
+  const KernelShape shape = kernel.shape();
+
+  const auto touch_kernel = [&] {
+    for (std::int64_t o = 0; o < shape.out_channels; ++o) {
+      for (std::int64_t i = 0; i < shape.in_channels; ++i) {
+        const auto seq = static_cast<bnn::SeqId>(
+            (bnn::sequence_at(kernel, o, i) + o + i) % bnn::kNumSequences);
+        bnn::set_sequence_at(kernel, o, i, seq);
+      }
+    }
+  };
+  touch_kernel();  // warm-up
+  check(true, context, ": ", 42, shape);
+
+  const std::uint64_t before = allocation_count();
+  touch_kernel();
+  std::uint64_t sum = 0;
+  for (int f = 0; f < kFields; ++f) {
+    sum += reader.read_u32();
+    sum += reader.read_varint();
+    sum += reader.read_span(8)[7];
+  }
+  check(true, context, ": ", 42, shape);
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_GT(sum, 0u);
 }
 
 TEST(ZeroAlloc, WarmClassifyIntoAllocatesNothing) {
