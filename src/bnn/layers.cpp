@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "bnn/int8_kernels.h"
 #include "bnn/memory_plan.h"
 #include "util/check.h"
+#include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace bkc::bnn {
 
@@ -71,10 +75,17 @@ void BinaryConv2d::set_kernel(PackedKernel kernel) {
 
 namespace {
 
-/// Symmetric scale so that max |w| maps to 127.
-float symmetric_scale(std::span<const float> values) {
+/// Symmetric scale so that max |v| maps to 127. Every value must be
+/// finite: std::max drops a NaN and an inf makes the scale inf, and
+/// either would reach quantize_value's float-to-int8 cast as NaN.
+float symmetric_scale(std::span<const float> values, const char* what) {
   float max_abs = 0.0f;
-  for (float v : values) max_abs = std::max(max_abs, std::abs(v));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    check(std::isfinite(values[i]), what,
+          ": int8 quantization needs finite values; element ", i,
+          " is not finite");
+    max_abs = std::max(max_abs, std::abs(values[i]));
+  }
   return max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
 }
 
@@ -83,7 +94,56 @@ std::int8_t quantize_value(float v, float scale) {
   return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
 }
 
+/// Taps per output beyond which taps * 127^2 overflows the kernels'
+/// int32 accumulators.
+constexpr std::int64_t kMaxInt8Taps =
+    std::numeric_limits<std::int32_t>::max() / (127 * 127);
+
+/// Quantize `input` into the zero-ringed phase-split plane (layout in
+/// bnn/int8_kernels.h). Only the AVX2 path reads that layout; builds
+/// without it keep the function compiled but unused.
+[[maybe_unused]] void quantize_into_plane(ConstTensorView input,
+                                          float scale, std::int64_t padding,
+                                          const Int8ConvPlane& layout,
+                                          std::span<std::int8_t> plane) {
+  std::fill(plane.begin(), plane.end(), std::int8_t{0});
+  const FeatureShape& s = input.shape();
+  const std::int64_t stride = layout.stride;
+  for (std::int64_t c = 0; c < s.channels; ++c) {
+    for (std::int64_t y = 0; y < s.height; ++y) {
+      const float* in_row = input.data().data() + (c * s.height + y) * s.width;
+      std::int8_t* row = plane.data() + c * layout.channel_pitch() +
+                         (y + padding) * layout.row_pitch();
+      for (std::int64_t phase = 0; phase < stride; ++phase) {
+        // First input column whose padded column x + padding has this
+        // phase; every stride-th column after it follows contiguously.
+        const std::int64_t x0 =
+            ((phase - padding) % stride + stride) % stride;
+        std::int8_t* dst =
+            row + phase * layout.phase_width + (x0 + padding) / stride;
+        for (std::int64_t x = x0; x < s.width; x += stride) {
+          *dst++ = quantize_value(in_row[x], scale);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
+
+Int8ConvPlane int8_conv_plane(const FeatureShape& input,
+                              const KernelShape& kernel,
+                              ConvGeometry geometry) {
+  const FeatureShape out = geometry.output_shape(input, kernel);
+  const std::int64_t stride = geometry.stride;
+  const std::int64_t padded_width = input.width + 2 * geometry.padding;
+  return {.channels = input.channels,
+          .rows = input.height + 2 * geometry.padding,
+          .stride = stride,
+          .phase_width = std::max((padded_width + stride - 1) / stride,
+                                  int8_conv_step_columns(out.width) +
+                                      (kernel.kernel_w - 1) / stride)};
+}
 
 Int8Conv2d::Int8Conv2d(std::string name, const WeightTensor& weights,
                        std::vector<float> bias, ConvGeometry geometry,
@@ -95,10 +155,25 @@ Int8Conv2d::Int8Conv2d(std::string name, const WeightTensor& weights,
       op_class_(op_class) {
   check(static_cast<std::int64_t>(bias_.size()) == shape_.out_channels,
         "Int8Conv2d: bias size must equal out_channels");
-  weight_scale_ = symmetric_scale(weights.data());
+  check(shape_.receptive_size() <= kMaxInt8Taps, "Int8Conv2d: ",
+        shape_.receptive_size(),
+        " taps per output overflow int32 accumulation (max ", kMaxInt8Taps,
+        ")");
+  weight_scale_ = symmetric_scale(weights.data(), "Int8Conv2d weights");
   weights_.reserve(static_cast<std::size_t>(weights.size()));
   for (float v : weights.data()) {
     weights_.push_back(quantize_value(v, weight_scale_));
+  }
+  // Taps kx and kx + 1 of each kernel row as one int32 of two int16
+  // halves, the operand of the AVX2 kernel's madd (int8_kernels.h).
+  const std::size_t kw = static_cast<std::size_t>(shape_.kernel_w);
+  for (std::size_t row = 0; row < weights_.size(); row += kw) {
+    for (std::size_t kx = 0; kx < kw; kx += 2) {
+      const std::int8_t hi = kx + 1 < kw ? weights_[row + kx + 1] : 0;
+      weight_pairs_.push_back(static_cast<std::int32_t>(
+          static_cast<std::uint16_t>(weights_[row + kx]) |
+          static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16));
+    }
   }
 }
 
@@ -111,14 +186,60 @@ void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
   check(out.shape() == out_shape,
         "Int8Conv2d: output view shape mismatch");
 
-  // Quantization scratch comes from the arena and is released LIFO
+  // Dynamic symmetric activation quantization (padding quantizes to 0).
+  const float in_scale = symmetric_scale(input.data(), "Int8Conv2d input");
+  const float dequant = weight_scale_ * in_scale;
+  // The quantization plane comes from the arena and is released LIFO
   // before returning, so consecutive int8 layers reuse the same bytes.
+  const Int8ConvPlane layout = int8_conv_plane(in_shape, shape_, geometry_);
   Arena& arena = workspace.arena();
   const std::size_t mark = arena.mark();
-  const std::span<std::int8_t> q_input =
-      arena.allocate_span<std::int8_t>(input.size());
-  // Dynamic symmetric activation quantization (padding quantizes to 0).
-  const float in_scale = symmetric_scale(input.data());
+  const std::span<std::int8_t> plane =
+      arena.allocate_span<std::int8_t>(layout.bytes());
+
+#if defined(BKC_HAVE_AVX2)
+  if (!simd::scalar_forced() && simd::cpu_supports_avx2()) {
+    quantize_into_plane(input, in_scale, geometry_.padding, layout, plane);
+    // The kernel's loads carry no bounds check, so confirm once per
+    // call that the furthest tap of the last step stays in the plane:
+    // last channel, last output row, bottom kernel row, the tap column
+    // furthest into its row, and the end of the last step.
+    std::int64_t furthest_tap = 0;
+    for (std::int64_t kx = 0; kx < shape_.kernel_w; ++kx) {
+      furthest_tap = std::max(furthest_tap, kx % geometry_.stride *
+                                                    layout.phase_width +
+                                                kx / geometry_.stride);
+    }
+    const std::int64_t last_read =
+        (layout.channels - 1) * layout.channel_pitch() +
+        ((out_shape.height - 1) * geometry_.stride + shape_.kernel_h - 1) *
+            layout.row_pitch() +
+        furthest_tap + int8_conv_step_columns(out_shape.width) - 1;
+    check(last_read < layout.bytes(),
+          "Int8Conv2d: the last vector step would read past the plane");
+    // Output channels are independent, so they fan out across threads
+    // as in binary_conv2d_into; each pixel's integer sum is formed in
+    // isolation, so results are bit-identical at any thread count.
+    const auto run = [&](std::int64_t o_begin, std::int64_t o_end) {
+      internal::int8_conv_avx2(plane, layout, shape_, weight_pairs_,
+                               dequant, bias_, out, o_begin, o_end);
+    };
+    const int num_threads = current_num_threads();
+    if (num_threads <= 1) {
+      // parallel_for's std::function argument can heap-allocate, which
+      // the zero-allocation classify contract forbids.
+      run(0, out_shape.channels);
+    } else {
+      parallel_for(out_shape.channels, num_threads, run);
+    }
+    arena.rewind(mark);
+    return;
+  }
+#endif
+
+  // Scalar reference: a dense quantized copy in the plane's front bytes,
+  // every tap bounds-checked.
+  const std::span<std::int8_t> q_input = plane.first(input.size());
   for (std::size_t i = 0; i < q_input.size(); ++i) {
     q_input[i] = quantize_value(input.data()[i], in_scale);
   }
@@ -137,7 +258,6 @@ void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
         kx)];
   };
 
-  const float dequant = weight_scale_ * in_scale;
   for (std::int64_t o = 0; o < out_shape.channels; ++o) {
     for (std::int64_t oy = 0; oy < out_shape.height; ++oy) {
       for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
@@ -187,7 +307,10 @@ Int8Linear::Int8Linear(std::string name, std::int64_t in_features,
         "Int8Linear: weight size must be in*out");
   check(static_cast<std::int64_t>(bias_.size()) == out_features,
         "Int8Linear: bias size must equal out_features");
-  weight_scale_ = symmetric_scale(weights);
+  check(in_features <= kMaxInt8Taps, "Int8Linear: ", in_features,
+        " taps per output overflow int32 accumulation (max ", kMaxInt8Taps,
+        ")");
+  weight_scale_ = symmetric_scale(weights, "Int8Linear weights");
   weights_.reserve(weights.size());
   for (float v : weights) weights_.push_back(quantize_value(v, weight_scale_));
 }
@@ -207,15 +330,27 @@ void Int8Linear::forward_into(ConstTensorView input, TensorView out,
         "Int8Linear expects a Cx1x1 input");
   check(out.shape() == FeatureShape{out_features_, 1, 1},
         "Int8Linear: output view shape mismatch");
+  const float in_scale = symmetric_scale(input.data(), "Int8Linear input");
   Arena& arena = workspace.arena();
   const std::size_t mark = arena.mark();
   const std::span<std::int8_t> q_input =
       arena.allocate_span<std::int8_t>(input.size());
-  const float in_scale = symmetric_scale(input.data());
   for (std::size_t i = 0; i < q_input.size(); ++i) {
     q_input[i] = quantize_value(input.data()[i], in_scale);
   }
   const float dequant = weight_scale_ * in_scale;
+#if defined(BKC_HAVE_AVX2)
+  if (!simd::scalar_forced() && simd::cpu_supports_avx2()) {
+    for (std::int64_t o = 0; o < out_features_; ++o) {
+      const std::int32_t acc = internal::int8_dot_avx2(
+          weights_.data() + o * in_features_, q_input.data(), in_features_);
+      out.at(o, 0, 0) = static_cast<float>(acc) * dequant +
+                        bias_[static_cast<std::size_t>(o)];
+    }
+    arena.rewind(mark);
+    return;
+  }
+#endif
   for (std::int64_t o = 0; o < out_features_; ++o) {
     std::int64_t acc = 0;
     const std::size_t row = static_cast<std::size_t>(o * in_features_);

@@ -111,7 +111,23 @@ class BinaryConv2d final : public Layer {
 
 /// 8-bit quantized convolution for the input layer. Weights are stored
 /// as int8 with a single symmetric scale; activations are quantized
-/// dynamically per call.
+/// dynamically per call (scalar std::round, halves away from zero).
+///
+/// Dispatch: unless simd::scalar_forced(), a CPU with AVX2 runs the
+/// kernel in int8_kernels_avx2.cpp over a zero-ringed, phase-split
+/// plane (bnn/int8_kernels.h), 16 output pixels per step, output
+/// channels spread over current_num_threads(). Otherwise the scalar
+/// loop below runs; it is the oracle the AVX2 kernel must match bit for
+/// bit. The match is exact, not a tolerance:
+///   * the accumulation is integer. |acc| <= taps * 127^2, and the
+///     constructor caps taps so that fits int32 (the paper's 3x3x3
+///     stem: 27 * 127^2 = 435,483);
+///   * converting acc to float is exact below 2^24, which the stem's
+///     bound is, and both paths round the same way above it;
+///   * dequantization is a multiply and then an add in both paths; the
+///     AVX2 TU is built without -mfma and with -ffp-contract=off, so
+///     no FMA can fuse them.
+/// Any non-finite weight or input value is a CheckError.
 class Int8Conv2d final : public Layer {
  public:
   /// Quantizes `weights` symmetrically to int8.
@@ -131,6 +147,8 @@ class Int8Conv2d final : public Layer {
   std::string name_;
   KernelShape shape_;
   std::vector<std::int8_t> weights_;
+  /// weights_ as the AVX2 kernel's int16 tap pairs (int8_kernels.h).
+  std::vector<std::int32_t> weight_pairs_;
   std::vector<float> bias_;
   float weight_scale_ = 1.0f;
   ConvGeometry geometry_;
@@ -138,7 +156,11 @@ class Int8Conv2d final : public Layer {
 };
 
 /// 8-bit quantized fully-connected classifier (the output layer).
-/// Expects a Cx1x1 input.
+/// Expects a Cx1x1 input. Dispatches like Int8Conv2d: on AVX2 each
+/// output is a _mm256_madd_epi16 row dot product, exact in int32 (the
+/// constructor caps in_features * 127^2 below 2^31; the paper's 1024
+/// features give 16,516,096 < 2^24), then the scalar dequantization.
+/// Any non-finite weight or input value is a CheckError.
 class Int8Linear final : public Layer {
  public:
   /// weights laid out [out][in]; quantized symmetrically to int8.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bnn/int8_kernels.h"
 #include "util/check.h"
 
 namespace bkc::bnn {
@@ -41,10 +42,14 @@ MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
                   op.output_shape.size()});
     std::int64_t scratch = 0;
     if (op.precision_bits == 8) {
-      // int8 layers (stem conv, classifier) quantize their whole input
-      // into arena scratch.
-      scratch = aligned(op.input_shape.size() *
-                        static_cast<std::int64_t>(sizeof(std::int8_t)));
+      // The int8 stem conv quantizes into its padded, phase-split plane
+      // (bnn/int8_kernels.h); the classifier, recorded without a kernel
+      // shape, quantizes its flat input.
+      scratch = aligned(
+          op.kernel_shape.kernel_h > 0
+              ? int8_conv_plane(op.input_shape, op.kernel_shape, op.geometry)
+                    .bytes()
+              : op.input_shape.size());
     } else if (op.precision_bits == 1) {
       const FeatureShape& in = op.input_shape;
       const std::int64_t ring = op.geometry.padding;

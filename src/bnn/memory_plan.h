@@ -68,7 +68,8 @@ struct MemoryPlan {
 /// Plan for ReActNet::forward_into's allocation order: ping-pong
 /// activations across stem/blocks/pool/classifier, per-block scratch
 /// for the 3x3 conv output (+ stride-2 pooled shortcut), int8
-/// quantization scratch for the stem and classifier.
+/// quantization scratch for the stem (its int8_conv_plane) and the
+/// classifier (its flat input).
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records);
 
 /// One thread's working memory for planned forward passes: the arena

@@ -2,7 +2,8 @@
 // Runtime control of the fast-path kernel dispatch.
 //
 // Every vectorized / table-driven hot path in bkc (the AVX2
-// xnor+popcount convolution kernels in bnn/bconv_kernels.h, the
+// xnor+popcount convolution kernels in bnn/bconv_kernels.h, the AVX2
+// int8 stem and classifier kernels in bnn/int8_kernels.h, the
 // multi-symbol grouped-Huffman stream decode in compress/multi_decode.h)
 // is contractually bit-identical to its scalar reference, so *which*
 // implementation runs is purely a performance choice. This header owns
@@ -16,8 +17,9 @@
 //     query), or inside a ScopedForceScalar region.
 //
 // The dispatch decision itself lives next to each kernel family (e.g.
-// bnn::active_conv_kernel()); this layer only answers "may a fast path
-// run at all" and "what does the hardware offer".
+// bnn::active_conv_kernel(), or the one branch in each int8 layer's
+// forward_into); this layer only answers "may a fast path run at all"
+// and "what does the hardware offer".
 
 namespace bkc::simd {
 
