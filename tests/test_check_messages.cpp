@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <regex>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "bnn/bconv.h"
 #include "bnn/bitpack.h"
 #include "bnn/kernel_sequences.h"
+#include "bnn/layers.h"
+#include "bnn/memory_plan.h"
 #include "compress/block_codec.h"
 #include "compress/grouped_huffman.h"
 #include "compress/model_view.h"
@@ -180,6 +183,63 @@ TEST(CheckMessages, BinaryConvChannelMismatch) {
               bnn::binary_conv2d(input, kernel, ConvGeometry{});
             }),
             "binary_conv2d: channel mismatch (3x4x4 vs 2x5x3x3)");
+}
+
+// ---- int8 head ----
+
+TEST(CheckMessages, Int8NonFiniteValues) {
+  // A NaN passes a plain max (std::max drops it) and an inf makes the
+  // scale inf; either would reach the float-to-int8 cast as NaN, so
+  // quantization names the first non-finite element instead.
+  const KernelShape shape{1, 1, 1, 1};
+  const bnn::Int8Conv2d conv("stem", WeightTensor(shape, {0.5f}), {0.0f},
+                             ConvGeometry{});
+  Tensor image(FeatureShape{1, 2, 4});
+  image.data()[5] = std::numeric_limits<float>::quiet_NaN();
+  bnn::Workspace workspace(bnn::MemoryPlan{.scratch_bytes = 4096});
+  Tensor out(FeatureShape{1, 2, 4});
+  EXPECT_EQ(message_of([&] { conv.forward_into(image, out, workspace); }),
+            "Int8Conv2d input: int8 quantization needs finite values; "
+            "element 5 is not finite");
+  EXPECT_EQ(message_of([&] {
+              bnn::Int8Conv2d(
+                  "stem",
+                  WeightTensor(shape,
+                               {std::numeric_limits<float>::infinity()}),
+                  {0.0f}, ConvGeometry{});
+            }),
+            "Int8Conv2d weights: int8 quantization needs finite values; "
+            "element 0 is not finite");
+  const bnn::Int8Linear fc("fc", 2, 1, {0.5f, 0.5f}, {0.0f});
+  Tensor features(FeatureShape{2, 1, 1});
+  features.data()[1] = -std::numeric_limits<float>::infinity();
+  Tensor score(FeatureShape{1, 1, 1});
+  EXPECT_EQ(message_of([&] { fc.forward_into(features, score, workspace); }),
+            "Int8Linear input: int8 quantization needs finite values; "
+            "element 1 is not finite");
+  EXPECT_EQ(message_of([&] {
+              bnn::Int8Linear("fc", 2, 1,
+                              {0.5f, std::numeric_limits<float>::quiet_NaN()},
+                              {0.0f});
+            }),
+            "Int8Linear weights: int8 quantization needs finite values; "
+            "element 1 is not finite");
+}
+
+TEST(CheckMessages, Int8AccumulatorBound) {
+  // taps * 127^2 must fit the kernels' int32 accumulators.
+  EXPECT_EQ(message_of([] {
+              bnn::Int8Conv2d("stem", WeightTensor(KernelShape{1, 14794, 3, 3}),
+                              {0.0f}, ConvGeometry{});
+            }),
+            "Int8Conv2d: 133146 taps per output overflow int32 accumulation "
+            "(max 133144)");
+  EXPECT_EQ(message_of([] {
+              bnn::Int8Linear("fc", 133145, 1,
+                              std::vector<float>(133145, 0.0f), {0.0f});
+            }),
+            "Int8Linear: 133145 taps per output overflow int32 accumulation "
+            "(max 133144)");
 }
 
 // ---- command-line flags ----

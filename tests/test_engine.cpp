@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "compress/instrumentation.h"
 #include "support/support.h"
 #include "util/check.h"
@@ -12,6 +14,21 @@ namespace bkc {
 namespace {
 
 using test::no_clustering;
+
+TEST(Engine, ClassifyRejectsNonFiniteImages) {
+  // A NaN or inf pixel is a CheckError from the stem's quantization,
+  // never a NaN cast to int8 (undefined behaviour).
+  const Engine engine(test::tiny_config(11));
+  const FeatureShape shape = engine.model().input_shape();
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    Tensor image(shape);
+    image.data()[image.data().size() / 2] = bad;
+    for (int threads : {1, 4}) {
+      EXPECT_THROW(engine.classify(image, threads), CheckError);
+    }
+  }
+}
 
 TEST(Engine, CompressReportsAndVerifies) {
   Engine engine(test::tiny_config(3));

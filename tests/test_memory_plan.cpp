@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "bnn/reactnet.h"
 #include "bnn/weights.h"
@@ -166,6 +168,49 @@ TEST(ReActNetPlan, HighWaterEqualsPlannedBytesExactly) {
                      workspace);
   EXPECT_EQ(workspace.arena().high_water(),
             model.memory_plan().arena_bytes());
+}
+
+TEST(ReActNetPlan, StemScratchTermIsExactlyItsPlane) {
+  // HighWaterEqualsPlannedBytesExactly cannot see the stem's term: the
+  // 3x3 `y` scratch is larger in both the tiny and the paper64 configs.
+  // So pin it on its own: the plan of the stem record alone has the
+  // literal size of the stem's padded, phase-split plane (3 channels x
+  // (size + 2) rows x 2 phases x (size / 2 + 1) bytes, rounded up to a
+  // granule), and the stem layer, run in a workspace of exactly that
+  // size, fills it on both dispatch paths.
+  struct Case {
+    ReActNetConfig config;
+    std::int64_t plane_bytes;
+  };
+  ReActNetConfig paper64 = paper_reactnet_config(1);
+  paper64.input_size = 64;
+  for (const Case& c : {Case{tiny_reactnet_config(1), 3520},
+                        Case{paper64, 13120},
+                        Case{paper_reactnet_config(1), 153280}}) {
+    const OpRecord stem = op_records_for(c.config).front();
+    ASSERT_EQ(stem.op_class, OpClass::kInputLayer);
+    const MemoryPlan plan = plan_reactnet_forward({stem});
+    const std::int64_t size = c.config.input_size;
+    EXPECT_EQ(plan.scratch_bytes, c.plane_bytes) << size;
+
+    WeightGenerator gen(static_cast<std::uint64_t>(size));
+    const Int8Conv2d conv(
+        "stem", gen.sample_float_weights(stem.kernel_shape),
+        std::vector<float>(
+            static_cast<std::size_t>(stem.kernel_shape.out_channels), 0.0f),
+        stem.geometry);
+    const Tensor image = gen.sample_activation(stem.input_shape);
+    for (bool forced : {false, true}) {
+      std::optional<simd::ScopedForceScalar> force;
+      if (forced) force.emplace();
+      Workspace workspace(MemoryPlan{.scratch_bytes = plan.scratch_bytes});
+      Tensor out(stem.output_shape);
+      conv.forward_into(image, out, workspace);
+      EXPECT_EQ(workspace.arena().high_water(),
+                static_cast<std::size_t>(plan.scratch_bytes))
+          << size << (forced ? " scalar" : " dispatched");
+    }
+  }
 }
 
 TEST(ReActNetPlan, ArenaStaysFlatAcrossRepeatCalls) {
