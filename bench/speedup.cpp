@@ -12,9 +12,12 @@
 // The bench ends with the sampled-simulation scaling section
 // (hwsim/sampled.h): a DEEP schedule — every stride-1 non-expanding
 // block of the MobileNet schedule repeated `--repeat` times — is timed
-// exact vs sampled, with the sampled path gated on baseline
-// bit-identity, <= 2% sw/hw cycle error against the exact oracle, flat
-// pipeline counters, and (full-size only) >= 5x wall-clock advantage.
+// exact vs sampled. Both runs share one simulator walk (baselines once
+// per geometry); the sampled one also simulates sw/hw only for each
+// run representative picked by stream bits. The sampled path is gated
+// on baseline bit-identity, <= 2% sw/hw cycle error against the exact
+// oracle, flat pipeline counters, and (full-size only) >= 5x
+// wall-clock advantage.
 //
 //   ./bench/speedup [--tiny] [--sampled] [--repeat R] [--threads N]
 //
@@ -65,7 +68,7 @@ bkc::bnn::ReActNetConfig deep_config(bool tiny, int repeat) {
 int run_sampled_section(bool tiny, int repeat, int num_threads) {
   using namespace bkc;
   const bnn::ReActNetConfig config = deep_config(tiny, repeat);
-  std::cout << "\n=== Sampled simulation (BarrierPoint-style) ===\n"
+  std::cout << "\n=== Sampled simulation ===\n"
             << "deep schedule: " << config.blocks.size()
             << " blocks (stride-1 non-expanding blocks x" << repeat
             << "), compressing...\n";
@@ -114,7 +117,7 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
   const hwsim::SamplingSummary& summary = sampled.summary;
   std::cout << "sampled: " << summary.simulated_blocks << " of "
             << summary.num_blocks << " blocks simulated ("
-            << summary.num_clusters << " clusters over "
+            << summary.num_clusters << " runs over "
             << summary.num_geometry_groups
             << " geometry groups; max stream-bits skew "
             << summary.max_stream_bits_skew << ")\n";

@@ -12,13 +12,13 @@
 //   ./examples/bkcm_tool classify [--file model.bkcm] [--images N]
 //                                 [--threads N]
 //   ./examples/bkcm_tool speedup  [--file model.bkcm] [--sampled]
-//                                 [--sample-seed S] [--clusters K]
-//                                 [--threads N]
+//                                 [--clusters K] [--threads N]
 //
 // The CTest smoke targets chain `compress --tiny` with `info`,
-// `verify`, `classify` and `speedup` on the same file, proving the
-// save -> load -> inference and the save -> simulate paths end to end;
-// one more `info` run reads the permanent v1 golden container.
+// `verify`, `classify`, `speedup` and `speedup --sampled --clusters 1`
+// on the same file, proving the save -> load -> inference and the
+// save -> simulate paths end to end; one more `info` run reads the
+// permanent v1 golden container.
 
 #include <charconv>
 #include <cstdio>
@@ -36,15 +36,13 @@ using namespace bkc;
 
 /// A seed is a full uint64 (0 is valid), unlike the thread/image counts
 /// positive_flag_value covers.
-std::uint64_t seed_flag(int argc, char** argv, const char* flag = "--seed",
-                        std::uint64_t fallback = 42) {
-  const std::string text =
-      flag_string_value(argc, argv, flag, std::to_string(fallback));
+std::uint64_t seed_flag(int argc, char** argv) {
+  const std::string text = flag_string_value(argc, argv, "--seed", "42");
   std::uint64_t seed = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), seed);
   check(ec == std::errc() && ptr == text.data() + text.size(),
-        flag, ": malformed unsigned integer '", text, "'");
+        "--seed: malformed unsigned integer '", text, "'");
   return seed;
 }
 
@@ -202,12 +200,11 @@ int run_speedup(int argc, char** argv) {
 
   hwsim::SpeedupReport report;
   if (sampled) {
-    // BarrierPoint-style sampling (hwsim/sampled.h): only each phase
-    // cluster's representative block is simulated; the rest
+    // Sampled simulation (hwsim/sampled.h): each equal-geometry group
+    // splits into at most --clusters runs of close stream bits; only
+    // each run's representative block is simulated, the rest
     // extrapolate. Baseline cycles stay exact either way.
     hwsim::SamplingConfig config;
-    config.seed = seed_flag(argc, argv, "--sample-seed",
-                            hwsim::SamplingConfig{}.seed);
     config.max_clusters_per_group =
         positive_flag_value(argc, argv, "--clusters",
                             config.max_clusters_per_group);
@@ -217,7 +214,7 @@ int run_speedup(int argc, char** argv) {
     const hwsim::SamplingSummary& summary = sampled_report.summary;
     std::cout << path << ": sampled simulation — " << summary.simulated_blocks
               << " of " << summary.num_blocks << " blocks simulated ("
-              << summary.num_clusters << " clusters over "
+              << summary.num_clusters << " runs over "
               << summary.num_geometry_groups
               << " geometry groups; max stream-bits skew "
               << summary.max_stream_bits_skew << ")\n";
@@ -254,7 +251,7 @@ int usage() {
   std::cerr << "usage: bkcm_tool <compress|info|verify|classify|speedup> "
                "[--out|--file <path>] [--tiny] [--seed S] [--threads N] "
                "[--images N] [--no-clustering] [--codec <name>] "
-               "[--sampled] [--sample-seed S] [--clusters K]\n";
+               "[--sampled] [--clusters K]\n";
   return 2;
 }
 

@@ -32,9 +32,6 @@ class HuffmanCodec {
   /// Codeword length in bits. Precondition: has_code(s).
   unsigned code_length(SeqId s) const;
 
-  /// The longest codeword of this code.
-  unsigned max_code_length() const { return max_length_; }
-
   void encode_one(BitWriter& writer, SeqId s) const;
   SeqId decode_one(BitReader& reader) const;
 

@@ -163,13 +163,13 @@ class Engine {
       const hwsim::DecoderParams& decoder = {},
       const hwsim::SamplingParams& sampling = {}) const;
 
-  /// BarrierPoint-style sampled variant of simulate_speedup
-  /// (hwsim/sampled.h): clusters equal-geometry blocks by decode-trace
-  /// signature, simulates one representative per cluster (fanned out
-  /// over config.num_threads) and extrapolates the rest. Baseline
-  /// cycles are exact by construction; sw/hw cycles carry the sampling
-  /// error bounded by the returned summary. Deterministic from
-  /// (engine state, config); also runs zero compression-pipeline work.
+  /// Sampled variant of simulate_speedup (hwsim/sampled.h): splits
+  /// each equal-geometry group of blocks into runs of close stream
+  /// bits, simulates one representative per run (fanned out over
+  /// config.num_threads) and extrapolates the rest. Baseline cycles are
+  /// exact by construction; sw/hw cycles carry the sampling error
+  /// gauged by the returned summary. Deterministic from (engine state,
+  /// config); also runs zero compression-pipeline work.
   /// Precondition: compress() was called.
   hwsim::SampledSpeedupReport simulate_speedup_sampled(
       const hwsim::SamplingConfig& config = {},

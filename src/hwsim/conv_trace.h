@@ -20,6 +20,7 @@
 //               decoding unit, which re-streams the compressed kernel in
 //               the background each row sweep.
 
+#include <compare>
 #include <string>
 
 #include "bnn/model.h"
@@ -34,7 +35,9 @@ enum class ConvVariant { kBaseline, kSwDecode, kHwDecode };
 std::string variant_name(ConvVariant variant);
 
 /// Resolved geometry of a binary conv layer in channel groups of the
-/// vector width.
+/// vector width. The micro-op trace is a function of this, the variant
+/// and the stream alone, so two ops with equal geometry simulate to
+/// equal cycles under equal parameters: it is the simulation memo key.
 struct LayerGeometry {
   std::int64_t in_channels = 0;
   std::int64_t out_channels = 0;
@@ -47,6 +50,7 @@ struct LayerGeometry {
 
   static LayerGeometry from_op(const bnn::OpRecord& op, int vector_bits);
   std::int64_t positions() const { return kernel * kernel; }
+  auto operator<=>(const LayerGeometry&) const = default;
 };
 
 /// Result of simulating one layer (scaled to the full layer).

@@ -1,7 +1,9 @@
 #include "hwsim/perf_model.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "hwsim/sampled.h"
 #include "util/check.h"
 
 namespace bkc::hwsim {
@@ -155,52 +157,11 @@ SpeedupReport compare_model(const compress::CompressedModelView& view,
                             const CpuParams& cpu,
                             const DecoderParams& decoder,
                             const SamplingParams& sampling) {
-  SpeedupReport report;
-
-  std::size_t block_index = 0;
-  for (const auto& op : view.ops) {
-    const bool is_3x3_binary =
-        op.precision_bits == 1 && op.op_class == bnn::OpClass::kConv3x3;
-    if (is_3x3_binary) {
-      check(block_index < view.blocks.size(),
-            "compare_model: more 3x3 convs than compressed blocks");
-      const StreamInfo stream =
-          stream_info_for(view.blocks[block_index]);
-      LayerComparison cmp;
-      cmp.name = op.name;
-      cmp.baseline_detail = simulate_binary_conv_layer(
-          op, ConvVariant::kBaseline, nullptr, cpu, decoder, sampling);
-      cmp.sw_detail = simulate_binary_conv_layer(
-          op, ConvVariant::kSwDecode, &stream, cpu, decoder, sampling);
-      cmp.hw_detail = simulate_binary_conv_layer(
-          op, ConvVariant::kHwDecode, &stream, cpu, decoder, sampling);
-      cmp.baseline_cycles = cmp.baseline_detail.cycles;
-      cmp.sw_cycles = cmp.sw_detail.cycles;
-      cmp.hw_cycles = cmp.hw_detail.cycles;
-      report.conv3x3.push_back(std::move(cmp));
-      ++block_index;
-    } else if (op.precision_bits == 1 &&
-               op.op_class == bnn::OpClass::kConv1x1) {
-      report.other_cycles += simulate_binary_conv_layer(
-                                 op, ConvVariant::kBaseline, nullptr, cpu,
-                                 decoder, sampling)
-                                 .cycles;
-    } else {
-      report.other_cycles += analytic_op_cycles(op, cpu);
-    }
-  }
-  check(block_index == view.blocks.size(),
-        "compare_model: unmatched compressed blocks");
-
-  report.total_baseline = report.other_cycles;
-  report.total_sw = report.other_cycles;
-  report.total_hw = report.other_cycles;
-  for (const auto& layer : report.conv3x3) {
-    report.total_baseline += layer.baseline_cycles;
-    report.total_sw += layer.sw_cycles;
-    report.total_hw += layer.hw_cycles;
-  }
-  return report;
+  // Every block represents itself: a budget no geometry group reaches.
+  SamplingConfig every_block;
+  every_block.max_clusters_per_group = std::numeric_limits<int>::max();
+  return compare_model_sampled(view, every_block, cpu, decoder, sampling)
+      .report;
 }
 
 }  // namespace bkc::hwsim

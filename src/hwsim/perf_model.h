@@ -77,7 +77,9 @@ struct SpeedupReport {
 /// Run the three variants over every op of a compressed model's
 /// artifact view (compress/model_view.h): each 3x3 binary conv is
 /// simulated from its block's code-length vector, everything else from
-/// the op records. The simulator consumes compression artifacts only —
+/// the op records. Baselines are simulated once per distinct
+/// LayerGeometry; this is the sampled walk of hwsim/sampled.h with
+/// every block representing itself. The simulator consumes compression artifacts only —
 /// it never runs (or re-runs) a compression pass, whether the view is
 /// backed by an Engine's block_streams() or by a memory-mapped BKCM
 /// container (compress::MappedBkcm). The view's borrowed artifacts must

@@ -3,33 +3,83 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
-#include <string>
+#include <numeric>
 #include <utility>
 
-#include "hwsim/bbv.h"
-#include "hwsim/cluster.h"
 #include "hwsim/conv_trace.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace bkc::hwsim {
 
 namespace {
 
-/// One representative simulation to run: a pure function of (op,
-/// variant, block stream), so the task list can be executed in any
-/// order — and in parallel — with each result landing in its own
-/// preassigned slot.
+/// One simulation to run: a pure function of (op, variant, block
+/// stream), so the task list can be executed in any order — and in
+/// parallel — with each result landing in its own preassigned slot.
 struct SimTask {
   const bnn::OpRecord* op = nullptr;
   ConvVariant variant = ConvVariant::kBaseline;
   const compress::BlockStreamView* block = nullptr;  ///< null for baseline
 };
 
-double distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return std::sqrt(squared_distance(a, b));
+/// Marks an op costed analytically rather than simulated.
+constexpr std::size_t kAnalytic = std::numeric_limits<std::size_t>::max();
+
+/// Split one geometry group (block indices in block order) into at most
+/// `max_runs` runs of close stream bits: sort by stream bits, cut at the
+/// widest gaps (ties to the earliest gap), and let each run's lower
+/// median represent it.
+std::vector<SampledClusterInfo> split_group(
+    const compress::CompressedModelView& view,
+    const std::vector<std::size_t>& group, std::size_t max_runs) {
+  const auto bits = [&](std::size_t block) {
+    return view.blocks[block].stream_bits;
+  };
+  std::vector<std::size_t> sorted = group;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return bits(a) < bits(b);
+                   });
+
+  // Gap i lies between sorted[i] and sorted[i + 1].
+  std::vector<std::size_t> cuts(sorted.size() - 1);
+  std::iota(cuts.begin(), cuts.end(), std::size_t{0});
+  const auto width = [&](std::size_t gap) {
+    return bits(sorted[gap + 1]) - bits(sorted[gap]);
+  };
+  std::stable_sort(cuts.begin(), cuts.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return width(a) > width(b);
+                   });
+  cuts.resize(std::min(cuts.size(), max_runs - 1));
+  std::sort(cuts.begin(), cuts.end());
+  cuts.push_back(sorted.size() - 1);
+
+  std::vector<SampledClusterInfo> runs;
+  std::size_t begin = 0;
+  for (const std::size_t cut : cuts) {
+    const std::size_t end = cut + 1;
+    SampledClusterInfo run;
+    run.representative = sorted[begin + (end - begin - 1) / 2];
+    run.members.assign(sorted.begin() + static_cast<std::ptrdiff_t>(begin),
+                       sorted.begin() + static_cast<std::ptrdiff_t>(end));
+    std::sort(run.members.begin(), run.members.end());
+    const double rep_bits =
+        std::max(1.0, static_cast<double>(bits(run.representative)));
+    for (const std::size_t member : run.members) {
+      const double skew = std::abs(static_cast<double>(bits(member)) -
+                                   static_cast<double>(
+                                       bits(run.representative))) /
+                          rep_bits;
+      run.max_stream_bits_skew = std::max(run.max_stream_bits_skew, skew);
+    }
+    runs.push_back(std::move(run));
+    begin = end;
+  }
+  return runs;
 }
 
 }  // namespace
@@ -38,211 +88,129 @@ SampledSpeedupReport compare_model_sampled(
     const compress::CompressedModelView& view, const SamplingConfig& config,
     const CpuParams& cpu, const DecoderParams& decoder,
     const SamplingParams& sampling) {
-  check(config.projection_dims >= 1,
-        "compare_model_sampled: projection_dims must be >= 1");
   check(config.max_clusters_per_group >= 1,
         "compare_model_sampled: max_clusters_per_group must be >= 1");
-  check(config.max_kmeans_iters >= 1,
-        "compare_model_sampled: max_kmeans_iters must be >= 1");
   check(config.num_threads >= 1,
         "compare_model_sampled: num_threads must be >= 1");
 
-  // ---- Pass 1: walk the ops exactly as compare_model does, recording
-  // which block belongs to which 3x3 op and memoizing one baseline
-  // simulation slot per distinct geometry (3x3 and binary 1x1 alike —
-  // baseline traces consume no stream, so equal geometry means equal
-  // cycles and the shared slot is exact, not an approximation).
+  // ---- Pass 1: one baseline task per distinct geometry (3x3 and binary
+  // 1x1 alike), and the 3x3 blocks grouped by geometry in block order.
   std::vector<SimTask> tasks;
-  std::map<GeometryKey, std::size_t> baseline_slot;
-  const auto baseline_slot_for = [&](const bnn::OpRecord& op) {
-    const GeometryKey key = GeometryKey::from_op(op);
-    const auto it = baseline_slot.find(key);
-    if (it != baseline_slot.end()) return it->second;
-    const std::size_t slot = tasks.size();
-    tasks.push_back({.op = &op, .variant = ConvVariant::kBaseline});
-    baseline_slot.emplace(key, slot);
-    return slot;
-  };
-
-  const std::size_t num_blocks = view.blocks.size();
-  std::vector<const bnn::OpRecord*> block_op(num_blocks, nullptr);
-  std::map<GeometryKey, std::vector<std::size_t>> groups;
-  std::size_t block_index = 0;
-  for (const auto& op : view.ops) {
-    if (op.precision_bits != 1) continue;
+  std::map<LayerGeometry, std::size_t> baseline_slot;
+  std::vector<std::size_t> op_slot(view.ops.size(), kAnalytic);
+  std::vector<const bnn::OpRecord*> block_op;
+  std::map<LayerGeometry, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < view.ops.size(); ++i) {
+    const bnn::OpRecord& op = view.ops[i];
+    const bool binary_conv = op.precision_bits == 1 &&
+                             (op.op_class == bnn::OpClass::kConv3x3 ||
+                              op.op_class == bnn::OpClass::kConv1x1);
+    if (!binary_conv) continue;
+    const LayerGeometry geometry = LayerGeometry::from_op(op, cpu.vector_bits);
+    const auto [slot, added] = baseline_slot.emplace(geometry, tasks.size());
+    if (added) tasks.push_back({.op = &op, .variant = ConvVariant::kBaseline});
+    op_slot[i] = slot->second;
     if (op.op_class == bnn::OpClass::kConv3x3) {
-      check(block_index < num_blocks,
-            "compare_model_sampled: more 3x3 convs than compressed blocks");
-      block_op[block_index] = &op;
-      groups[GeometryKey::from_op(op)].push_back(block_index);
-      baseline_slot_for(op);
-      ++block_index;
-    } else if (op.op_class == bnn::OpClass::kConv1x1) {
-      baseline_slot_for(op);
+      check(block_op.size() < view.blocks.size(),
+            "compare_model: more 3x3 convs than compressed blocks");
+      groups[geometry].push_back(block_op.size());
+      block_op.push_back(&op);
     }
   }
-  check(block_index == num_blocks,
-        "compare_model_sampled: unmatched compressed blocks");
+  check(block_op.size() == view.blocks.size(),
+        "compare_model: unmatched compressed blocks");
 
-  // ---- Pass 2: fingerprint + project every block once (shared matrix),
-  // then cluster within each geometry group. All seeds derive from
-  // config.seed in fixed order: first the projection, then one k-means
-  // seed per group in GeometryKey order (std::map iteration is sorted,
-  // so the order is a function of the view, not of insertion history).
-  std::vector<std::vector<double>> signatures;
-  signatures.reserve(num_blocks);
-  for (const auto& block : view.blocks) {
-    signatures.push_back(block_signature(block));
-  }
-  std::uint64_t seed_state = config.seed;
-  const std::uint64_t projection_seed = splitmix64(seed_state);
-  const std::vector<std::vector<double>> projected = project_signatures(
-      signatures, config.projection_dims, projection_seed);
-
+  // ---- Pass 2: split every group into runs; each run's representative
+  // gets an sw and an hw task, at rep_slot + 2 * run index.
   SamplingSummary summary;
-  summary.num_blocks = num_blocks;
+  summary.num_blocks = view.blocks.size();
   summary.num_geometry_groups = groups.size();
-
-  std::vector<std::size_t> block_cluster(num_blocks, 0);
-  struct RepSlots {
-    std::size_t sw = 0;
-    std::size_t hw = 0;
-  };
-  std::vector<RepSlots> cluster_slots;
-  for (const auto& [key, members] : groups) {
-    const std::uint64_t group_seed = splitmix64(seed_state);
-    std::vector<std::vector<double>> points;
-    points.reserve(members.size());
-    for (const std::size_t b : members) points.push_back(projected[b]);
-
-    const int k = static_cast<int>(
-        std::min<std::size_t>(config.max_clusters_per_group, members.size()));
-    const KMeansResult clustering = kmeans(
-        points,
-        {.k = k, .seed = group_seed, .max_iters = config.max_kmeans_iters});
-
-    for (int c = 0; c < k; ++c) {
-      std::vector<std::size_t> local;  // indices into `points`/`members`
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (clustering.assignment[i] == c) local.push_back(i);
+  const std::size_t rep_slot = tasks.size();
+  std::vector<std::size_t> block_run(view.blocks.size(), 0);
+  for (const auto& [geometry, group] : groups) {
+    for (SampledClusterInfo& run : split_group(
+             view, group,
+             static_cast<std::size_t>(config.max_clusters_per_group))) {
+      for (const std::size_t member : run.members) {
+        block_run[member] = summary.clusters.size();
       }
-      if (local.empty()) continue;  // duplicate-heavy group, see cluster.h
-
-      const std::size_t rep_local = closest_member(
-          points, local, clustering.centroids[static_cast<std::size_t>(c)]);
-      const std::size_t rep = members[rep_local];
-
-      SampledClusterInfo info;
-      info.representative = rep;
-      const double rep_bits = std::max<double>(
-          1.0, static_cast<double>(view.blocks[rep].stream_bits));
-      double distance_sum = 0.0;
-      for (const std::size_t i : local) {
-        const std::size_t b = members[i];
-        info.members.push_back(b);
-        block_cluster[b] = summary.clusters.size();
-        const double d = distance(projected[b], projected[rep]);
-        distance_sum += d;
-        info.max_signature_distance = std::max(info.max_signature_distance, d);
-        const double skew =
-            std::abs(static_cast<double>(view.blocks[b].stream_bits) -
-                     static_cast<double>(view.blocks[rep].stream_bits)) /
-            rep_bits;
-        info.max_stream_bits_skew = std::max(info.max_stream_bits_skew, skew);
-      }
-      info.mean_signature_distance =
-          distance_sum / static_cast<double>(local.size());
-      summary.max_signature_distance =
-          std::max(summary.max_signature_distance, info.max_signature_distance);
       summary.max_stream_bits_skew =
-          std::max(summary.max_stream_bits_skew, info.max_stream_bits_skew);
-
-      cluster_slots.push_back({.sw = tasks.size(), .hw = tasks.size() + 1});
+          std::max(summary.max_stream_bits_skew, run.max_stream_bits_skew);
+      const std::size_t rep = run.representative;
       tasks.push_back({.op = block_op[rep],
                        .variant = ConvVariant::kSwDecode,
                        .block = &view.blocks[rep]});
       tasks.push_back({.op = block_op[rep],
                        .variant = ConvVariant::kHwDecode,
                        .block = &view.blocks[rep]});
-      summary.clusters.push_back(std::move(info));
+      summary.clusters.push_back(std::move(run));
     }
   }
   summary.num_clusters = summary.clusters.size();
   summary.simulated_blocks = summary.num_clusters;
   summary.simulated_fraction =
-      num_blocks == 0 ? 1.0
-                      : static_cast<double>(summary.simulated_blocks) /
-                            static_cast<double>(num_blocks);
+      summary.num_blocks == 0
+          ? 1.0
+          : static_cast<double>(summary.simulated_blocks) /
+                static_cast<double>(summary.num_blocks);
 
   // ---- Pass 3: run every task into its preassigned slot. Each task is
   // an independent pure function (fresh core per call), so the fan-out
-  // is bit-identical at every thread count; only the serial assembly
-  // below orders anything.
+  // is bit-identical at every thread count.
   std::vector<LayerSimResult> results(tasks.size());
   parallel_for(static_cast<std::int64_t>(tasks.size()), config.num_threads,
                [&](std::int64_t begin, std::int64_t end) {
                  for (std::int64_t i = begin; i < end; ++i) {
                    const SimTask& task = tasks[static_cast<std::size_t>(i)];
-                   if (task.block == nullptr) {
-                     results[static_cast<std::size_t>(i)] =
-                         simulate_binary_conv_layer(*task.op, task.variant,
-                                                    nullptr, cpu, decoder,
-                                                    sampling);
-                   } else {
-                     const StreamInfo stream = stream_info_for(*task.block);
-                     results[static_cast<std::size_t>(i)] =
-                         simulate_binary_conv_layer(*task.op, task.variant,
-                                                    &stream, cpu, decoder,
-                                                    sampling);
+                   StreamInfo stream;
+                   if (task.block != nullptr) {
+                     stream = stream_info_for(*task.block);
                    }
+                   results[static_cast<std::size_t>(i)] =
+                       simulate_binary_conv_layer(
+                           *task.op, task.variant,
+                           task.block != nullptr ? &stream : nullptr, cpu,
+                           decoder, sampling);
                  }
                });
 
-  // ---- Pass 4: assemble the report in op order, every member reading
-  // its geometry's baseline slot (exact) and its cluster
-  // representative's sw/hw results (the extrapolation).
+  // ---- Pass 4: assemble serially in op order, every 3x3 op reading its
+  // geometry's baseline and its run representative's sw/hw results.
   SampledSpeedupReport out;
   SpeedupReport& report = out.report;
-  block_index = 0;
-  for (const auto& op : view.ops) {
-    const bool is_3x3_binary =
-        op.precision_bits == 1 && op.op_class == bnn::OpClass::kConv3x3;
-    if (is_3x3_binary) {
-      const std::size_t cluster = block_cluster[block_index];
-      const RepSlots& slots = cluster_slots[cluster];
-      LayerComparison cmp;
-      cmp.name = op.name;
-      cmp.baseline_detail =
-          results[baseline_slot.at(GeometryKey::from_op(op))];
-      cmp.sw_detail = results[slots.sw];
-      cmp.hw_detail = results[slots.hw];
-      // The details carry the representative's name; relabel so the
-      // report reads per member layer, like the exact one.
-      cmp.baseline_detail.name = op.name;
-      cmp.sw_detail.name = op.name;
-      cmp.hw_detail.name = op.name;
-      cmp.baseline_cycles = cmp.baseline_detail.cycles;
-      cmp.sw_cycles = cmp.sw_detail.cycles;
-      cmp.hw_cycles = cmp.hw_detail.cycles;
-      report.conv3x3.push_back(std::move(cmp));
-      ++block_index;
-    } else if (op.precision_bits == 1 &&
-               op.op_class == bnn::OpClass::kConv1x1) {
-      report.other_cycles +=
-          results[baseline_slot.at(GeometryKey::from_op(op))].cycles;
-    } else {
+  std::size_t block = 0;
+  for (std::size_t i = 0; i < view.ops.size(); ++i) {
+    const bnn::OpRecord& op = view.ops[i];
+    if (op_slot[i] == kAnalytic) {
       report.other_cycles += analytic_op_cycles(op, cpu);
+      continue;
     }
+    if (op.op_class != bnn::OpClass::kConv3x3) {
+      report.other_cycles += results[op_slot[i]].cycles;
+      continue;
+    }
+    const std::size_t run_slot = rep_slot + 2 * block_run[block++];
+    LayerComparison cmp;
+    cmp.name = op.name;
+    cmp.baseline_detail = results[op_slot[i]];
+    cmp.sw_detail = results[run_slot];
+    cmp.hw_detail = results[run_slot + 1];
+    // The details carry the simulated op's name; relabel so the report
+    // reads per layer.
+    cmp.baseline_detail.name = op.name;
+    cmp.sw_detail.name = op.name;
+    cmp.hw_detail.name = op.name;
+    cmp.baseline_cycles = cmp.baseline_detail.cycles;
+    cmp.sw_cycles = cmp.sw_detail.cycles;
+    cmp.hw_cycles = cmp.hw_detail.cycles;
+    report.total_baseline += cmp.baseline_cycles;
+    report.total_sw += cmp.sw_cycles;
+    report.total_hw += cmp.hw_cycles;
+    report.conv3x3.push_back(std::move(cmp));
   }
-
-  report.total_baseline = report.other_cycles;
-  report.total_sw = report.other_cycles;
-  report.total_hw = report.other_cycles;
-  for (const auto& layer : report.conv3x3) {
-    report.total_baseline += layer.baseline_cycles;
-    report.total_sw += layer.sw_cycles;
-    report.total_hw += layer.hw_cycles;
-  }
+  report.total_baseline += report.other_cycles;
+  report.total_sw += report.other_cycles;
+  report.total_hw += report.other_cycles;
   out.summary = std::move(summary);
   return out;
 }

@@ -1,38 +1,32 @@
 #pragma once
-// BarrierPoint-style sampled simulation: compare_model accuracy at a
-// fraction of the simulated trace volume.
+// Sampled simulation: compare_model accuracy at a fraction of the
+// simulated trace volume.
 //
-// hwsim::compare_model simulates every binary conv layer of the model
-// in three variants; at real model sizes that full cycle simulation —
-// not compression, not I/O — dominates the wall clock of every config
-// sweep. This subsystem exploits the structure of the workload instead
-// of simulating it exhaustively:
+// Simulating every 3x3 binary conv in three variants dominates the wall
+// clock of every config sweep at real model sizes. The one simulator
+// walk behind both compare_model and compare_model_sampled exploits the
+// structure of the workload instead:
 //
-//   1. Fingerprint each 3x3 block's decode trace as its code-length
-//      histogram (hwsim/bbv.h) and reduce via a seeded random
-//      projection — the BBV recipe.
-//   2. Partition blocks by exact layer geometry (equal GeometryKey =>
-//      byte-identical micro-op schedule), then cluster each partition's
-//      signatures with the small deterministic k-means of
-//      hwsim/cluster.h (k-means++ init off the seeded generator).
-//   3. Simulate only each cluster's REPRESENTATIVE block (the member
-//      closest to the centroid) through the existing DecoderUnit/core
-//      model, and extrapolate: every member reports its cluster
-//      representative's sw/hw cycles, so the model totals are
-//      cluster-weighted sums.
-//   4. Baseline cycles consume no stream, so they are memoized per
-//      geometry key and shared across equal-geometry layers — including
-//      the 1x1 binary convs — with ZERO error: sampled and exact
-//      baseline totals are identical, and only the sw/hw columns carry
-//      sampling error.
+//   1. Baseline traces consume no stream, so the baseline is simulated
+//      once per distinct LayerGeometry (3x3 and binary 1x1 alike) and
+//      shared by every op of that geometry with zero error.
+//   2. The 3x3 blocks are grouped by LayerGeometry (equal geometry =>
+//      identical micro-op schedule). Each group is sorted by stream
+//      bits and cut at its k-1 widest gaps, ties to the earliest gap,
+//      with k = min(max_clusters_per_group, group size). The decode-side
+//      cycles scale with stream bits, so a run of close stream sizes
+//      decodes alike.
+//   3. Each run's lower median (in stream-bits order) is its
+//      representative: only it is simulated in the sw and hw variants,
+//      and every member of the run reports its cycles.
 //
-// The exact compare_model stays untouched as the oracle;
+// compare_model is the case where every block represents itself, so a
+// budget covering every group reproduces it cycle for cycle.
 // tests/test_sampled_sim.cpp pins the sampled-vs-exact relative cycle
 // error on the tiny ReActNet fixture and bit-identical results across
 // repeated runs and thread counts 1/2/4/7.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "compress/model_view.h"
@@ -41,36 +35,24 @@
 
 namespace bkc::hwsim {
 
-/// Knobs of the sampled path. Everything random (projection matrix,
-/// k-means++ init) derives from `seed` alone — no global RNG, no
-/// time-derived state — so equal (view, config) yield equal reports.
+/// Knobs of the sampled path. The representative rule is deterministic,
+/// so equal (view, config) yield equal reports.
 struct SamplingConfig {
-  std::uint64_t seed = 0xb4cb10c5ULL;
-  /// Random-projection target dimension for the signatures.
-  int projection_dims = 8;
-  /// Cluster budget per geometry group: k = min(this, group size).
+  /// Run budget per geometry group: k = min(this, group size).
   /// 1 collapses every equal-geometry group onto one representative;
   /// larger values buy accuracy for groups whose streams diverge.
   int max_clusters_per_group = 2;
-  /// Lloyd iteration cap of the per-group k-means.
-  int max_kmeans_iters = 16;
-  /// Fan the representative simulations out over the shared thread
-  /// pool. Results are bit-identical at every thread count (each
-  /// simulation is an independent pure function; assembly is serial in
-  /// fixed order).
+  /// Fan the simulations out over the shared thread pool. Results are
+  /// bit-identical at every thread count (each simulation is an
+  /// independent pure function; assembly is serial in op order).
   int num_threads = 1;
 };
 
-/// One phase cluster of the summary: which blocks (indices into
-/// view.blocks) were folded together and how tight the fold was.
+/// One run of the summary: which blocks (indices into view.blocks) were
+/// folded together.
 struct SampledClusterInfo {
-  std::size_t representative = 0;      ///< simulated member
-  std::vector<std::size_t> members;    ///< includes the representative
-  /// Projected-signature L2 distance from members to the
-  /// representative: the measured dispersion the extrapolation glosses
-  /// over (0 for singleton clusters).
-  double max_signature_distance = 0.0;
-  double mean_signature_distance = 0.0;
+  std::size_t representative = 0;    ///< simulated member
+  std::vector<std::size_t> members;  ///< block order, includes the rep
   /// max |member stream bits - rep stream bits| / rep stream bits: a
   /// direct, measured proxy for the sw/hw extrapolation error, since
   /// the decode-side cycle costs scale with stream bits.
@@ -84,13 +66,12 @@ struct SampledClusterInfo {
 /// sampling error by construction (geometry-exact memoization).
 struct SamplingSummary {
   std::size_t num_blocks = 0;           ///< 3x3 blocks in the view
-  std::size_t num_geometry_groups = 0;  ///< distinct GeometryKeys (3x3)
-  std::size_t num_clusters = 0;         ///< non-empty phase clusters
+  std::size_t num_geometry_groups = 0;  ///< distinct 3x3 LayerGeometry
+  std::size_t num_clusters = 0;         ///< runs over all groups
   std::size_t simulated_blocks = 0;     ///< representatives simulated
   /// simulated_blocks / num_blocks (1.0 = nothing saved; 0 blocks => 1).
   double simulated_fraction = 1.0;
-  /// Dispersion maxima over all clusters (see SampledClusterInfo).
-  double max_signature_distance = 0.0;
+  /// Maximum over all runs (see SampledClusterInfo).
   double max_stream_bits_skew = 0.0;
   std::vector<SampledClusterInfo> clusters;
 };

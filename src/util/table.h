@@ -36,8 +36,6 @@ class Table {
   /// Render and write to stdout with a title line above.
   void print(const std::string& title) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

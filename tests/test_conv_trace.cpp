@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bnn/kernel_sequences.h"
 #include "hwsim/perf_model.h"
 #include "support/support.h"
@@ -27,6 +29,28 @@ TEST(LayerGeometry, FromOpDerivesGroups) {
   const auto g1 = LayerGeometry::from_op(conv_op(64, 8, 1), 128);
   EXPECT_EQ(g1.positions(), 1);
   EXPECT_EQ(g1.groups, 1);
+}
+
+TEST(LayerGeometry, EqualLayoutEqualKeyNotName) {
+  const auto ops = bnn::op_records_for(test::tiny_config(1));
+  std::vector<const bnn::OpRecord*> conv3x3;
+  for (const auto& op : ops) {
+    if (op.op_class == bnn::OpClass::kConv3x3 && op.precision_bits == 1) {
+      conv3x3.push_back(&op);
+    }
+  }
+  // The 13-block MobileNet schedule: blocks 6..10 are the five
+  // {512,512,1} (width-divided) repeats and share a geometry under
+  // different names; the first and last blocks do not.
+  ASSERT_EQ(conv3x3.size(), 13u);
+  const auto geometry = [](const bnn::OpRecord* op) {
+    return LayerGeometry::from_op(*op, 128);
+  };
+  EXPECT_NE(geometry(conv3x3.front()), geometry(conv3x3.back()));
+  for (std::size_t b = 7; b <= 10; ++b) {
+    EXPECT_NE(conv3x3[6]->name, conv3x3[b]->name);
+    EXPECT_EQ(geometry(conv3x3[6]), geometry(conv3x3[b]));
+  }
 }
 
 TEST(ConvTrace, BaselineProducesPositiveScaledCycles) {

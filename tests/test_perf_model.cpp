@@ -82,6 +82,63 @@ TEST(PerfModel, CompareModelShapes) {
                 }());
 }
 
+/// The fields of one layer simulation a per-op run pins exactly.
+void expect_same_sim(const LayerSimResult& actual,
+                     const LayerSimResult& expected) {
+  EXPECT_EQ(actual.name, expected.name);
+  EXPECT_EQ(actual.variant, expected.variant);
+  EXPECT_EQ(actual.cycles, expected.cycles) << expected.name;
+  EXPECT_EQ(actual.decode_cycles, expected.decode_cycles) << expected.name;
+  EXPECT_EQ(actual.sampled_uops, expected.sampled_uops) << expected.name;
+  EXPECT_EQ(actual.load_stall_cycles, expected.load_stall_cycles);
+  EXPECT_EQ(actual.ldps_stall_cycles, expected.ldps_stall_cycles);
+  EXPECT_EQ(actual.l1_misses, expected.l1_misses);
+  EXPECT_EQ(actual.l2_misses, expected.l2_misses);
+  EXPECT_EQ(actual.dram_accesses, expected.dram_accesses);
+}
+
+TEST(PerfModel, CompareModelEqualsPerOpSimulation) {
+  // The oracle: every op simulated on its own, in op order. The tiny
+  // schedule repeats the {512,512,1}/8 block five times, so any
+  // sharing of simulations between equal geometries must not show.
+  const bnn::ReActNet model(test::tiny_config(17));
+  const auto streams = test::clustered_artifacts(model);
+  const compress::CompressedModelView view = view_for(model, streams);
+  const SpeedupReport report = compare_model(view);
+
+  std::uint64_t other_cycles = 0;
+  std::size_t block = 0;
+  for (const auto& op : view.ops) {
+    const bool binary = op.precision_bits == 1;
+    if (binary && op.op_class == bnn::OpClass::kConv3x3) {
+      ASSERT_LT(block, report.conv3x3.size());
+      const LayerComparison& layer = report.conv3x3[block];
+      const StreamInfo stream = stream_info_for(view.blocks[block]);
+      const LayerSimResult baseline =
+          simulate_binary_conv_layer(op, ConvVariant::kBaseline);
+      const LayerSimResult sw =
+          simulate_binary_conv_layer(op, ConvVariant::kSwDecode, &stream);
+      const LayerSimResult hw =
+          simulate_binary_conv_layer(op, ConvVariant::kHwDecode, &stream);
+      EXPECT_EQ(layer.name, op.name);
+      EXPECT_EQ(layer.baseline_cycles, baseline.cycles) << op.name;
+      EXPECT_EQ(layer.sw_cycles, sw.cycles) << op.name;
+      EXPECT_EQ(layer.hw_cycles, hw.cycles) << op.name;
+      expect_same_sim(layer.baseline_detail, baseline);
+      expect_same_sim(layer.sw_detail, sw);
+      expect_same_sim(layer.hw_detail, hw);
+      ++block;
+    } else if (binary && op.op_class == bnn::OpClass::kConv1x1) {
+      other_cycles +=
+          simulate_binary_conv_layer(op, ConvVariant::kBaseline).cycles;
+    } else {
+      other_cycles += analytic_op_cycles(op, CpuParams{});
+    }
+  }
+  EXPECT_EQ(block, report.conv3x3.size());
+  EXPECT_EQ(report.other_cycles, other_cycles);
+}
+
 TEST(PerfModel, SwSlowerHwNotSlower) {
   // The paper's two headline directions: software decoding loses,
   // hardware decoding wins (Secs IV-B and VI).
