@@ -53,13 +53,45 @@ std::int64_t scalar_pixel_matches(const PackedFeature& input,
   return matches;
 }
 
+/// The scalar epilogue (the formula in bconv.h, ConvEpilogue) over
+/// output channel o's plane: the oracle of every wide kernel's vector
+/// form, written to read like the unfused layers it replaces.
+void apply_epilogue_scalar(const ConvEpilogue& epilogue, std::int64_t o,
+                           TensorView out) {
+  const FeatureShape& s = out.shape();
+  const auto oc = static_cast<std::size_t>(o);
+  const auto ac = static_cast<std::size_t>(epilogue.act_offset + o);
+  const float scale = epilogue.bn_scale[oc];
+  const float bias = epilogue.bn_bias[oc];
+  const float shift_in = epilogue.shift_in[ac];
+  const float slope = epilogue.slope[ac];
+  const float shift_out = epilogue.shift_out[ac];
+  const ConstTensorView& residual = epilogue.residual;
+  for (std::int64_t y = 0; y < s.height; ++y) {
+    for (std::int64_t x = 0; x < s.width; ++x) {
+      float v = out.at(o, y, x) * scale + bias;
+      if (epilogue.pool_residual) {
+        v = v + 0.25f * (residual.at(o, 2 * y, 2 * x) +
+                         residual.at(o, 2 * y, 2 * x + 1) +
+                         residual.at(o, 2 * y + 1, 2 * x) +
+                         residual.at(o, 2 * y + 1, 2 * x + 1));
+      } else {
+        v = v + residual.at(o, y, x);
+      }
+      v = v - shift_in;
+      out.at(o, y, x) = (v > 0.0f ? v : slope * v) + shift_out;
+    }
+  }
+}
+
 // The seed's loop: masked scalar xnor+popcount over every pixel. This
 // is the reference every other kernel is diffed against, so it must not
 // share fast-path shortcuts: it ignores the ring and applies the padding
 // term itself.
 void conv_kernel_scalar(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out,
-                        std::int64_t o_begin, std::int64_t o_end) {
+                        std::int64_t o_begin, std::int64_t o_end,
+                        const ConvEpilogue* epilogue) {
   const FeatureShape& out_shape = out.shape();
   const std::int64_t receptive = kernel.shape().receptive_size();
   for (std::int64_t o = o_begin; o < o_end; ++o) {
@@ -72,6 +104,7 @@ void conv_kernel_scalar(const PackedFeature& input, const PackedKernel& kernel,
         out.at(o, oy, ox) = static_cast<float>(2 * matches - receptive);
       }
     }
+    if (epilogue != nullptr) apply_epilogue_scalar(*epilogue, o, out);
   }
 }
 

@@ -21,10 +21,22 @@
 // xnor matches they contribute are the *constant*
 // (64 * words - channels) per kernel position, subtracted once per
 // pixel instead of masked once per word.
+//
+// A kernel also owns the block epilogue (bconv.h, ConvEpilogue): when
+// one is passed, it rewrites each output channel's plane right after
+// computing it, inside the same thread chunk. The scalar kernel applies
+// the scalar formula and is the epilogue's oracle too; a wide kernel
+// performs the same float operations in the same order, so the
+// contract stays exact equality. Wide kernels write the RPReLU select
+// by hand (compare mask + blend, slope * v always computed): under
+// GCC's default -ftrapping-math the compiler keeps
+// `v > 0 ? v : slope * v` a branch, which mispredicts on about half of
+// sign-random activations.
 
 #include <cstdint>
 #include <span>
 
+#include "bnn/bconv.h"
 #include "bnn/bitpack.h"
 #include "tensor/tensor.h"
 
@@ -38,12 +50,15 @@ namespace bkc::bnn {
 /// match, the input's ring equals geometry.padding, out has the output
 /// shape. `out` is a view so the destination can live in a Workspace
 /// arena (Tensor converts implicitly); kernels assign every pixel of
-/// their range, never read-modify-write, so the destination may be
-/// uninitialised.
+/// their range before reading any back, so the destination may be
+/// uninitialised. A non-null `epilogue` (already checked against `out`
+/// by binary_conv2d_into) is applied to each channel of the range once
+/// its plane is complete, reading only that channel's residual.
 using ConvKernelFn = void (*)(const PackedFeature& input,
                               const PackedKernel& kernel,
                               ConvGeometry geometry, TensorView out,
-                              std::int64_t o_begin, std::int64_t o_end);
+                              std::int64_t o_begin, std::int64_t o_end,
+                              const ConvEpilogue* epilogue);
 
 /// A registered kernel implementation. `name` is the stable identifier
 /// the test suites report variants by.
@@ -86,11 +101,14 @@ class ScopedConvKernelOverride {
 namespace internal {
 
 /// The AVX2 kernel (defined in bconv_kernels_avx2.cpp, compiled with
-/// -mavx2). Only registered - and only callable - when
-/// simd::cpu_supports_avx2() is true.
+/// -mavx2 and -ffp-contract=off, without -mfma, so its epilogue rounds
+/// every multiply and add on its own as the scalar one does). Only
+/// registered - and only callable - when simd::cpu_supports_avx2() is
+/// true.
 void conv_kernel_avx2(const PackedFeature& input, const PackedKernel& kernel,
                       ConvGeometry geometry, TensorView out,
-                      std::int64_t o_begin, std::int64_t o_end);
+                      std::int64_t o_begin, std::int64_t o_end,
+                      const ConvEpilogue* epilogue);
 
 }  // namespace internal
 #endif

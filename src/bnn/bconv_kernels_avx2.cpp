@@ -21,9 +21,20 @@
 //     contiguous words (kernel rows and input row segments are both
 //     contiguous in the channel-packed layout).
 //
+// The block epilogue (bconv.h, ConvEpilogue) runs on each output
+// channel's plane as soon as the plane is complete, eight floats per
+// step: mul + add (batch norm), add (residual), sub, then the RPReLU
+// select as _mm256_cmp_ps(_CMP_GT_OQ) + _mm256_blendv_ps with slope * v
+// always computed - branch-free, and false for +-0 and NaN exactly like
+// the scalar `v > 0`. A pooled residual row is de-interleaved into its
+// even and odd columns with _mm256_shuffle_ps, summed in AvgPool2x2's
+// order and put back in column order with one lane permute. The TU is
+// built with -ffp-contract=off and without -mfma, so no multiply and
+// add fuse; plane tails run the scalar formula.
+//
 // A NEON port would mirror this file one-to-one: vcntq_u8 replaces the
-// nibble-LUT popcount and vpadalq the SAD accumulation; the dispatch
-// registry in bconv_kernels.cpp is ISA-agnostic.
+// nibble-LUT popcount and vpadalq the SAD accumulation, vbslq_f32 the
+// blend; the dispatch registry in bconv_kernels.cpp is ISA-agnostic.
 
 #include <immintrin.h>
 
@@ -83,6 +94,96 @@ inline std::int64_t xnor_popcount_row(const std::uint64_t* a,
   return total;
 }
 
+/// One channel's epilogue constants, broadcast once per plane.
+struct EpilogueLanes {
+  float scale, bias, shift_in, slope, shift_out;
+
+  /// The scalar formula, for plane tails.
+  float apply(float v, float r) const {
+    v = v * scale + bias;
+    v = v + r;
+    v = v - shift_in;
+    return (v > 0.0f ? v : slope * v) + shift_out;
+  }
+};
+
+/// The epilogue of output channel o over its plane `out_plane`.
+void apply_epilogue_avx2(const ConvEpilogue& epilogue, std::int64_t o,
+                         float* out_plane, const FeatureShape& out_shape) {
+  const auto oc = static_cast<std::size_t>(o);
+  const auto ac = static_cast<std::size_t>(epilogue.act_offset + o);
+  const EpilogueLanes c{epilogue.bn_scale[oc], epilogue.bn_bias[oc],
+                        epilogue.shift_in[ac], epilogue.slope[ac],
+                        epilogue.shift_out[ac]};
+  const __m256 scale = _mm256_set1_ps(c.scale);
+  const __m256 bias = _mm256_set1_ps(c.bias);
+  const __m256 shift_in = _mm256_set1_ps(c.shift_in);
+  const __m256 slope = _mm256_set1_ps(c.slope);
+  const __m256 shift_out = _mm256_set1_ps(c.shift_out);
+  const __m256 zero = _mm256_setzero_ps();
+  const auto apply = [&](__m256 v, __m256 r) {
+    v = _mm256_add_ps(_mm256_mul_ps(v, scale), bias);
+    v = _mm256_add_ps(v, r);
+    v = _mm256_sub_ps(v, shift_in);
+    const __m256 positive = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
+    v = _mm256_blendv_ps(_mm256_mul_ps(slope, v), v, positive);
+    return _mm256_add_ps(v, shift_out);
+  };
+
+  const FeatureShape& rs = epilogue.residual.shape();
+  const float* res = epilogue.residual.data().data() + o * rs.height * rs.width;
+  if (!epilogue.pool_residual) {
+    // Identity: output and residual planes are both contiguous.
+    const std::int64_t n = out_shape.height * out_shape.width;
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      _mm256_storeu_ps(out_plane + i, apply(_mm256_loadu_ps(out_plane + i),
+                                            _mm256_loadu_ps(res + i)));
+    }
+    for (; i < n; ++i) out_plane[i] = c.apply(out_plane[i], res[i]);
+    return;
+  }
+  // Pooled: output row y reads residual rows 2y and 2y + 1; eight
+  // outputs take sixteen residual columns from each.
+  const __m256 quarter = _mm256_set1_ps(0.25f);
+  const auto evens = [](const float* p) {
+    return _mm256_shuffle_ps(_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                             _MM_SHUFFLE(2, 0, 2, 0));
+  };
+  const auto odds = [](const float* p) {
+    return _mm256_shuffle_ps(_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                             _MM_SHUFFLE(3, 1, 3, 1));
+  };
+  for (std::int64_t y = 0; y < out_shape.height; ++y) {
+    float* out_row = out_plane + y * out_shape.width;
+    const float* row0 = res + 2 * y * rs.width;
+    const float* row1 = row0 + rs.width;
+    std::int64_t x = 0;
+    for (; x + 8 <= out_shape.width; x += 8) {
+      const float* r0 = row0 + 2 * x;
+      const float* r1 = row1 + 2 * x;
+      // Lanes come out as columns x + {0, 1, 4, 5, 2, 3, 6, 7}: the
+      // shuffle works within 128-bit halves. Summing lane-wise is
+      // order-free across lanes, so one 64-bit permute at the end
+      // restores column order.
+      const __m256 sum = _mm256_add_ps(
+          _mm256_add_ps(_mm256_add_ps(evens(r0), odds(r0)), evens(r1)),
+          odds(r1));
+      const __m256 pooled = _mm256_castpd_ps(_mm256_permute4x64_pd(
+          _mm256_castps_pd(_mm256_mul_ps(quarter, sum)),
+          _MM_SHUFFLE(3, 1, 2, 0)));
+      _mm256_storeu_ps(out_row + x,
+                       apply(_mm256_loadu_ps(out_row + x), pooled));
+    }
+    for (; x < out_shape.width; ++x) {
+      const float* r0 = row0 + 2 * x;
+      const float* r1 = row1 + 2 * x;
+      out_row[x] =
+          c.apply(out_row[x], 0.25f * (r0[0] + r0[1] + r1[0] + r1[1]));
+    }
+  }
+}
+
 /// kWpp/kIs3x3 are the BKC_WORDS_SWITCH / BKC_BOOL_SWITCH
 /// monomorphization constants (0 / false = stay runtime-generic): with
 /// both pinned the row loops below have compile-time trip counts and
@@ -90,7 +191,8 @@ inline std::int64_t xnor_popcount_row(const std::uint64_t* a,
 template <int kWpp, bool kIs3x3>
 void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
                     ConvGeometry geometry, TensorView out,
-                    std::int64_t o_begin, std::int64_t o_end) {
+                    std::int64_t o_begin, std::int64_t o_end,
+                    const ConvEpilogue* epilogue) {
   const FeatureShape& in_shape = input.shape();
   const KernelShape& k_shape = kernel.shape();
   const FeatureShape& out_shape = out.shape();
@@ -162,6 +264,11 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
             static_cast<float>(2 * (raw - spurious) - receptive);
       }
     }
+    if (epilogue != nullptr) {
+      apply_epilogue_avx2(*epilogue, o,
+                          out_base + o * out_shape.height * out_shape.width,
+                          out_shape);
+    }
   }
 }
 
@@ -169,13 +276,15 @@ void conv_avx2_impl(const PackedFeature& input, const PackedKernel& kernel,
 
 void conv_kernel_avx2(const PackedFeature& input, const PackedKernel& kernel,
                       ConvGeometry geometry, TensorView out,
-                      std::int64_t o_begin, std::int64_t o_end) {
+                      std::int64_t o_begin, std::int64_t o_end,
+                      const ConvEpilogue* epilogue) {
   const KernelShape& k_shape = kernel.shape();
   BKC_WORDS_SWITCH(input.words_per_pixel(), kWpp, [&] {
     BKC_BOOL_SWITCH(k_shape.kernel_h == 3 && k_shape.kernel_w == 3, kIs3x3,
                     [&] {
                       conv_avx2_impl<kWpp, kIs3x3>(input, kernel, geometry,
-                                                   out, o_begin, o_end);
+                                                   out, o_begin, o_end,
+                                                   epilogue);
                     });
   });
 }

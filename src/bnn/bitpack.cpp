@@ -1,6 +1,7 @@
 #include "bnn/bitpack.h"
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace bkc::bnn {
 
@@ -142,21 +143,32 @@ void pack_feature_into(ConstTensorView input, PackedFeature& out,
   std::uint64_t* origin = out.at(0, 0).data();
   const float* data = input.data().data();
   // Channel-major like the CHW input: each channel contributes one bit
-  // lane, OR'd over its spatial plane row by row with sequential float
-  // reads. Words start zeroed (reshape), so OR alone builds the map,
-  // and the invariant (tail lanes and the ring stay zero) holds by
-  // construction.
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    const std::uint64_t mask = 1ULL << (c % kWordBits);
-    const float* plane = data + c * s.height * s.width;
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      std::uint64_t* word = origin + y * row_words + c / kWordBits;
-      const float* row = plane + y * s.width;
-      for (std::int64_t x = 0; x < s.width; ++x) {
-        word[x * wpp] |= row[x] >= 0.0f ? mask : 0;
+  // lane, OR'd over its spatial rows with sequential float reads. Words
+  // start zeroed (reshape), so OR alone builds the map, and the
+  // invariant (tail lanes and the ring stay zero) holds by
+  // construction. A range of rows owns its words outright, so rows fan
+  // out across threads with identical bits at any thread count.
+  const auto pack_rows = [&](std::int64_t y_begin, std::int64_t y_end) {
+    for (std::int64_t c = 0; c < s.channels; ++c) {
+      const std::uint64_t mask = 1ULL << (c % kWordBits);
+      const float* plane = data + c * s.height * s.width;
+      for (std::int64_t y = y_begin; y < y_end; ++y) {
+        std::uint64_t* word = origin + y * row_words + c / kWordBits;
+        const float* row = plane + y * s.width;
+        for (std::int64_t x = 0; x < s.width; ++x) {
+          word[x * wpp] |= row[x] >= 0.0f ? mask : 0;
+        }
       }
     }
+  };
+  const int num_threads = current_num_threads();
+  if (num_threads <= 1) {
+    // parallel_for's std::function argument can heap-allocate, which
+    // the zero-allocation classify contract forbids.
+    pack_rows(0, s.height);
+    return;
   }
+  parallel_for(s.height, num_threads, pack_rows);
 }
 
 Tensor unpack_feature(const PackedFeature& packed) {

@@ -45,8 +45,9 @@ void BinaryConv2d::forward_into(ConstTensorView input, TensorView output,
 }
 
 void BinaryConv2d::forward_packed(const PackedFeature& input,
-                                  TensorView output) const {
-  binary_conv2d_into(input, kernel_, geometry_, output);
+                                  TensorView output,
+                                  const ConvEpilogue* epilogue) const {
+  binary_conv2d_into(input, kernel_, geometry_, output, epilogue);
 }
 
 LayerInfo BinaryConv2d::info(const FeatureShape& input_shape) const {

@@ -8,6 +8,7 @@
 // input and output layers are quantized to 8 bits (Sec II-B).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,8 +62,7 @@ class Layer {
   /// be output_shape(input.shape())) and drawing any temporary storage
   /// from `workspace`, so a call performs no heap allocation. `output`
   /// must not alias `input` unless a layer documents in-place support
-  /// (BatchNorm and RPReLU are alias-safe; the block orchestration
-  /// relies on that).
+  /// (BatchNorm and RPReLU are alias-safe).
   virtual void forward_into(ConstTensorView input, TensorView output,
                             Workspace& workspace) const = 0;
 
@@ -89,8 +89,10 @@ class BinaryConv2d final : public Layer {
                     Workspace& workspace) const override;
   /// Convolve an already packed input into `output`; its ring must equal
   /// geometry().padding. Lets convs that read the same tensor share one
-  /// pack.
-  void forward_packed(const PackedFeature& input, TensorView output) const;
+  /// pack. An `epilogue` fuses the block's batch norm, residual and
+  /// RPReLU into the conv (binary_conv2d_into).
+  void forward_packed(const PackedFeature& input, TensorView output,
+                      const ConvEpilogue* epilogue = nullptr) const;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
     return geometry_.output_shape(input_shape, kernel_.shape());
   }
@@ -187,6 +189,9 @@ class Int8Linear final : public Layer {
 };
 
 /// Inference-folded batch normalization: y = scale_c * x + bias_c.
+/// Inside a basic block it runs fused into the binary conv
+/// (ConvEpilogue); forward_into is the unfused oracle the block tests
+/// compare against.
 class BatchNorm final : public Layer {
  public:
   BatchNorm(std::string name, std::vector<float> scale,
@@ -200,6 +205,9 @@ class BatchNorm final : public Layer {
   LayerInfo info(const FeatureShape& input_shape) const override;
   std::string name() const override { return name_; }
 
+  std::span<const float> scale() const { return scale_; }
+  std::span<const float> bias() const { return bias_; }
+
  private:
   std::string name_;
   std::vector<float> scale_;
@@ -210,7 +218,9 @@ class BatchNorm final : public Layer {
 /// shifted by learnable per-channel biases:
 ///   y = PReLU(x - shift_in_c) + shift_out_c
 /// with PReLU(v) = v > 0 ? v : slope_c * v. (Sec II-B: "the Prelu
-/// activation is biased by shifting and reshaping its input".)
+/// activation is biased by shifting and reshaping its input".) Like
+/// BatchNorm it runs fused into a block's binary convs; forward_into is
+/// the unfused oracle.
 class RPReLU final : public Layer {
  public:
   RPReLU(std::string name, std::vector<float> shift_in,
@@ -224,6 +234,10 @@ class RPReLU final : public Layer {
   LayerInfo info(const FeatureShape& input_shape) const override;
   std::string name() const override { return name_; }
 
+  std::span<const float> shift_in() const { return shift_in_; }
+  std::span<const float> slope() const { return slope_; }
+  std::span<const float> shift_out() const { return shift_out_; }
+
  private:
   std::string name_;
   std::vector<float> shift_in_;
@@ -231,7 +245,9 @@ class RPReLU final : public Layer {
   std::vector<float> shift_out_;
 };
 
-/// 2x2 stride-2 average pooling (ReActNet's downsampling shortcut).
+/// 2x2 stride-2 average pooling (ReActNet's downsampling shortcut). A
+/// stride-2 block reads its shortcut pooled inside the fused conv
+/// epilogue; this layer is the unfused oracle.
 class AvgPool2x2 final : public Layer {
  public:
   void forward_into(ConstTensorView input, TensorView output,
@@ -257,8 +273,9 @@ class GlobalAvgPool final : public Layer {
 };
 
 /// Element-wise sum of two equally-shaped views (the residual
-/// connection); `out` may alias `a` (the in-place residual the block
-/// orchestration uses).
+/// connection); `out` may alias `a` (the in-place residual). The block
+/// forward path adds its residuals inside the fused conv epilogue; this
+/// is the unfused oracle.
 void residual_add_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 }  // namespace bkc::bnn

@@ -59,15 +59,11 @@ MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
                                      (in.width + 2 * ring));
       if (op.op_class == OpClass::kConv3x3) {
         // A basic block holds its 3x3 conv output (the mid tensor `y`)
-        // in scratch; a stride-2 block additionally holds the pooled
-        // shortcut while forming the residual. This mirrors
-        // BasicBlock::forward_into's allocation order exactly — the
+        // in scratch and nothing else: a stride-2 shortcut is pooled
+        // inside the conv's epilogue. This mirrors
+        // BasicBlock::forward_into's allocation exactly — the
         // high-water equality check depends on it.
         scratch = float_bytes(op.output_shape.size());
-        if (op.geometry.stride == 2) {
-          scratch +=
-              float_bytes(in.channels * (in.height / 2) * (in.width / 2));
-        }
       }
     }
     plan.scratch_bytes = std::max(plan.scratch_bytes, scratch);

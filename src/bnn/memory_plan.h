@@ -19,9 +19,9 @@
 //     layer L reads one and writes the other, so no layer output ever
 //     needs its own allocation;
 //   * block-local scratch (the 3x3 conv output inside a ReActNet basic
-//     block, the stride-2 pooled shortcut, the int8 stem/classifier
-//     quantization buffer), released LIFO via Arena::mark/rewind, sized
-//     by the worst single consumer (scratch_bytes);
+//     block, the int8 stem/classifier quantization buffer), released
+//     LIFO via Arena::mark/rewind, sized by the worst single consumer
+//     (scratch_bytes);
 //   * one PackedFeature reused as pack scratch by every binary conv,
 //     kept outside the arena because its word storage persists across
 //     layers (pack_words sizes its reservation).
@@ -67,9 +67,9 @@ struct MemoryPlan {
 
 /// Plan for ReActNet::forward_into's allocation order: ping-pong
 /// activations across stem/blocks/pool/classifier, per-block scratch
-/// for the 3x3 conv output (+ stride-2 pooled shortcut), int8
-/// quantization scratch for the stem (its int8_conv_plane) and the
-/// classifier (its flat input).
+/// for the 3x3 conv output (the stride-2 shortcut is pooled inside the
+/// fused conv epilogue and needs none), int8 quantization scratch for
+/// the stem (its int8_conv_plane) and the classifier (its flat input).
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records);
 
 /// One thread's working memory for planned forward passes: the arena

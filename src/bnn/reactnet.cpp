@@ -111,51 +111,59 @@ BasicBlock::BasicBlock(std::string name, const BlockConfig& config,
 
 void BasicBlock::forward_into(ConstTensorView input, TensorView output,
                               Workspace& workspace) const {
-  check(input.shape().channels == config_.in_channels,
+  const FeatureShape& in_shape = input.shape();
+  check(in_shape.channels == config_.in_channels,
         "BasicBlock::forward_into: input channel mismatch");
-  check(output.shape() == output_shape(input.shape()),
+  // The pooled shortcut averages whole 2x2 windows; on an odd map the
+  // last window would read past the plane.
+  check(config_.stride == 1 ||
+            (in_shape.height % 2 == 0 && in_shape.width % 2 == 0),
+        "BasicBlock::forward_into: a stride-2 block expects even spatial "
+        "dims");
+  check(output.shape() == output_shape(in_shape),
         "BasicBlock::forward_into: output shape mismatch");
   Arena& arena = workspace.arena();
   const std::size_t block_mark = arena.mark();
 
-  // First half: 3x3 binary conv with residual shortcut, in arena
-  // scratch. The stride-2 pooled shortcut is released (LIFO) as soon
-  // as the residual consumes it.
-  const FeatureShape mid_shape = conv3_->output_shape(input.shape());
+  // Every pass below runs on current_num_threads(): the packs split
+  // rows, the convs split output channels and apply BN, the residual
+  // and RPReLU to each channel inside the same chunk (ConvEpilogue).
+  // First half: y = RPReLU(BN(conv3x3(x)) + shortcut(x)) in arena
+  // scratch; a stride-2 shortcut is read pooled straight from x.
+  PackedFeature& packed = workspace.pack_scratch();
+  pack_feature_into(input, packed, conv3_->geometry().padding);
+  const FeatureShape mid_shape = conv3_->output_shape(in_shape);
   TensorView y(mid_shape, arena.allocate_span<float>(mid_shape.size()));
-  conv3_->forward_into(input, y, workspace);
-  bn1_->forward_into(y, y, workspace);
-  if (config_.stride == 2) {
-    const std::size_t pool_mark = arena.mark();
-    const FeatureShape pooled_shape = pool_.output_shape(input.shape());
-    TensorView shortcut(pooled_shape,
-                        arena.allocate_span<float>(pooled_shape.size()));
-    pool_.forward_into(input, shortcut, workspace);
-    residual_add_into(y, shortcut, y);
-    arena.rewind(pool_mark);
-  } else {
-    residual_add_into(y, input, y);
-  }
-  act1_->forward_into(y, y, workspace);
+  const ConvEpilogue first{.bn_scale = bn1_->scale(),
+                           .bn_bias = bn1_->bias(),
+                           .residual = input,
+                           .pool_residual = config_.stride == 2,
+                           .shift_in = act1_->shift_in(),
+                           .slope = act1_->slope(),
+                           .shift_out = act1_->shift_out()};
+  conv3_->forward_packed(packed, y, &first);
 
   // Second half: the 1x1 conv(s) write straight into the channel
   // halves of the concat destination (CHW makes channel subranges
   // contiguous), so no za/zb temporaries or concat copy exist. Both
-  // read y, so y is packed once for the pair.
-  PackedFeature& packed = workspace.pack_scratch();
+  // read y, so y is packed once for the pair; each adds y back and
+  // reads its own slice of the output RPReLU's parameters.
   pack_feature_into(y, packed, conv1a_->geometry().padding);
   const std::int64_t in = config_.in_channels;
-  TensorView za = output.channels(0, in);
-  conv1a_->forward_packed(packed, za);
-  bn2a_->forward_into(za, za, workspace);
-  residual_add_into(za, y, za);
+  const ConvEpilogue second_a{.bn_scale = bn2a_->scale(),
+                              .bn_bias = bn2a_->bias(),
+                              .residual = y,
+                              .shift_in = act2_->shift_in(),
+                              .slope = act2_->slope(),
+                              .shift_out = act2_->shift_out()};
+  conv1a_->forward_packed(packed, output.channels(0, in), &second_a);
   if (conv1b_) {
-    TensorView zb = output.channels(in, in);
-    conv1b_->forward_packed(packed, zb);
-    bn2b_->forward_into(zb, zb, workspace);
-    residual_add_into(zb, y, zb);
+    ConvEpilogue second_b = second_a;
+    second_b.bn_scale = bn2b_->scale();
+    second_b.bn_bias = bn2b_->bias();
+    second_b.act_offset = in;
+    conv1b_->forward_packed(packed, output.channels(in, in), &second_b);
   }
-  act2_->forward_into(output, output, workspace);
   arena.rewind(block_mark);
 }
 
@@ -169,6 +177,12 @@ std::vector<const BinaryConv2d*> BasicBlock::conv1x1s() const {
   std::vector<const BinaryConv2d*> convs{conv1a_.get()};
   if (conv1b_) convs.push_back(conv1b_.get());
   return convs;
+}
+
+std::vector<const BatchNorm*> BasicBlock::bn2s() const {
+  std::vector<const BatchNorm*> norms{bn2a_.get()};
+  if (bn2b_) norms.push_back(bn2b_.get());
+  return norms;
 }
 
 FeatureShape BasicBlock::output_shape(const FeatureShape& input) const {

@@ -72,13 +72,18 @@ class BasicBlock {
   BasicBlock(std::string name, const BlockConfig& config,
              WeightGenerator& generator, const SequenceDistribution& dist);
 
-  /// Run the block on `input`, writing into `output`. Block scratch
-  /// (the 3x3 conv output, the stride-2 pooled shortcut) comes from the
-  /// workspace arena and is released LIFO before returning; the 1x1
-  /// convs write straight into the channel halves of `output` (the
-  /// concat destination), so no intermediate za/zb tensors exist.
-  /// `output` must have output_shape(input.shape()) and must not alias
-  /// `input`.
+  /// Run the block on `input`, writing into `output`: pack x, conv3x3
+  /// with BN, shortcut and RPReLU fused into y, pack y, then each 1x1
+  /// conv with BN, the y residual and the output RPReLU fused into its
+  /// channel half of `output` (the concat destination, so no
+  /// intermediate za/zb tensors exist). Every pass runs on
+  /// current_num_threads(). The only block scratch is y, drawn from the
+  /// workspace arena and released before returning; the stride-2
+  /// shortcut is pooled on the fly from `input`, which therefore needs
+  /// even spatial dims (CheckError otherwise). `output` must have
+  /// output_shape(input.shape()) and must not alias `input`. The block's
+  /// layers, run one at a time, are the oracle this fused path matches
+  /// bit for bit (tests/test_block_fusion.cpp).
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const;
 
@@ -92,6 +97,14 @@ class BasicBlock {
   /// The block's 1x1 binary convolution(s): one, or two when expanding.
   std::vector<BinaryConv2d*> conv1x1s();
   std::vector<const BinaryConv2d*> conv1x1s() const;
+
+  /// The float layers the convs fuse (the unfused oracle's parts):
+  /// bn1 and rprelu1 follow the 3x3 conv, one bn2 per 1x1 conv, and
+  /// rprelu2 covers the whole output.
+  const BatchNorm& bn1() const { return *bn1_; }
+  const RPReLU& rprelu1() const { return *act1_; }
+  std::vector<const BatchNorm*> bn2s() const;
+  const RPReLU& rprelu2() const { return *act2_; }
 
   FeatureShape output_shape(const FeatureShape& input) const;
   std::vector<OpRecord> op_records(const FeatureShape& input) const;
@@ -107,7 +120,6 @@ class BasicBlock {
   std::unique_ptr<BinaryConv2d> conv1b_;  // only when out == 2*in
   std::unique_ptr<BatchNorm> bn2b_;       // only when out == 2*in
   std::unique_ptr<RPReLU> act2_;
-  AvgPool2x2 pool_;  // stride-2 shortcut
 };
 
 /// The full model: int8 stem -> 13 basic blocks -> global average pool
