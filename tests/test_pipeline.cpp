@@ -13,6 +13,7 @@
 #include "bnn/reactnet.h"
 #include "compress/huffman.h"
 #include "compress/instrumentation.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -316,6 +317,46 @@ TEST(Pipeline, CompressModelRunsEachPrimitiveOncePerBlock) {
   EXPECT_EQ(delta.frequency_counts, blocks);
   EXPECT_EQ(delta.cluster_sequences_calls, blocks);
   EXPECT_EQ(delta.grouped_codec_builds, 2 * blocks);
+}
+
+TEST(Pipeline, CompressModelStreamsArePinned) {
+  // Every emitted stream of the default grouped-huffman pass, pinned by
+  // its bit count and CRC-32: any change to the per-block encoder that
+  // moves a single stream bit fails here. {encoding, clustered} per
+  // block of tiny_config(23).
+  struct Pin {
+    std::size_t stream_bits;
+    std::uint32_t crc;
+  };
+  const Pin pins[][2] = {
+      {{96, 0xf2941434u}, {96, 0xf2941434u}},
+      {{398, 0xfb41ec05u}, {398, 0xfb41ec05u}},
+      {{1806, 0xbb755e01u}, {1676, 0xe5588900u}},
+      {{1759, 0x11c2e809u}, {1668, 0xfd7cddfau}},
+      {{7674, 0x7eb0b2eau}, {6719, 0x1f05b626u}},
+      {{7571, 0x062bde93u}, {6661, 0x072bace2u}},
+      {{31773, 0x0906e41cu}, {27080, 0xd9626560u}},
+      {{31629, 0xf04e9de5u}, {27138, 0x80579382u}},
+      {{32815, 0xb72f8096u}, {27219, 0x4432bfe4u}},
+      {{31873, 0x8a40e42du}, {27275, 0x266f24d8u}},
+      {{30602, 0xcc3a8d17u}, {26571, 0x46c36491u}},
+      {{29390, 0x7a4f599fu}, {26212, 0x1d5a8db1u}},
+      {{132519, 0x87e0705au}, {115209, 0x0088dbe9u}},
+  };
+  const bnn::ReActNet model(test::tiny_config(23));
+  const CompressedModel compressed = ModelCompressor().compress_model(model);
+  ASSERT_EQ(compressed.blocks.size(), std::size(pins));
+  for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
+    const KernelCompression* columns[] = {&compressed.blocks[b].encoding,
+                                          &compressed.blocks[b].clustered};
+    for (std::size_t c = 0; c < 2; ++c) {
+      const CompressedKernel& stream = columns[c]->compressed;
+      EXPECT_EQ(stream.stream_bits, pins[b][c].stream_bits)
+          << "block " << b << " column " << c;
+      EXPECT_EQ(crc32(stream.stream), pins[b][c].crc)
+          << "block " << b << " column " << c;
+    }
+  }
 }
 
 TEST(Pipeline, CompressModelArtifactsMatchPerKernelPipeline) {
