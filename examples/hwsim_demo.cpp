@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "compress/block_codec.h"
 #include "core/bkc.h"
 
 int main(int argc, char** argv) {
@@ -38,9 +39,14 @@ int main(int argc, char** argv) {
   const auto dist =
       bnn::SequenceDistribution::fitted(bnn::paper_table2_targets()[6]);
   const auto kernel = gen.sample_kernel3x3(channels, channels, dist);
-  const auto compression = compress::compress_kernel_pipeline(kernel, true);
-  // Borrows the pipeline's code-length artifact; `compression` stays
-  // alive for the whole run.
+  const compress::CompressedBlock block =
+      compress::make_block_codec(compress::kCodecGroupedHuffman,
+                                 compress::GroupedTreeConfig::paper(), {})
+          ->compress_block(op.name, kernel);
+  // The clustered column is the stream the paper deploys. The StreamInfo
+  // borrows its code-length artifact; `block` stays alive for the whole
+  // run.
+  const compress::KernelCompression& compression = block.clustered;
   const hwsim::StreamInfo stream = hwsim::stream_info_for(compression);
 
   std::cout << "Layer: " << op.kernel_shape.to_string() << " at " << size

@@ -1,6 +1,6 @@
 // The serving layer end to end: compress two models to BKCM containers,
-// stand them up in a shared ModelRegistry (each container mapped
-// read-only exactly once), and drive a BatchScheduler with interleaved
+// stand them up in a shared ModelRegistry (each container parsed
+// exactly once), and drive a BatchScheduler with interleaved
 // requests from two tenants. Every response is checked bit-identical to
 // calling classify_batch on the registry engine directly — batching
 // never changes a result — and the run ends with the per-model /
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
           "serve_demo: open-once violated — second open returned a "
           "different entry");
     std::cout << "registry: " << registry.size()
-              << " models resident (shared read-only mappings)\n";
+              << " models resident (one engine each, shared by sessions)\n";
 
     serve::SchedulerOptions options;
     options.max_batch = 4;

@@ -49,6 +49,34 @@ std::vector<std::uint8_t> scan_lengths_checked(
   }
 }
 
+/// Encode a sequence list (out_channels * in_channels entries in the
+/// canonical output-channel-major order) with `codec`.
+CompressedKernel compress_sequences(std::span<const SeqId> sequences,
+                                    std::int64_t out_channels,
+                                    std::int64_t in_channels,
+                                    const GroupedHuffmanCodec& codec) {
+  check(sequences.size() ==
+            static_cast<std::size_t>(out_channels * in_channels),
+        "compress_sequences: sequence count does not match the shape");
+  CompressedKernel out;
+  out.out_channels = out_channels;
+  out.in_channels = in_channels;
+  out.stream = codec.encode(sequences, out.stream_bits);
+  return out;
+}
+
+/// Codeword bit lengths of `sequences` under `codec`, in stream order —
+/// the `KernelCompression::code_lengths` artifact.
+std::vector<std::uint8_t> code_lengths_for(std::span<const SeqId> sequences,
+                                           const GroupedHuffmanCodec& codec) {
+  std::vector<std::uint8_t> lengths;
+  lengths.reserve(sequences.size());
+  for (const SeqId s : sequences) {
+    lengths.push_back(static_cast<std::uint8_t>(codec.code_length(s)));
+  }
+  return lengths;
+}
+
 // ---- grouped-huffman (id 1): the paper's scheme ----
 
 class GroupedBlockCodec final : public BlockCodec {
@@ -94,7 +122,7 @@ class GroupedBlockCodec final : public BlockCodec {
     ClusteringResult clustering = cluster_sequences(table, clustering_);
     const std::vector<SeqId> remapped =
         clustering.apply(std::span<const SeqId>(sequences));
-    bnn::PackedKernel coded_kernel = bnn::kernel_from_sequences(
+    bnn::PackedKernel clustered_kernel = bnn::kernel_from_sequences(
         kernel.shape().out_channels, kernel.shape().in_channels, remapped);
     FrequencyTable clustered_table = clustering.apply(table);
     GroupedHuffmanCodec clustered_codec(clustered_table, tree_);
@@ -136,7 +164,6 @@ class GroupedBlockCodec final : public BlockCodec {
                 .coded_frequencies = table,
                 .codec = std::move(plain_codec),
                 .compressed = std::move(plain_stream),
-                .coded_kernel = kernel,
                 .code_lengths = std::move(plain_lengths)},
         .clustered =
             KernelCompression{
@@ -145,13 +172,18 @@ class GroupedBlockCodec final : public BlockCodec {
                 .coded_frequencies = std::move(clustered_table),
                 .codec = std::move(clustered_codec),
                 .compressed = std::move(clustered_stream),
-                .coded_kernel = std::move(coded_kernel),
                 .code_lengths = std::move(clustered_lengths)},
+        .clustered_kernel = std::move(clustered_kernel),
         .report = std::move(report)};
   }
 
   bnn::PackedKernel decode(const KernelCompression& stream) const override {
-    return decompress_kernel(stream.compressed, stream.codec);
+    const CompressedKernel& compressed = stream.compressed;
+    const std::vector<SeqId> sequences = stream.codec.decode(
+        compressed.stream, compressed.stream_bits,
+        compressed.num_sequences());
+    return bnn::kernel_from_sequences(compressed.out_channels,
+                                      compressed.in_channels, sequences);
   }
 
   void write_block(ByteWriter& writer,
@@ -302,13 +334,13 @@ class MstBlockCodec final : public BlockCodec {
         .coded_frequencies = table,  // no remap: identical tables
         .mst = dictionary,
         .compressed = std::move(compressed),
-        .coded_kernel = kernel,  // lossless: the stream encodes it as-is
         .code_lengths = std::vector<std::uint8_t>(
             sequences.size(), static_cast<std::uint8_t>(width))};
 
     CompressedBlock block;
     block.encoding = artifact;
     block.clustered = std::move(artifact);
+    block.clustered_kernel = kernel;  // lossless: the stream encodes it
     block.report = std::move(report);
     return block;
   }

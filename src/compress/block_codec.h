@@ -66,7 +66,9 @@ struct CompressedKernelRef {
 CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader);
 
 /// One block artifact parsed from a container section (also
-/// MappedBkcm::Block). Everything except the stream bytes is owned;
+/// MappedBkcm::Block): the same KernelCompression fields
+/// compress_block emits, since the artifact holds exactly what the
+/// container stores. Everything except the stream bytes is owned;
 /// `artifact.compressed.stream` is left EMPTY and the bytes stay
 /// borrowed in `stream`, so parsing never copies a bitstream
 /// (Engine::load_compressed copies them in when it takes ownership).
@@ -89,19 +91,22 @@ class BlockCodec {
   /// --codec`, stored in the v2 codec-directory section.
   virtual std::string_view name() const = 0;
 
-  /// The full per-block encode pass: sequences -> stream + tables +
-  /// report. Must derive every report field from the emitted artifacts
-  /// (the no-drift contract of the single-pass pipeline).
+  /// The full per-block encode pass, and the library's only kernel
+  /// encoder: sequences -> stream + tables + report, plus the clustered
+  /// kernel the `clustered` stream encodes. Must derive every report
+  /// field from the emitted artifacts (the no-drift contract of the
+  /// single-pass pipeline).
   virtual CompressedBlock compress_block(
       const std::string& name, const bnn::PackedKernel& kernel) const = 0;
 
   /// Decode the artifact's stream back to the channel-packed kernel it
-  /// encodes. Lossless inverse of the stream emitted by compress_block
-  /// (for grouped-huffman, of the kernel AFTER clustering).
+  /// encodes — the only way from a stream back to a kernel. Lossless
+  /// inverse of the stream emitted by compress_block (for the
+  /// `clustered` column, CompressedBlock::clustered_kernel).
   virtual bnn::PackedKernel decode(const KernelCompression& stream) const = 0;
 
-  /// Serialize the per-block container payload (everything except
-  /// `coded_kernel`, which the loader reconstructs by decoding).
+  /// Serialize the per-block container payload. The code lengths are
+  /// not written: read_block recovers them from the stream.
   virtual void write_block(ByteWriter& writer,
                            const KernelCompression& stream) const = 0;
 

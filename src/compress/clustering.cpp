@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "bnn/kernel_sequences.h"
 #include "compress/instrumentation.h"
 #include "util/check.h"
 
@@ -82,14 +81,6 @@ std::vector<SeqId> ClusteringResult::apply(
   out.reserve(sequences.size());
   for (SeqId s : sequences) out.push_back(remap(s));
   return out;
-}
-
-bnn::PackedKernel ClusteringResult::apply(
-    const bnn::PackedKernel& kernel) const {
-  const auto sequences = bnn::extract_sequences(kernel);
-  const auto remapped = apply(std::span<const SeqId>(sequences));
-  return bnn::kernel_from_sequences(kernel.shape().out_channels,
-                                    kernel.shape().in_channels, remapped);
 }
 
 ClusteringResult cluster_sequences(const FrequencyTable& table,

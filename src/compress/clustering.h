@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "bnn/bitpack.h"
+#include "bnn/bitseq.h"
 #include "compress/frequency.h"
 
 namespace bkc::compress {
@@ -82,9 +82,6 @@ class ClusteringResult {
 
   /// Rewrite a sequence list through the remap.
   std::vector<SeqId> apply(std::span<const SeqId> sequences) const;
-
-  /// Rewrite every channel of a 3x3 packed kernel through the remap.
-  bnn::PackedKernel apply(const bnn::PackedKernel& kernel) const;
 
  private:
   friend ClusteringResult cluster_sequences(const FrequencyTable&,

@@ -1,7 +1,7 @@
 #include "compress/huffman.h"
 
-#include <algorithm>
 #include <queue>
+#include <vector>
 
 #include "util/check.h"
 
@@ -91,42 +91,6 @@ std::array<std::uint8_t, bnn::kNumSequences> build_lengths(
 HuffmanCodec HuffmanCodec::build(const FrequencyTable& table) {
   HuffmanCodec codec;
   codec.lengths_ = build_lengths(table);
-
-  // Canonicalize: symbols sorted by (length, id) get consecutive codes.
-  std::vector<SeqId> symbols;
-  for (int s = 0; s < bnn::kNumSequences; ++s) {
-    if (codec.lengths_[s] != 0) symbols.push_back(static_cast<SeqId>(s));
-  }
-  std::sort(symbols.begin(), symbols.end(), [&](SeqId a, SeqId b) {
-    if (codec.lengths_[a] != codec.lengths_[b]) {
-      return codec.lengths_[a] < codec.lengths_[b];
-    }
-    return a < b;
-  });
-  codec.symbols_ = symbols;
-  for (SeqId s : symbols) {
-    codec.max_length_ = std::max<unsigned>(codec.max_length_,
-                                           codec.lengths_[s]);
-  }
-  check(codec.max_length_ < 64, "HuffmanCodec: code too long");
-
-  for (SeqId s : symbols) ++codec.count_per_length_[codec.lengths_[s]];
-  std::uint32_t code = 0;
-  std::uint32_t offset = 0;
-  for (unsigned l = 1; l <= codec.max_length_; ++l) {
-    codec.first_code_[l] = code;
-    codec.symbol_offset_[l] = offset;
-    code = (code + codec.count_per_length_[l]) << 1;
-    offset += codec.count_per_length_[l];
-  }
-  // Assign each symbol its canonical code.
-  std::array<std::uint32_t, 64> next{};
-  for (unsigned l = 1; l <= codec.max_length_; ++l) {
-    next[l] = codec.first_code_[l];
-  }
-  for (SeqId s : symbols) {
-    codec.codes_[s] = next[codec.lengths_[s]]++;
-  }
   return codec;
 }
 
@@ -134,43 +98,6 @@ unsigned HuffmanCodec::code_length(SeqId s) const {
   check(s < bnn::kNumSequences, "HuffmanCodec: id out of range");
   check(lengths_[s] != 0, "HuffmanCodec: sequence has no codeword");
   return lengths_[s];
-}
-
-void HuffmanCodec::encode_one(BitWriter& writer, SeqId s) const {
-  writer.write_bits(codes_[s], code_length(s));
-}
-
-SeqId HuffmanCodec::decode_one(BitReader& reader) const {
-  // Canonical decode: extend the code one bit at a time; at each length,
-  // codes of that length occupy [first_code, first_code + count).
-  std::uint32_t code = 0;
-  for (unsigned l = 1; l <= max_length_; ++l) {
-    code = (code << 1) | static_cast<std::uint32_t>(reader.read_bit());
-    const std::uint32_t count = count_per_length_[l];
-    if (count != 0 && code < first_code_[l] + count) {
-      check(code >= first_code_[l], "HuffmanCodec: corrupt stream");
-      return symbols_[symbol_offset_[l] + (code - first_code_[l])];
-    }
-  }
-  unreachable("HuffmanCodec::decode_one: no codeword matched");
-}
-
-std::vector<std::uint8_t> HuffmanCodec::encode(
-    std::span<const SeqId> sequences, std::size_t& bit_count) const {
-  BitWriter writer;
-  for (SeqId s : sequences) encode_one(writer, s);
-  bit_count = writer.bit_size();
-  return writer.take();
-}
-
-std::vector<SeqId> HuffmanCodec::decode(std::span<const std::uint8_t> stream,
-                                        std::size_t bit_count,
-                                        std::size_t count) const {
-  BitReader reader(stream, bit_count);
-  std::vector<SeqId> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(decode_one(reader));
-  return out;
 }
 
 std::uint64_t HuffmanCodec::encoded_bits(const FrequencyTable& table) const {

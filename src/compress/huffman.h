@@ -1,5 +1,5 @@
 #pragma once
-// Full canonical Huffman coding over bit sequences.
+// Full Huffman coding over bit sequences: the optimal code lengths.
 //
 // The paper's simplified tree (grouped_huffman.h) trades compression
 // rate for hardware simplicity. This codec is the non-simplified upper
@@ -9,17 +9,15 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "compress/frequency.h"
-#include "util/bitstream.h"
 
 namespace bkc::compress {
 
-/// Canonical Huffman codec over the 512 bit-sequence alphabet. Only
-/// sequences with a non-zero count receive a codeword; encoding a
-/// sequence that had count zero is a caller error.
+/// Optimal (full Huffman) code lengths over the 512 bit-sequence
+/// alphabet — the bound the report quotes next to the grouped tree.
+/// Only sequences with a non-zero count receive a codeword. No stream
+/// is ever emitted with this code, so only the lengths are kept.
 class HuffmanCodec {
  public:
   /// Build the optimal prefix code for `table`.
@@ -32,18 +30,6 @@ class HuffmanCodec {
   /// Codeword length in bits. Precondition: has_code(s).
   unsigned code_length(SeqId s) const;
 
-  void encode_one(BitWriter& writer, SeqId s) const;
-  SeqId decode_one(BitReader& reader) const;
-
-  /// Encode a sequence list into a byte stream; returns the bit count
-  /// through `bit_count`.
-  std::vector<std::uint8_t> encode(std::span<const SeqId> sequences,
-                                   std::size_t& bit_count) const;
-
-  /// Decode exactly `count` sequences.
-  std::vector<SeqId> decode(std::span<const std::uint8_t> stream,
-                            std::size_t bit_count, std::size_t count) const;
-
   /// Total encoded size of all occurrences in `table`.
   std::uint64_t encoded_bits(const FrequencyTable& table) const;
 
@@ -54,15 +40,6 @@ class HuffmanCodec {
   HuffmanCodec() = default;
 
   std::array<std::uint8_t, bnn::kNumSequences> lengths_{};
-  std::array<std::uint32_t, bnn::kNumSequences> codes_{};
-  unsigned max_length_ = 0;
-  // Canonical decoding tables indexed by code length:
-  // first_code_[l] is the smallest code of length l, and symbols of
-  // length l are contiguous in symbols_ starting at symbol_offset_[l].
-  std::array<std::uint32_t, 64> first_code_{};
-  std::array<std::uint32_t, 64> symbol_offset_{};
-  std::array<std::uint32_t, 64> count_per_length_{};
-  std::vector<SeqId> symbols_;
 };
 
 }  // namespace bkc::compress

@@ -1,6 +1,5 @@
 #include "compress/kernel_codec.h"
 
-#include "bnn/kernel_sequences.h"
 #include "util/check.h"
 
 namespace bkc::compress {
@@ -9,78 +8,6 @@ double CompressedKernel::ratio() const {
   check(stream_bits > 0, "CompressedKernel: empty stream");
   return static_cast<double>(uncompressed_bits()) /
          static_cast<double>(stream_bits);
-}
-
-CompressedKernel compress_kernel(const bnn::PackedKernel& kernel,
-                                 const GroupedHuffmanCodec& codec) {
-  const auto sequences = bnn::extract_sequences(kernel);
-  return compress_sequences(sequences, kernel.shape().out_channels,
-                            kernel.shape().in_channels, codec);
-}
-
-CompressedKernel compress_sequences(std::span<const SeqId> sequences,
-                                    std::int64_t out_channels,
-                                    std::int64_t in_channels,
-                                    const GroupedHuffmanCodec& codec) {
-  check(sequences.size() ==
-            static_cast<std::size_t>(out_channels * in_channels),
-        "compress_sequences: sequence count does not match the shape");
-  CompressedKernel out;
-  out.out_channels = out_channels;
-  out.in_channels = in_channels;
-  out.stream = codec.encode(sequences, out.stream_bits);
-  return out;
-}
-
-std::vector<std::uint8_t> code_lengths_for(std::span<const SeqId> sequences,
-                                           const GroupedHuffmanCodec& codec) {
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(sequences.size());
-  for (const SeqId s : sequences) {
-    lengths.push_back(static_cast<std::uint8_t>(codec.code_length(s)));
-  }
-  return lengths;
-}
-
-bnn::PackedKernel decompress_kernel(const CompressedKernel& compressed,
-                                    const GroupedHuffmanCodec& codec) {
-  const auto sequences =
-      codec.decode(compressed.stream, compressed.stream_bits,
-                   compressed.num_sequences());
-  return bnn::kernel_from_sequences(compressed.out_channels,
-                                    compressed.in_channels, sequences);
-}
-
-KernelCompression compress_kernel_pipeline(const bnn::PackedKernel& kernel,
-                                           bool apply_clustering,
-                                           const GroupedTreeConfig& tree,
-                                           const ClusteringConfig& clustering) {
-  FrequencyTable frequencies = FrequencyTable::from_kernel(kernel);
-  ClusteringResult cluster_result;
-  bnn::PackedKernel coded_kernel = kernel;
-  if (apply_clustering) {
-    cluster_result = cluster_sequences(frequencies, clustering);
-    coded_kernel = cluster_result.apply(kernel);
-  } else {
-    // cluster_sequences with an empty rare set yields the identity; the
-    // default-constructed result is already the identity remap.
-    cluster_result = ClusteringResult{};
-  }
-  FrequencyTable coded_frequencies =
-      FrequencyTable::from_kernel(coded_kernel);
-  GroupedHuffmanCodec codec(coded_frequencies, tree);
-  const std::vector<SeqId> sequences = bnn::extract_sequences(coded_kernel);
-  CompressedKernel compressed =
-      compress_sequences(sequences, coded_kernel.shape().out_channels,
-                         coded_kernel.shape().in_channels, codec);
-  std::vector<std::uint8_t> code_lengths = code_lengths_for(sequences, codec);
-  return {.frequencies = std::move(frequencies),
-          .clustering = std::move(cluster_result),
-          .coded_frequencies = std::move(coded_frequencies),
-          .codec = std::move(codec),
-          .compressed = std::move(compressed),
-          .coded_kernel = std::move(coded_kernel),
-          .code_lengths = std::move(code_lengths)};
 }
 
 }  // namespace bkc::compress

@@ -1,16 +1,19 @@
 #pragma once
-// Whole-kernel compression: the compressed stream format (Sec IV-B).
+// The per-block compressed artifact: exactly what a container block
+// holds (Sec IV-B).
 //
 // Encoded bit sequences have variable length, so channel packing cannot
 // be done offline; the codewords are simply stored "consecutively in
 // memory as a sequence of encoded words" in the canonical order
-// (output-channel-major, then input channel). Decoding reproduces the
-// channel-packed kernel bit-exactly.
+// (output-channel-major, then input channel). The one encoder is
+// BlockCodec::compress_block and the one way back to the channel-packed
+// kernel is decode_block (compress/block_codec.h); the artifact carries
+// no decoded copy of its kernel.
 
 #include <cstdint>
 #include <vector>
 
-#include "bnn/bitpack.h"
+#include "bnn/bitseq.h"
 #include "compress/clustering.h"
 #include "compress/grouped_huffman.h"
 #include "compress/mst_codec.h"
@@ -46,28 +49,10 @@ struct CompressedKernel {
   double ratio() const;
 };
 
-/// Encode every channel of `kernel` with `codec`.
-CompressedKernel compress_kernel(const bnn::PackedKernel& kernel,
-                                 const GroupedHuffmanCodec& codec);
-
-/// Encode an already-extracted sequence list (out_channels * in_channels
-/// entries in the canonical output-channel-major order). Equivalent to
-/// compress_kernel on the kernel the sequences came from, without
-/// re-extracting them — the single-pass pipeline extracts each kernel's
-/// sequences once and feeds every downstream primitive from that list.
-CompressedKernel compress_sequences(std::span<const SeqId> sequences,
-                                    std::int64_t out_channels,
-                                    std::int64_t in_channels,
-                                    const GroupedHuffmanCodec& codec);
-
-/// Decode back to the channel-packed layout. Inverse of compress_kernel
-/// for any kernel whose sequences all have codewords.
-bnn::PackedKernel decompress_kernel(const CompressedKernel& compressed,
-                                    const GroupedHuffmanCodec& codec);
-
-/// End-to-end per-kernel pipeline outcome (analysis -> optional
-/// clustering -> codec -> stream), used by examples and tests that work
-/// on a single kernel rather than a whole model.
+/// One compressed 3x3 kernel: statistics, decode tables and stream —
+/// the fields a container block stores, plus the code lengths recovered
+/// from them. Emitted by BlockCodec::compress_block, parsed back by
+/// BlockCodec::read_block.
 struct KernelCompression {
   /// Which block codec produced (and can decode) `compressed`. Grouped
   /// Huffman artifacts populate `codec`; MST-delta artifacts populate
@@ -80,8 +65,6 @@ struct KernelCompression {
   GroupedHuffmanCodec codec;
   MstDictionary mst;  ///< populated only when codec_id == kCodecMstDelta
   CompressedKernel compressed;
-  /// The kernel the stream actually encodes (clustered when enabled).
-  bnn::PackedKernel coded_kernel;
   /// Per-sequence codeword bit lengths of `compressed` in stream order,
   /// computed once when the stream is emitted (or scanned once when a
   /// container is read). hwsim::StreamInfo borrows this vector instead
@@ -89,16 +72,5 @@ struct KernelCompression {
   /// `compressed.stream_bits` by construction.
   std::vector<std::uint8_t> code_lengths;
 };
-
-/// Codeword bit lengths of `sequences` under `codec`, in stream order —
-/// the `KernelCompression::code_lengths` artifact.
-std::vector<std::uint8_t> code_lengths_for(std::span<const SeqId> sequences,
-                                           const GroupedHuffmanCodec& codec);
-
-/// Run the full pipeline on one kernel.
-KernelCompression compress_kernel_pipeline(
-    const bnn::PackedKernel& kernel, bool apply_clustering,
-    const GroupedTreeConfig& tree = GroupedTreeConfig::paper(),
-    const ClusteringConfig& clustering = {});
 
 }  // namespace bkc::compress

@@ -21,7 +21,7 @@
 //
 // The decoder owns flattened copies of the node tables (never
 // back-references into the codec) so GroupedHuffmanCodec stays freely
-// copyable and movable; compress_kernel_pipeline moves codecs into
+// copyable and movable; BlockCodec::compress_block moves codecs into
 // KernelCompression by value.
 
 #include <cstdint>

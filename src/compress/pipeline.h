@@ -78,14 +78,20 @@ struct ModelReport {
 };
 
 /// One basic block's complete pipeline outcome: both stream artifacts
-/// (Table V's two columns) plus the report derived from them. Carrying
-/// both columns costs one extra codec/stream/kernel copy per block at
-/// peak versus a single-artifact layout — accepted so that every
-/// consumer (report, deploy, verify, hwsim) reads from the same pass.
+/// (Table V's two columns), the one kernel the pass builds, plus the
+/// report derived from them. Carrying both columns costs one extra
+/// codec/stream copy per block at peak versus a single-artifact
+/// layout — accepted so that every consumer (report, deploy, verify,
+/// hwsim) reads from the same pass.
 struct CompressedBlock {
   KernelCompression encoding;   ///< stream over the original kernel
-  KernelCompression clustered;  ///< stream over the clustered kernel
-  BlockReport report;           ///< derived from the two artifacts
+  KernelCompression clustered;  ///< stream over `clustered_kernel`
+  /// The kernel the clustered stream encodes — what Engine::compress
+  /// installs when clustering is on (the input kernel itself for a
+  /// codec without a clustering pass). decode_block(clustered) equals
+  /// it bit-exactly.
+  bnn::PackedKernel clustered_kernel;
+  BlockReport report;  ///< derived from the two artifacts
 };
 
 /// Whole-model outcome of the single pass: per-block artifacts plus the

@@ -122,7 +122,7 @@ GroupedHuffmanCodec read_codec(ByteReader& reader);
 void write_compressed_kernel(ByteWriter& writer,
                              const CompressedKernel& kernel);
 
-/// Everything except `coded_kernel` (reconstructed by decoding). The
+/// Everything except `code_lengths` (recovered from the stream). The
 /// GROUPED-HUFFMAN per-block payload — the v1 block layout, and the v2
 /// grouped payload behind its codec-id word — parsed back by
 /// GroupedBlockCodec::read_block. Other codecs serialize through their
@@ -140,7 +140,8 @@ ModelReport read_model_report(ByteReader& reader);
 
 /// Serialize to a complete BKCM file image (header, section table,
 /// checksummed sections). `streams` carries one KernelCompression per
-/// basic block in model order; their `coded_kernel` is not stored.
+/// basic block in model order; the kernels are not stored (the loader
+/// rebuilds each one with decode_block).
 /// Deterministic: the same parts always produce the same bytes (the
 /// golden-file test pins this).
 std::vector<std::uint8_t> write_bkcm(
@@ -189,9 +190,9 @@ BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file);
 class MappedBkcm {
  public:
   /// One block of the mapped 'BLKS' section: the owned small artifacts
-  /// (everything a KernelCompression carries, with
-  /// `artifact.compressed.stream` left EMPTY and `artifact.coded_kernel`
-  /// never decoded) plus the stream bytes borrowed from the mapping.
+  /// (every KernelCompression field, with `artifact.compressed.stream`
+  /// left EMPTY) plus the stream bytes borrowed from the mapping. No
+  /// kernel is decoded here.
   using Block = ParsedBlock;
 
   /// Map `path` and parse it as described above — the one parser of

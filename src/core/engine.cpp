@@ -20,22 +20,22 @@ Engine::Engine(const bnn::ReActNetConfig& model_config,
 const compress::ModelReport& Engine::compress(int num_threads) {
   if (compressed_) return report_;
   // One compress_model() pass produces the report, both stream
-  // artifacts and, when clustering, the kernel to deploy: coded_kernel
-  // is exactly what the clustered stream encodes, so installing it
-  // keeps verify_streams() bit-exact without re-running any per-block
-  // primitive.
+  // artifacts and, when clustering, the kernel to deploy:
+  // clustered_kernel is exactly what the clustered stream encodes, so
+  // moving it into the model keeps verify_streams() bit-exact without
+  // re-running any per-block primitive or holding a second copy.
   compress::CompressedModel compressed =
       compressor_.compress_model(model_, num_threads);
   report_ = std::move(compressed.report);
   streams_.clear();
   streams_.reserve(compressed.blocks.size());
-  for (compress::CompressedBlock& block : compressed.blocks) {
-    streams_.push_back(std::move(options_.clustering ? block.clustered
-                                                     : block.encoding));
-  }
-  if (options_.clustering) {
-    for (std::size_t b = 0; b < model_.num_blocks(); ++b) {
-      model_.block(b).conv3x3().set_kernel(streams_[b].coded_kernel);
+  for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
+    compress::CompressedBlock& block = compressed.blocks[b];
+    if (options_.clustering) {
+      streams_.push_back(std::move(block.clustered));
+      model_.block(b).conv3x3().set_kernel(std::move(block.clustered_kernel));
+    } else {
+      streams_.push_back(std::move(block.encoding));
     }
   }
   compressed_ = true;
@@ -146,9 +146,10 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
   // Copy the small per-block artifacts (and the compressed bytes, so
   // the engine owns everything and outlives the mapping) serially, then
   // fan the expensive part — the kernel decode — out one stream per
-  // work unit; each unit writes only its own slot, bit-identical to the
-  // serial path. Decode errors (a stream inconsistent with its codec)
-  // surface as CheckError out of the pool's lowest-index propagation.
+  // work unit; each unit installs only its own block's kernel,
+  // bit-identical to the serial path. Decode errors (a stream
+  // inconsistent with its codec) surface as CheckError out of the
+  // pool's lowest-index propagation.
   engine.streams_.reserve(blocks.size());
   for (const compress::MappedBkcm::Block& block : blocks) {
     compress::KernelCompression stream = block.artifact;
@@ -159,14 +160,10 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
                [&](std::int64_t begin, std::int64_t end) {
                  for (std::int64_t b = begin; b < end; ++b) {
                    const auto i = static_cast<std::size_t>(b);
-                   compress::KernelCompression& stream = engine.streams_[i];
-                   stream.coded_kernel = compress::decode_block(stream);
+                   engine.model_.block(i).conv3x3().set_kernel(
+                       compress::decode_block(engine.streams_[i]));
                  }
                });
-  for (std::size_t b = 0; b < engine.model_.num_blocks(); ++b) {
-    engine.model_.block(b).conv3x3().set_kernel(
-        engine.streams_[b].coded_kernel);
-  }
   engine.report_ = mapped.report();
   engine.compressed_ = true;
   return engine;

@@ -7,6 +7,12 @@
 // inference from the (clustered) kernels, verify the compressed streams
 // decode bit-exactly, and estimate the hardware-assisted speedup on the
 // A53 timing model. See examples/quickstart.cpp for a tour.
+//
+// Each 3x3 kernel is resident once, in the model. The per-block stream
+// artifacts next to it hold what a container block holds (stream,
+// decode tables, statistics) and no decoded copy: compress() moves the
+// clustered kernel the pass built into the model, and load_compressed()
+// installs each decode_block() result directly.
 
 #include <cstdint>
 #include <string>

@@ -22,13 +22,11 @@ ModelHandle ModelRegistry::open(const std::string& name,
           it->second->path(), "', refusing to shadow it with '", path, "'");
     return it->second;
   }
-  // Validate once (header, sections, CRCs, payload plausibility), then
-  // reconstruct the engine straight from the mapped state, keeping the
-  // mapping resident alongside it.
-  compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
-  Engine engine = Engine::load_compressed(mapped, load_threads_);
+  // Parse and validate once (header, sections, CRCs, payload
+  // plausibility) and reconstruct the engine straight from the mapped
+  // state; the mapping is dropped once the engine owns its copy.
   ModelHandle handle = std::make_shared<const ServedModel>(
-      name, path, std::move(mapped), std::move(engine));
+      name, path, Engine::load_compressed(path, load_threads_));
   models_.emplace(name, handle);
   return handle;
 }

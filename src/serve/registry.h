@@ -1,17 +1,18 @@
 #pragma once
-// The model registry: N BKCM containers resident at once, each mapped
-// read-only exactly once and shared by every session that serves it.
+// The model registry: N compressed models resident at once, each
+// container parsed exactly once and its engine shared by every session
+// that serves it.
 //
 // This is the deployment story of the paper scaled out: compressed
-// models are small enough that many of them fit in memory together, the
-// mappings are read-only (the page cache shares them across processes
-// too), and the decode tables live alongside the mapping in one
-// registry entry. Opening a model validates the container once
+// models are small enough that many of them fit in memory together.
+// Opening a model maps and validates the container once
 // (MappedBkcm::open — header, section table, CRCs) and reconstructs the
 // inference engine once from the already-mapped state
 // (Engine::load_compressed(MappedBkcm) — no second parse, no second
-// checksum pass); every subsequent open() of the same name returns the
-// same refcounted entry.
+// checksum pass). The engine copies out everything it needs, so the
+// mapping is released as soon as the load returns and each entry holds
+// one copy of the model; every subsequent open() of the same name
+// returns the same refcounted entry.
 //
 // Lifetime: handles are shared_ptrs. The registry holds one reference
 // per resident model; sessions (schedulers, queued requests, demo code)
@@ -26,30 +27,24 @@
 #include <string>
 #include <vector>
 
-#include "compress/serialize.h"
 #include "core/engine.h"
 
 namespace bkc::serve {
 
-/// One resident model: the shared read-only mapping (decode tables +
-/// compressed streams, for tooling/simulation consumers) plus the
-/// Engine reconstructed from it (for classification). Immutable after
-/// construction — every Engine method the serving path calls is const,
-/// so one ServedModel is safely shared by any number of sessions.
+/// One resident model: the Engine reconstructed from its container
+/// (streams, decode tables, report and installed kernels). Immutable
+/// after construction — every Engine method the serving path calls is
+/// const, so one ServedModel is safely shared by any number of
+/// sessions.
 class ServedModel {
  public:
-  ServedModel(std::string name, std::string path,
-              compress::MappedBkcm mapped, Engine engine)
+  ServedModel(std::string name, std::string path, Engine engine)
       : name_(std::move(name)),
         path_(std::move(path)),
-        mapped_(std::move(mapped)),
         engine_(std::move(engine)) {}
 
   const std::string& name() const { return name_; }
   const std::string& path() const { return path_; }
-  /// The shared container mapping (streams, decode tables, report) —
-  /// what `bkcm_tool speedup`-style consumers read without decoding.
-  const compress::MappedBkcm& mapped() const { return mapped_; }
   /// The reconstructed engine; classify/classify_batch are const and
   /// safe to call from any session.
   const Engine& engine() const { return engine_; }
@@ -57,7 +52,6 @@ class ServedModel {
  private:
   std::string name_;
   std::string path_;
-  compress::MappedBkcm mapped_;
   Engine engine_;
 };
 

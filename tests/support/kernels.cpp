@@ -49,19 +49,26 @@ hwsim::OwnedStreamInfo uniform_stream(std::size_t sequences,
       std::vector<std::uint8_t>(sequences, bits));
 }
 
+compress::CompressedBlock encode_block(const bnn::PackedKernel& kernel) {
+  return compress::codec_for(compress::kCodecGroupedHuffman)
+      .compress_block("kernel", kernel);
+}
+
 hwsim::OwnedStreamInfo compressed_stream(std::int64_t channels,
                                          std::uint64_t seed) {
-  auto result = compress::compress_kernel_pipeline(
-      calibrated_kernel(channels, channels, seed), true);
-  // Take the pipeline's length vector; the rest of the artifact is not
-  // needed for a timing-model input.
-  return hwsim::OwnedStreamInfo::from_lengths(std::move(result.code_lengths));
+  compress::CompressedBlock block =
+      encode_block(calibrated_kernel(channels, channels, seed));
+  // Take the clustered column's length vector; the rest of the artifact
+  // is not needed for a timing-model input.
+  return hwsim::OwnedStreamInfo::from_lengths(
+      std::move(block.clustered.code_lengths));
 }
 
 bnn::PackedKernel pipeline_round_trip(const bnn::PackedKernel& kernel,
                                       bool clustering) {
-  const auto result = compress::compress_kernel_pipeline(kernel, clustering);
-  return compress::decompress_kernel(result.compressed, result.codec);
+  const compress::CompressedBlock block = encode_block(kernel);
+  return compress::decode_block(clustering ? block.clustered
+                                           : block.encoding);
 }
 
 }  // namespace bkc::test

@@ -7,7 +7,7 @@
 
 #include "bnn/bconv.h"
 #include "bnn/weights.h"
-#include "compress/kernel_codec.h"
+#include "compress/block_codec.h"
 #include "hwsim/decoder_unit.h"
 #include "hwsim/perf_model.h"
 #include "tensor/tensor.h"
@@ -42,15 +42,20 @@ bnn::OpRecord conv_op(std::int64_t channels, std::int64_t size,
 hwsim::OwnedStreamInfo uniform_stream(std::size_t sequences,
                                       std::uint8_t bits);
 
+/// One compress_block pass of the default grouped-huffman codec (the
+/// paper's tree and clustering configuration) over `kernel`.
+compress::CompressedBlock encode_block(const bnn::PackedKernel& kernel);
+
 /// The stream summary of a freshly compressed (clustered) calibrated
 /// channels x channels kernel - a realistic decoder-unit input. Owning,
 /// like uniform_stream.
 hwsim::OwnedStreamInfo compressed_stream(std::int64_t channels,
                                          std::uint64_t seed);
 
-/// Compresses the kernel through the full pipeline and decodes it back;
-/// returns the decoded kernel. With `clustering` false the result must
-/// equal the input bit-exactly (the suites assert this).
+/// Compresses the kernel with encode_block and decodes one column back
+/// with decode_block (the clustered column when `clustering`); returns
+/// the decoded kernel. With `clustering` false the result must equal
+/// the input bit-exactly (the suites assert this).
 bnn::PackedKernel pipeline_round_trip(const bnn::PackedKernel& kernel,
                                       bool clustering);
 

@@ -192,7 +192,7 @@ TEST(MstBlockCodec, CompressBlockIsLosslessWithNeutralReport) {
 
   // Decode returns the original kernel bit-exactly (lossless).
   EXPECT_TRUE(codec.decode(block.clustered) == kernel);
-  EXPECT_TRUE(block.clustered.coded_kernel == kernel);
+  EXPECT_TRUE(block.clustered_kernel == kernel);
   EXPECT_TRUE(decode_block(block.clustered) == kernel);
 
   // Fixed-width stream: every code length is the dictionary width and
@@ -288,8 +288,9 @@ TEST(GroupedBlockCodec, MatchesThePreInterfacePipelineContract) {
   EXPECT_EQ(block.clustered.codec_id, kCodecGroupedHuffman);
   // Encoding-only stream decodes back to the input bit-exactly.
   EXPECT_TRUE(decode_block(block.encoding) == kernel);
-  // The clustered stream decodes to the installed (clustered) kernel.
-  EXPECT_TRUE(decode_block(block.clustered) == block.clustered.coded_kernel);
+  // The clustered stream decodes to the clustered kernel the pass
+  // returns (what Engine::compress installs).
+  EXPECT_TRUE(decode_block(block.clustered) == block.clustered_kernel);
 }
 
 TEST(GroupedBlockCodec, DefaultGroupedHuffmanCodecIsInert) {

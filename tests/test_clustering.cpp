@@ -8,6 +8,7 @@
 
 #include "bnn/kernel_sequences.h"
 #include "bnn/weights.h"
+#include "compress/block_codec.h"
 #include "compress/grouped_huffman.h"
 #include "util/check.h"
 
@@ -110,11 +111,18 @@ TEST(Clustering, ApplyToKernelRewritesChannels) {
   const std::vector<SeqId> seqs{0, 0, 0, 1};
   const auto kernel = bnn::kernel_from_sequences(2, 2, seqs);
   const auto t = FrequencyTable::from_kernel(kernel);
-  const auto result =
-      cluster_sequences(t, {.most_common = 1, .least_common = 1});
-  const auto rewritten = result.apply(kernel);
-  const auto after = bnn::extract_sequences(rewritten);
-  EXPECT_EQ(after, (std::vector<SeqId>{0, 0, 0, 0}));
+  const ClusteringConfig config{.most_common = 1, .least_common = 1};
+  const auto result = cluster_sequences(t, config);
+  EXPECT_EQ(result.apply(std::span<const SeqId>(seqs)),
+            (std::vector<SeqId>{0, 0, 0, 0}));
+  // The codec pass rewrites the kernel through the same remap.
+  const CompressedBlock block =
+      make_block_codec(kCodecGroupedHuffman, GroupedTreeConfig::paper(),
+                       config)
+          ->compress_block("b", kernel);
+  EXPECT_EQ(bnn::extract_sequences(block.clustered_kernel),
+            (std::vector<SeqId>{0, 0, 0, 0}));
+  EXPECT_TRUE(decode_block(block.clustered) == block.clustered_kernel);
 }
 
 TEST(Clustering, FlippedBitFractionAccounting) {

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "bnn/kernel_sequences.h"
+#include "compress/block_codec.h"
 #include "compress/grouped_huffman.h"
 #include "compress/kernel_codec.h"
 #include "support/configs.h"
+#include "support/kernels.h"
 #include "util/rng.h"
 
 namespace bkc::compress {
@@ -43,14 +45,21 @@ bnn::PackedKernel random_kernel(Rng& rng, std::uint64_t capacity) {
   return bnn::kernel_from_sequences(out_channels, in_channels, sequences);
 }
 
+/// The encoding column of one compress_block pass under `config`.
+KernelCompression encode_with(const bnn::PackedKernel& kernel,
+                              const GroupedTreeConfig& config) {
+  return make_block_codec(kCodecGroupedHuffman, config, {})
+      ->compress_block("k", kernel)
+      .encoding;
+}
+
 void expect_round_trip(const bnn::PackedKernel& kernel,
                        const GroupedTreeConfig& config) {
   const auto table = FrequencyTable::from_kernel(kernel);
   const GroupedHuffmanCodec codec(table, config);
-  const CompressedKernel compressed = compress_kernel(kernel, codec);
-  EXPECT_EQ(compressed.stream_bits, codec.encoded_bits(table));
-  const bnn::PackedKernel decoded = decompress_kernel(compressed, codec);
-  EXPECT_TRUE(decoded == kernel);
+  const KernelCompression encoded = encode_with(kernel, config);
+  EXPECT_EQ(encoded.compressed.stream_bits, codec.encoded_bits(table));
+  EXPECT_TRUE(decode_block(encoded) == kernel);
 }
 
 TEST(CodecProperties, RandomKernelsRoundTripAcrossConfigs) {
@@ -133,26 +142,25 @@ TEST(CodecProperties, OneChannelBlock) {
       const auto kernel = bnn::kernel_from_sequences(1, 1, sequences);
       const auto table = FrequencyTable::from_kernel(kernel);
       const GroupedHuffmanCodec codec(table, config);
-      const CompressedKernel compressed = compress_kernel(kernel, codec);
-      EXPECT_EQ(compressed.stream_bits, codec.code_length(sequences[0]));
-      EXPECT_TRUE(decompress_kernel(compressed, codec) == kernel);
+      const KernelCompression encoded = encode_with(kernel, config);
+      EXPECT_EQ(encoded.compressed.stream_bits,
+                codec.code_length(sequences[0]));
+      EXPECT_TRUE(decode_block(encoded) == kernel);
     }
   }
 }
 
 TEST(CodecProperties, FullPipelineRoundTripsRandomKernels) {
-  // End-to-end property on the paper config: the pipeline without
-  // clustering is lossless for arbitrary kernels; with clustering the
-  // stream reproduces the coded (clustered) kernel bit-exactly.
+  // End-to-end property on the paper config: the encoding column is
+  // lossless for arbitrary kernels; the clustered column's stream
+  // reproduces the clustered kernel bit-exactly.
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     Rng rng(0xF1FE1100 + seed);
     const auto kernel =
         random_kernel(rng, GroupedTreeConfig::paper().total_capacity());
-    const auto plain = compress_kernel_pipeline(kernel, false);
-    EXPECT_TRUE(decompress_kernel(plain.compressed, plain.codec) == kernel);
-    const auto clustered = compress_kernel_pipeline(kernel, true);
-    EXPECT_TRUE(decompress_kernel(clustered.compressed, clustered.codec) ==
-                clustered.coded_kernel);
+    const CompressedBlock block = test::encode_block(kernel);
+    EXPECT_TRUE(decode_block(block.encoding) == kernel);
+    EXPECT_TRUE(decode_block(block.clustered) == block.clustered_kernel);
   }
 }
 

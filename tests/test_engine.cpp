@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <string>
 
+#include "compress/block_codec.h"
 #include "compress/instrumentation.h"
 #include "support/support.h"
 #include "util/check.h"
@@ -38,6 +41,51 @@ TEST(Engine, CompressReportsAndVerifies) {
   EXPECT_EQ(report.blocks.size(), 13u);
   EXPECT_TRUE(engine.verify_streams());
   EXPECT_EQ(engine.block_streams().size(), 13u);
+}
+
+// Every installed 3x3 kernel is exactly what its deployed stream decodes
+// to, whether it got there through compress() (the clustered kernel the
+// pass built, or the untouched input) or through load_compressed() (the
+// decode_block result) — for every codec, both modes and two thread
+// counts.
+void expect_installed_kernels_decode_from_streams(const Engine& engine,
+                                                  const std::string& what) {
+  ASSERT_EQ(engine.block_streams().size(), engine.model().num_blocks());
+  for (std::size_t b = 0; b < engine.model().num_blocks(); ++b) {
+    EXPECT_TRUE(engine.model().block(b).conv3x3().kernel() ==
+                compress::decode_block(engine.block_streams()[b]))
+        << what << " block " << b;
+  }
+}
+
+TEST(Engine, InstalledKernelsAreTheDecodedStreams) {
+  const std::string path =
+      ::testing::TempDir() + "/bkc_engine_installed.bkcm";
+  for (const std::uint32_t codec_id : compress::registered_block_codecs()) {
+    for (const bool clustering : {true, false}) {
+      for (const int threads : {1, 4}) {
+        const std::string what = "codec " + std::to_string(codec_id) +
+                                 " clustering " +
+                                 std::to_string(clustering) + " threads " +
+                                 std::to_string(threads);
+        Engine engine(test::tiny_config(41),
+                      EngineOptions{.clustering = clustering,
+                                    .codec_id = codec_id});
+        engine.compress(threads);
+        expect_installed_kernels_decode_from_streams(engine,
+                                                     what + " compress");
+        engine.save_compressed(path);
+        const Engine loaded = Engine::load_compressed(path, threads);
+        expect_installed_kernels_decode_from_streams(loaded, what + " load");
+        for (std::size_t b = 0; b < engine.model().num_blocks(); ++b) {
+          EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() ==
+                      engine.model().block(b).conv3x3().kernel())
+              << what << " block " << b;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Engine, CompressIsIdempotent) {

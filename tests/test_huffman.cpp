@@ -1,4 +1,4 @@
-// Tests for the full canonical Huffman codec (the optimality bound the
+// Tests for the full Huffman code lengths (the optimality bound the
 // simplified tree is compared against).
 
 #include "compress/huffman.h"
@@ -36,11 +36,7 @@ TEST(Huffman, SingleSymbolGetsOneBit) {
   const auto t = table_from_counts({{7, 100}});
   const auto codec = HuffmanCodec::build(t);
   EXPECT_EQ(codec.code_length(7), 1u);
-  std::size_t bits = 0;
-  const std::vector<SeqId> message(10, 7);
-  const auto stream = codec.encode(message, bits);
-  EXPECT_EQ(bits, 10u);
-  EXPECT_EQ(codec.decode(stream, bits, 10), message);
+  EXPECT_EQ(codec.encoded_bits(t), 100u);
 }
 
 TEST(Huffman, SkewedFrequenciesGetShorterCodes) {
@@ -78,22 +74,6 @@ TEST(Huffman, WithinOneBitOfEntropy) {
   EXPECT_LE(avg_bits, t.entropy_bits() + 1.0);
 }
 
-TEST(Huffman, RoundtripRandomMessages) {
-  Rng rng(23);
-  FrequencyTable t;
-  for (int s = 0; s < 512; s += 3) {
-    t.add(static_cast<SeqId>(s), 1 + rng.below(500));
-  }
-  const auto codec = HuffmanCodec::build(t);
-  std::vector<SeqId> message;
-  for (int i = 0; i < 4000; ++i) {
-    message.push_back(static_cast<SeqId>(3 * rng.below(171)));
-  }
-  std::size_t bits = 0;
-  const auto stream = codec.encode(message, bits);
-  EXPECT_EQ(codec.decode(stream, bits, message.size()), message);
-}
-
 TEST(Huffman, CompressionRatioDefinition) {
   const auto t = table_from_counts({{0, 1}, {1, 1}});
   const auto codec = HuffmanCodec::build(t);
@@ -110,10 +90,13 @@ TEST(Huffman, DeterministicBuild) {
   const auto t = table_from_counts({{9, 4}, {10, 4}, {11, 4}, {12, 4}});
   const auto a = HuffmanCodec::build(t);
   const auto b = HuffmanCodec::build(t);
-  std::vector<SeqId> msg{9, 10, 11, 12, 9};
-  std::size_t bits_a = 0;
-  std::size_t bits_b = 0;
-  EXPECT_EQ(a.encode(msg, bits_a), b.encode(msg, bits_b));
+  for (int s = 0; s < bnn::kNumSequences; ++s) {
+    const auto id = static_cast<SeqId>(s);
+    ASSERT_EQ(a.has_code(id), b.has_code(id));
+    if (a.has_code(id)) {
+      EXPECT_EQ(a.code_length(id), b.code_length(id));
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/block_codec.h"
 #include "core/bkc.h"
 #include "support/support.h"
 
@@ -21,11 +22,13 @@ TEST_P(EndToEnd, LosslessChainForAnySeed) {
   // identical byte stream (canonical determinism).
   for (std::size_t b = 0; b < engine.block_streams().size(); ++b) {
     const auto& stream = engine.block_streams()[b];
-    const auto decoded =
-        compress::decompress_kernel(stream.compressed, stream.codec);
-    const auto reencoded = compress::compress_kernel(decoded, stream.codec);
-    EXPECT_EQ(reencoded.stream, stream.compressed.stream);
-    EXPECT_EQ(reencoded.stream_bits, stream.compressed.stream_bits);
+    const auto decoded = compress::decode_block(stream);
+    EXPECT_TRUE(decoded == engine.model().block(b).conv3x3().kernel());
+    std::size_t reencoded_bits = 0;
+    const auto reencoded =
+        stream.codec.encode(bnn::extract_sequences(decoded), reencoded_bits);
+    EXPECT_EQ(reencoded, stream.compressed.stream);
+    EXPECT_EQ(reencoded_bits, stream.compressed.stream_bits);
   }
 }
 
@@ -66,8 +69,7 @@ TEST_P(EndToEnd, CompressedInferenceMatchesManualDecodePath) {
   bnn::ReActNet rebuilt(test::tiny_config(GetParam()));
   for (std::size_t b = 0; b < engine.block_streams().size(); ++b) {
     const auto& stream = engine.block_streams()[b];
-    rebuilt.block(b).conv3x3().set_kernel(
-        compress::decompress_kernel(stream.compressed, stream.codec));
+    rebuilt.block(b).conv3x3().set_kernel(compress::decode_block(stream));
   }
   const Tensor via_streams = test::run_forward(rebuilt, image);
   for (std::size_t i = 0; i < direct.data().size(); ++i) {

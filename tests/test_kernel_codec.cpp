@@ -1,10 +1,13 @@
-// Tests for whole-kernel compression (the stream format of Sec IV-B).
+// Tests for whole-kernel compression (the stream format of Sec IV-B),
+// through the one encoder (BlockCodec::compress_block) and the one way
+// back (decode_block).
 
 #include "compress/kernel_codec.h"
 
 #include <gtest/gtest.h>
 
 #include "bnn/kernel_sequences.h"
+#include "compress/block_codec.h"
 #include "support/support.h"
 #include "util/check.h"
 
@@ -12,21 +15,17 @@ namespace bkc::compress {
 namespace {
 
 using test::calibrated_kernel;
+using test::encode_block;
 
 TEST(KernelCodec, LosslessRoundtrip) {
   const auto kernel = calibrated_kernel(32, 64, 3);
-  const auto table = FrequencyTable::from_kernel(kernel);
-  const GroupedHuffmanCodec codec(table);
-  const CompressedKernel compressed = compress_kernel(kernel, codec);
-  const bnn::PackedKernel decoded = decompress_kernel(compressed, codec);
-  EXPECT_TRUE(decoded == kernel);
+  const CompressedBlock block = encode_block(kernel);
+  EXPECT_TRUE(decode_block(block.encoding) == kernel);
 }
 
 TEST(KernelCodec, StreamIsSmallerThanPlain) {
   const auto kernel = calibrated_kernel(64, 64, 5);
-  const auto table = FrequencyTable::from_kernel(kernel);
-  const GroupedHuffmanCodec codec(table);
-  const CompressedKernel compressed = compress_kernel(kernel, codec);
+  const CompressedKernel compressed = encode_block(kernel).encoding.compressed;
   EXPECT_LT(compressed.stream_bits, compressed.uncompressed_bits());
   EXPECT_GT(compressed.ratio(), 1.05);
   EXPECT_EQ(compressed.num_sequences(), 64u * 64u);
@@ -38,30 +37,26 @@ TEST(KernelCodec, StreamBitsMatchCodecAccounting) {
   const auto kernel = calibrated_kernel(16, 32, 7);
   const auto table = FrequencyTable::from_kernel(kernel);
   const GroupedHuffmanCodec codec(table);
-  const CompressedKernel compressed = compress_kernel(kernel, codec);
-  EXPECT_EQ(compressed.stream_bits, codec.encoded_bits(table));
+  const CompressedBlock block = encode_block(kernel);
+  EXPECT_EQ(block.encoding.compressed.stream_bits, codec.encoded_bits(table));
 }
 
-TEST(KernelCodec, PipelineWithoutClusteringIsExact) {
+TEST(KernelCodec, EncodingColumnIsExact) {
   const auto kernel = calibrated_kernel(24, 48, 9);
-  const auto result = compress_kernel_pipeline(kernel, false);
-  EXPECT_TRUE(result.coded_kernel == kernel);
-  EXPECT_EQ(result.clustering.replaced_occurrences(), 0u);
-  const auto decoded =
-      decompress_kernel(result.compressed, result.codec);
-  EXPECT_TRUE(decoded == kernel);
+  const CompressedBlock block = encode_block(kernel);
+  EXPECT_EQ(block.encoding.clustering.replaced_occurrences(), 0u);
+  EXPECT_TRUE(decode_block(block.encoding) == kernel);
 }
 
-TEST(KernelCodec, PipelineWithClusteringDecodesToClusteredKernel) {
+TEST(KernelCodec, ClusteredColumnDecodesToClusteredKernel) {
   const auto kernel = calibrated_kernel(64, 128, 11);
-  const auto result = compress_kernel_pipeline(kernel, true);
+  const CompressedBlock block = encode_block(kernel);
+  const KernelCompression& result = block.clustered;
   // The stream encodes the clustered kernel bit-exactly...
-  const auto decoded =
-      decompress_kernel(result.compressed, result.codec);
-  EXPECT_TRUE(decoded == result.coded_kernel);
+  EXPECT_TRUE(decode_block(result) == block.clustered_kernel);
   // ...which differs from the original by the replaced channels only.
   const auto before = bnn::extract_sequences(kernel);
-  const auto after = bnn::extract_sequences(result.coded_kernel);
+  const auto after = bnn::extract_sequences(block.clustered_kernel);
   std::size_t changed = 0;
   for (std::size_t i = 0; i < before.size(); ++i) {
     if (before[i] != after[i]) {
@@ -74,9 +69,9 @@ TEST(KernelCodec, PipelineWithClusteringDecodesToClusteredKernel) {
 
 TEST(KernelCodec, ClusteringImprovesRatio) {
   const auto kernel = calibrated_kernel(128, 256, 13);
-  const auto plain = compress_kernel_pipeline(kernel, false);
-  const auto clustered = compress_kernel_pipeline(kernel, true);
-  EXPECT_GT(clustered.compressed.ratio(), plain.compressed.ratio());
+  const CompressedBlock block = encode_block(kernel);
+  EXPECT_GT(block.clustered.compressed.ratio(),
+            block.encoding.compressed.ratio());
 }
 
 TEST(KernelCodec, EmptyStreamRatioThrows) {

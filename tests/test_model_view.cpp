@@ -116,9 +116,9 @@ TEST(ModelView, ScanCodeLengthsMatchesCompressionArtifact) {
   // The prefix-only scan (the mapped-container path) must recover
   // exactly the lengths the encoder recorded — for both columns.
   const auto kernel = test::calibrated_kernel(32, 16, 17);
-  for (const bool clustering : {true, false}) {
-    const KernelCompression artifact =
-        compress_kernel_pipeline(kernel, clustering);
+  const CompressedBlock block = test::encode_block(kernel);
+  for (const KernelCompression* column : {&block.clustered, &block.encoding}) {
+    const KernelCompression& artifact = *column;
     const PipelineCounters before = pipeline_counters();
     const std::vector<std::uint8_t> scanned = scan_code_lengths(
         artifact.compressed.stream, artifact.compressed.stream_bits,
@@ -133,7 +133,7 @@ TEST(ModelView, ScanCodeLengthsMatchesCompressionArtifact) {
 
 TEST(ModelView, ScanCodeLengthsRejectsTruncatedAndPaddedStreams) {
   const auto kernel = test::calibrated_kernel(16, 16, 19);
-  const KernelCompression artifact = compress_kernel_pipeline(kernel, true);
+  const KernelCompression artifact = test::encode_block(kernel).clustered;
   const auto count = artifact.compressed.num_sequences();
   const auto& config = artifact.codec.config();
   // Mid-codeword cut.

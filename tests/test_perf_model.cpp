@@ -165,7 +165,8 @@ TEST(PerfModel, SwSlowerHwNotSlower) {
 
 TEST(PerfModel, StreamInfoForMatchesKernel) {
   const auto kernel = test::calibrated_kernel(32, 32, 11);
-  const auto compression = compress::compress_kernel_pipeline(kernel, true);
+  const compress::CompressedBlock block = test::encode_block(kernel);
+  const compress::KernelCompression& compression = block.clustered;
   const StreamInfo stream = stream_info_for(compression);
   EXPECT_EQ(stream.code_lengths.size(), 32u * 32u);
   EXPECT_EQ(stream.total_bits, compression.compressed.stream_bits);
@@ -177,7 +178,7 @@ TEST(PerfModel, StreamInfoForMatchesKernel) {
   }
   // And the carried lengths are exactly the per-sequence codec lengths
   // in stream order (the quantity stream_info_for used to re-derive).
-  const auto sequences = bnn::extract_sequences(compression.coded_kernel);
+  const auto sequences = bnn::extract_sequences(block.clustered_kernel);
   ASSERT_EQ(sequences.size(), stream.code_lengths.size());
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     EXPECT_EQ(stream.code_lengths[i],
@@ -187,7 +188,8 @@ TEST(PerfModel, StreamInfoForMatchesKernel) {
 
 TEST(PerfModel, StreamInfoForRejectsArtifactWithoutLengths) {
   const auto kernel = test::calibrated_kernel(16, 16, 13);
-  auto compression = compress::compress_kernel_pipeline(kernel, true);
+  compress::KernelCompression compression =
+      test::encode_block(kernel).clustered;
   compression.code_lengths.clear();
   EXPECT_THROW(stream_info_for(compression), bkc::CheckError);
 }

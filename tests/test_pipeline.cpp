@@ -11,6 +11,7 @@
 #include "support/support.h"
 
 #include "bnn/reactnet.h"
+#include "compress/block_codec.h"
 #include "compress/huffman.h"
 #include "compress/instrumentation.h"
 #include "util/binary_io.h"
@@ -201,10 +202,8 @@ TEST(Pipeline, EncodingArtifactsRoundtrip) {
   const CompressedModel compressed = compressor.compress_model(model);
   ASSERT_EQ(compressed.blocks.size(), model.num_blocks());
   for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
-    const KernelCompression& encoding = compressed.blocks[b].encoding;
-    const auto decoded =
-        decompress_kernel(encoding.compressed, encoding.codec);
-    EXPECT_TRUE(decoded == model.block(b).conv3x3().kernel());
+    EXPECT_TRUE(decode_block(compressed.blocks[b].encoding) ==
+                model.block(b).conv3x3().kernel());
   }
 }
 
@@ -215,7 +214,7 @@ TEST(Pipeline, InstallingClusteredKernelsMutatesKernels) {
   CompressedModel compressed = ModelCompressor().compress_model(model);
   for (std::size_t b = 0; b < model.num_blocks(); ++b) {
     model.block(b).conv3x3().set_kernel(
-        std::move(compressed.blocks[b].clustered.coded_kernel));
+        std::move(compressed.blocks[b].clustered_kernel));
   }
   const auto& after = model.block(5).conv3x3().kernel();
   EXPECT_FALSE(before == after);  // clustering flipped some weights
@@ -230,7 +229,7 @@ TEST(Pipeline, InstalledModelStillRunsInference) {
   CompressedModel compressed = ModelCompressor().compress_model(model);
   for (std::size_t b = 0; b < model.num_blocks(); ++b) {
     model.block(b).conv3x3().set_kernel(
-        std::move(compressed.blocks[b].clustered.coded_kernel));
+        std::move(compressed.blocks[b].clustered_kernel));
   }
   const Tensor after = test::run_forward(model, image);
   ASSERT_EQ(after.shape(), before.shape());
@@ -295,12 +294,9 @@ TEST(Pipeline, CompressModelReportMatchesItsOwnArtifacts) {
     EXPECT_EQ(block.report.replaced_sequences,
               block.clustered.clustering.replacements().size());
     // Both streams decode back to the kernel they encode.
-    EXPECT_TRUE(decompress_kernel(block.encoding.compressed,
-                                  block.encoding.codec) ==
+    EXPECT_TRUE(decode_block(block.encoding) ==
                 model.block(b).conv3x3().kernel());
-    EXPECT_TRUE(decompress_kernel(block.clustered.compressed,
-                                  block.clustered.codec) ==
-                block.clustered.coded_kernel);
+    EXPECT_TRUE(decode_block(block.clustered) == block.clustered_kernel);
   }
 }
 
@@ -355,31 +351,6 @@ TEST(Pipeline, CompressModelStreamsArePinned) {
           << "block " << b << " column " << c;
       EXPECT_EQ(crc32(stream.stream), pins[b][c].crc)
           << "block " << b << " column " << c;
-    }
-  }
-}
-
-TEST(Pipeline, CompressModelArtifactsMatchPerKernelPipeline) {
-  // Both artifact columns of compress_model must be exactly what the
-  // single-kernel pipeline produces for that column.
-  const bnn::ReActNet model(test::tiny_config(23));
-  const ModelCompressor compressor;
-  const CompressedModel compressed = compressor.compress_model(model);
-  ASSERT_EQ(compressed.blocks.size(), model.num_blocks());
-  for (bool apply_clustering : {false, true}) {
-    for (std::size_t b = 0; b < compressed.blocks.size(); ++b) {
-      const KernelCompression& artifact =
-          apply_clustering ? compressed.blocks[b].clustered
-                           : compressed.blocks[b].encoding;
-      const KernelCompression reference = compress_kernel_pipeline(
-          model.block(b).conv3x3().kernel(), apply_clustering,
-          compressor.tree(), compressor.clustering());
-      EXPECT_EQ(artifact.compressed.stream, reference.compressed.stream);
-      EXPECT_EQ(artifact.compressed.stream_bits,
-                reference.compressed.stream_bits);
-      EXPECT_TRUE(artifact.coded_kernel == reference.coded_kernel);
-      EXPECT_EQ(artifact.coded_frequencies.counts(),
-                reference.coded_frequencies.counts());
     }
   }
 }

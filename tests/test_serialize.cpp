@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bnn/kernel_sequences.h"
 #include "bnn/weights.h"
 #include "compress/block_codec.h"
 #include "compress/instrumentation.h"
@@ -258,18 +259,21 @@ TEST(Serialize, CodecRoundTripEncodesIdentically) {
   expect_codecs_equal(read, codec);
   // The restored codec must reproduce the original stream bit-for-bit
   // and decode it back (the hardware-decoder contract).
-  const CompressedKernel original = compress_kernel(kernel, codec);
-  const CompressedKernel again = compress_kernel(kernel, read);
-  EXPECT_EQ(original.stream, again.stream);
-  EXPECT_EQ(original.stream_bits, again.stream_bits);
-  EXPECT_TRUE(decompress_kernel(again, read) == kernel);
+  const std::vector<SeqId> sequences = bnn::extract_sequences(kernel);
+  std::size_t original_bits = 0;
+  std::size_t again_bits = 0;
+  const std::vector<std::uint8_t> original =
+      codec.encode(sequences, original_bits);
+  const std::vector<std::uint8_t> again = read.encode(sequences, again_bits);
+  EXPECT_EQ(original, again);
+  EXPECT_EQ(original_bits, again_bits);
+  EXPECT_EQ(read.decode(again, again_bits, sequences.size()), sequences);
 }
 
 TEST(Serialize, CompressedKernelRoundTrip) {
   const auto kernel = test::calibrated_kernel(16, 32, /*seed=*/13);
-  const FrequencyTable table = FrequencyTable::from_kernel(kernel);
-  const GroupedHuffmanCodec codec(table);
-  const CompressedKernel compressed = compress_kernel(kernel, codec);
+  const CompressedKernel compressed =
+      test::encode_block(kernel).encoding.compressed;
   ByteWriter writer;
   write_compressed_kernel(writer, compressed);
   const std::vector<std::uint8_t> bytes = writer.take();
@@ -285,9 +289,10 @@ TEST(Serialize, CompressedKernelRoundTrip) {
 
 TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
   const auto kernel = test::calibrated_kernel(32, 32, /*seed=*/17);
+  const CompressedBlock block = test::encode_block(kernel);
   for (bool clustering : {true, false}) {
-    const KernelCompression stream =
-        compress_kernel_pipeline(kernel, clustering);
+    const KernelCompression& stream =
+        clustering ? block.clustered : block.encoding;
     ByteWriter writer;
     write_kernel_compression(writer, stream);
     const std::vector<std::uint8_t> bytes = writer.take();
@@ -303,11 +308,10 @@ TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
     expect_codecs_equal(read.codec, stream.codec);
     EXPECT_EQ(read.compressed.stream, stream.compressed.stream);
     EXPECT_EQ(read.compressed.stream_bits, stream.compressed.stream_bits);
-    // coded_kernel is intentionally NOT stored: decoding the stream
-    // must reconstruct it exactly.
-    EXPECT_EQ(read.coded_kernel.payload_bits(), 0);
-    EXPECT_TRUE(decompress_kernel(read.compressed, read.codec) ==
-                stream.coded_kernel);
+    // The kernel is not stored: decoding the stream must reconstruct
+    // the one the column encodes exactly.
+    EXPECT_TRUE(decode_block(read) ==
+                (clustering ? block.clustered_kernel : kernel));
   }
 }
 

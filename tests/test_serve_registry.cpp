@@ -187,18 +187,6 @@ TEST_F(ServeRegistryTest, MappedLoadIsBitIdenticalToPathLoad) {
   std::remove(path.c_str());
 }
 
-TEST_F(ServeRegistryTest, ServedModelExposesTheSharedMapping) {
-  const std::string path = write_container("registry_mapping.bkcm", 37);
-  ModelRegistry registry(2);
-  const ModelHandle model = registry.open("tiny", path);
-  // The mapping carries the container's decode-side state for consumers
-  // that never decode (simulation/tooling): block count matches the
-  // engine the registry reconstructed from it.
-  EXPECT_EQ(model->mapped().blocks().size(),
-            model->engine().model().num_blocks());
-  std::remove(path.c_str());
-}
-
 TEST_F(ServeRegistryTest, LoadThreadsMustBePositive) {
   EXPECT_THROW(ModelRegistry(0), CheckError);
   EXPECT_THROW(ModelRegistry(-3), CheckError);
