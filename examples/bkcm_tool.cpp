@@ -6,19 +6,21 @@
 //
 //   ./examples/bkcm_tool compress [--out model.bkcm] [--tiny] [--seed S]
 //                                 [--threads N] [--no-clustering]
-//                                 [--codec <name>]
 //   ./examples/bkcm_tool info     [--file model.bkcm]
 //   ./examples/bkcm_tool verify   [--file model.bkcm] [--threads N]
 //   ./examples/bkcm_tool classify [--file model.bkcm] [--images N]
 //                                 [--threads N]
-//   ./examples/bkcm_tool speedup  [--file model.bkcm] [--sampled]
-//                                 [--clusters K] [--threads N]
+//   ./examples/bkcm_tool speedup  [--file model.bkcm]
+//                                 [--sampled [--clusters K] [--threads N]]
+//
+// Each subcommand accepts only the flags listed above; any other "--"
+// argument fails by name (exit 1) instead of being ignored.
 //
 // The CTest smoke targets chain `compress --tiny` with `info`,
 // `verify`, `classify`, `speedup` and `speedup --sampled --clusters 1`
 // on the same file, proving the save -> load -> inference and the
 // save -> simulate paths end to end; one more `info` run reads the
-// permanent v1 golden container.
+// permanent v1 golden container, and a misspelt flag must fail.
 
 #include <charconv>
 #include <cstdio>
@@ -47,6 +49,9 @@ std::uint64_t seed_flag(int argc, char** argv) {
 }
 
 int run_compress(int argc, char** argv) {
+  check_known_flags(argc, argv,
+                    {"--out", "--tiny", "--seed", "--threads",
+                     "--no-clustering"});
   const std::string path(
       flag_string_value(argc, argv, "--out", "model.bkcm"));
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
@@ -56,10 +61,6 @@ int run_compress(int argc, char** argv) {
                                    : bnn::paper_reactnet_config(seed);
   EngineOptions options;
   options.clustering = !has_flag(argc, argv, "--no-clustering");
-  // Any name the block-codec registry knows; block_codec_id rejects
-  // unknown names with the registered list in the message.
-  options.codec_id = compress::block_codec_id(
-      flag_string_value(argc, argv, "--codec", "grouped-huffman"));
 
   Engine engine(config, options);
   const auto& report = engine.compress(num_threads);
@@ -77,6 +78,7 @@ int run_compress(int argc, char** argv) {
 }
 
 int run_info(int argc, char** argv) {
+  check_known_flags(argc, argv, {"--file"});
   const std::string path(
       flag_string_value(argc, argv, "--file", "model.bkcm"));
   const auto file = read_file_bytes(path);
@@ -106,20 +108,15 @@ int run_info(int argc, char** argv) {
             << config.input_size << ", " << config.num_classes
             << " classes, seed " << config.seed << "\n";
 
-  // Per-block codec dispatch summary (v1 blocks are implicitly
-  // grouped-huffman; the reader already gated every id against the
-  // registry, so codec_for cannot fail here).
-  Table codecs({"block", "codec id", "codec", "sequences", "stream bits"});
+  Table streams({"block", "sequences", "stream bits"});
   for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
     const compress::KernelCompression& stream = mapped.blocks()[b].artifact;
-    codecs.row()
+    streams.row()
         .add(std::to_string(b))
-        .add(std::to_string(stream.codec_id))
-        .add(std::string(compress::codec_for(stream.codec_id).name()))
         .add(std::to_string(stream.compressed.num_sequences()))
         .add(std::to_string(stream.compressed.stream_bits));
   }
-  codecs.print("Per-block codecs");
+  streams.print("Per-block streams");
   const compress::ModelReport& report = mapped.report();
   std::cout << "report: encoding " << ratio_str(report.mean_encoding_ratio)
             << ", clustering " << ratio_str(report.mean_clustering_ratio)
@@ -133,12 +130,11 @@ int run_verify(int argc, char** argv) {
   // cross-checking the container's INDEPENDENT artifacts against each
   // other (not decode-vs-what-decode-installed, which is circular).
   // Loading runs every header/CRC/payload gate of MappedBkcm::open
-  // (including the registry gate: a CRC-valid hostile v2 file cannot
-  // select an unregistered codec) and decodes every stream. What
-  // "consistent" means is codec-specific — the grouped-huffman backend
-  // checks the decoded stream and the stored remap against the
-  // frequency tables, mst-delta checks its dictionary instead — so each
-  // loaded block then dispatches to its codec's verify_artifact.
+  // (including the codec-id gate: a CRC-valid hostile v2 file cannot
+  // select a codec that does not exist) and decodes every stream; then
+  // verify_artifact checks each block's decoded stream and stored remap
+  // against its frequency tables.
+  check_known_flags(argc, argv, {"--file", "--threads"});
   const std::string path(
       flag_string_value(argc, argv, "--file", "model.bkcm"));
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
@@ -147,15 +143,16 @@ int run_verify(int argc, char** argv) {
   const std::vector<compress::KernelCompression>& streams =
       engine.block_streams();
   for (std::size_t b = 0; b < streams.size(); ++b) {
-    compress::codec_for(streams[b].codec_id).verify_artifact(streams[b], b);
+    compress::verify_artifact(streams[b], b);
   }
   std::cout << path << ": verified (" << streams.size()
             << " blocks; container loads cleanly, every stream passed its "
-               "codec's artifact cross-checks)\n";
+               "artifact cross-checks)\n";
   return 0;
 }
 
 int run_classify(int argc, char** argv) {
+  check_known_flags(argc, argv, {"--file", "--images", "--threads"});
   const std::string path(
       flag_string_value(argc, argv, "--file", "model.bkcm"));
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
@@ -190,9 +187,17 @@ int run_speedup(int argc, char** argv) {
   // the timing model consumes that view. No compression pass runs, no
   // kernel is decoded and no weight is sampled — the op-record layout
   // comes from the configuration alone (bnn::op_records_for).
+  const bool sampled = has_flag(argc, argv, "--sampled");
+  // --clusters and --threads tune the sampled walk; the exact one reads
+  // neither.
+  if (sampled) {
+    check_known_flags(argc, argv,
+                      {"--file", "--sampled", "--clusters", "--threads"});
+  } else {
+    check_known_flags(argc, argv, {"--file"});
+  }
   const std::string path(
       flag_string_value(argc, argv, "--file", "model.bkcm"));
-  const bool sampled = has_flag(argc, argv, "--sampled");
 
   const compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
   const std::vector<bnn::OpRecord> ops =
@@ -250,8 +255,8 @@ int run_speedup(int argc, char** argv) {
 int usage() {
   std::cerr << "usage: bkcm_tool <compress|info|verify|classify|speedup> "
                "[--out|--file <path>] [--tiny] [--seed S] [--threads N] "
-               "[--images N] [--no-clustering] [--codec <name>] "
-               "[--sampled] [--clusters K]\n";
+               "[--images N] [--no-clustering] [--sampled] "
+               "[--clusters K]\n";
   return 2;
 }
 

@@ -40,9 +40,7 @@ int main(int argc, char** argv) {
       bnn::SequenceDistribution::fitted(bnn::paper_table2_targets()[6]);
   const auto kernel = gen.sample_kernel3x3(channels, channels, dist);
   const compress::CompressedBlock block =
-      compress::make_block_codec(compress::kCodecGroupedHuffman,
-                                 compress::GroupedTreeConfig::paper(), {})
-          ->compress_block(op.name, kernel);
+      compress::BlockCodec().compress_block(op.name, kernel);
   // The clustered column is the stream the paper deploys. The StreamInfo
   // borrows its code-length artifact; `block` stays alive for the whole
   // run.

@@ -1,39 +1,26 @@
 #pragma once
-// The pluggable block-codec interface. A *block codec* owns the whole
-// per-block compression story: the encode pass that turns a 3x3 binary
-// kernel into stream + tables + report (ModelCompressor delegates its
-// per-block work here), the decode back to the packed kernel, the
-// per-block container payload (BKCM v2 stores a codec id per block and
-// dispatches the payload bytes to the owning codec; MappedBkcm::open
-// parses them in place), and the artifact
+// The block codec: the paper's per-block compression scheme (Sec III),
+// a simplified Huffman tree over the block's 9-bit sequences after the
+// Hamming-1 clustering pass. It owns the whole per-block story: the
+// encode pass that turns a 3x3 binary kernel into stream + tables +
+// report (ModelCompressor runs it once per block), the decode back to
+// the packed kernel, the per-block container payload (the v1 block
+// layout; BKCM v2 stores it behind codec id 1, kCodecGroupedHuffman,
+// and MappedBkcm::open parses it in place), and the artifact
 // cross-checks behind `bkcm_tool verify`.
 //
-// Two backends are registered:
-//   id 1 "grouped-huffman" — the paper's scheme (simplified Huffman
-//       tree + Hamming-1 clustering), the default. Byte-identical to
-//       the pre-interface pipeline: its per-block payload IS the v1
-//       layout, and its compress pass is the original single-pass body
-//       (the instrumentation counters still pin one frequency count,
-//       one clustering search and two codec builds per block).
-//   id 2 "mst-delta" — MST-compression kernel deltas (arXiv
-//       2308.13735, adapted): the block's distinct sequences become a
-//       dictionary laid out as a minimum spanning tree over Hamming
-//       distance, and the stream is fixed-width dictionary indices.
-//
-// Registering a new backend: claim the next id in
-// compress/kernel_codec.h, implement BlockCodec, and add the instance
-// to the registry table in block_codec.cpp. Everything downstream —
-// serialization, engine load/save, hwsim, serving, tooling, the codec
-// shoot-out bench — picks it up through the registry.
+// The encode pass is the single-pass body: the instrumentation
+// counters pin one frequency count, one clustering search and two
+// codec builds per block.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "compress/pipeline.h"
+#include "bnn/bitpack.h"
+#include "compress/kernel_codec.h"
 #include "util/binary_io.h"
 
 namespace bkc::compress {
@@ -55,7 +42,7 @@ inline constexpr std::int64_t kMaxModelUnits = 1 << 25;
 std::int64_t read_channel_count(ByteReader& reader, const char* what);
 
 /// Parsed CompressedKernel fields with the stream still borrowed from
-/// the reader's buffer — the per-stream front end of every read_block.
+/// the reader's buffer — the per-stream front end of read_block.
 struct CompressedKernelRef {
   std::int64_t out_channels = 0;
   std::int64_t in_channels = 0;
@@ -64,6 +51,53 @@ struct CompressedKernelRef {
 };
 
 CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader);
+
+/// Everything measured about one basic block's 3x3 kernel. Every field
+/// is derived from the block's CompressedBlock artifacts.
+struct BlockReport {
+  std::string block_name;
+  std::uint64_t num_sequences = 0;     ///< channel count (O*I)
+  std::size_t distinct_sequences = 0;  ///< unique bit sequences observed
+  double top16_share = 0.0;            ///< Fig. 3 aggregate
+  double top64_share = 0.0;            ///< Table II column 1
+  double top256_share = 0.0;           ///< Table II column 2
+  double entropy_bits = 0.0;           ///< optimal bits/sequence bound
+
+  std::uint64_t uncompressed_bits = 0;
+  std::uint64_t encoding_bits = 0;   ///< grouped tree, no clustering
+  std::uint64_t clustering_bits = 0; ///< grouped tree after clustering
+  double encoding_ratio = 0.0;       ///< Table V column "Encoding"
+  double clustering_ratio = 0.0;     ///< Table V column "Clustering"
+  double huffman_ratio = 0.0;        ///< full-Huffman upper bound
+
+  /// Frequency share landing on each tree node (the paper quotes
+  /// 46/24/23/5% before and 65/25/8/0.6% after clustering).
+  std::vector<double> node_shares_encoding;
+  std::vector<double> node_shares_clustering;
+
+  /// Accuracy proxy: fraction of kernel weight bits flipped.
+  double flipped_bit_fraction = 0.0;
+  std::size_t replaced_sequences = 0;  ///< distinct sequences removed
+
+  /// Decode-table storage of the clustered codec for this block.
+  std::uint64_t decode_table_bits = 0;
+};
+
+/// One basic block's complete pass outcome: both stream artifacts
+/// (Table V's two columns), the one kernel the pass builds, plus the
+/// report derived from them. Carrying both columns costs one extra
+/// codec/stream copy per block at peak versus a single-artifact
+/// layout — accepted so that every consumer (report, deploy, verify,
+/// hwsim) reads from the same pass.
+struct CompressedBlock {
+  KernelCompression encoding;   ///< stream over the original kernel
+  KernelCompression clustered;  ///< stream over `clustered_kernel`
+  /// The kernel the clustered stream encodes — what Engine::compress
+  /// installs when clustering is on. decode_block(clustered) equals it
+  /// bit-exactly.
+  bnn::PackedKernel clustered_kernel;
+  BlockReport report;  ///< derived from the two artifacts
+};
 
 /// One block artifact parsed from a container section (also
 /// MappedBkcm::Block): the same KernelCompression fields
@@ -77,80 +111,58 @@ struct ParsedBlock {
   std::span<const std::uint8_t> stream;  ///< borrowed from the reader
 };
 
-/// The block-codec interface (see the file comment). Implementations
-/// are stateless beyond their compression configuration, so one
-/// instance can serve concurrent blocks.
+/// The per-block encoder under one tree and clustering configuration.
+/// Stateless beyond that configuration, so one instance can serve
+/// concurrent blocks.
 class BlockCodec {
  public:
-  virtual ~BlockCodec() = default;
-
-  /// The on-disk codec id (compress/kernel_codec.h).
-  virtual std::uint32_t id() const = 0;
-  /// Stable human-readable name ("grouped-huffman", "mst-delta") —
-  /// shown by `bkcm_tool info`, accepted by `bkcm_tool compress
-  /// --codec`, stored in the v2 codec-directory section.
-  virtual std::string_view name() const = 0;
+  explicit BlockCodec(GroupedTreeConfig tree = GroupedTreeConfig::paper(),
+                      ClusteringConfig clustering = {});
 
   /// The full per-block encode pass, and the library's only kernel
   /// encoder: sequences -> stream + tables + report, plus the clustered
-  /// kernel the `clustered` stream encodes. Must derive every report
-  /// field from the emitted artifacts (the no-drift contract of the
+  /// kernel the `clustered` stream encodes. Derives every report field
+  /// from the emitted artifacts (the no-drift contract of the
   /// single-pass pipeline).
-  virtual CompressedBlock compress_block(
-      const std::string& name, const bnn::PackedKernel& kernel) const = 0;
+  CompressedBlock compress_block(const std::string& name,
+                                 const bnn::PackedKernel& kernel) const;
 
-  /// Decode the artifact's stream back to the channel-packed kernel it
-  /// encodes — the only way from a stream back to a kernel. Lossless
-  /// inverse of the stream emitted by compress_block (for the
-  /// `clustered` column, CompressedBlock::clustered_kernel).
-  virtual bnn::PackedKernel decode(const KernelCompression& stream) const = 0;
+  const GroupedTreeConfig& tree() const { return tree_; }
+  const ClusteringConfig& clustering() const { return clustering_; }
 
-  /// Serialize the per-block container payload. The code lengths are
-  /// not written: read_block recovers them from the stream.
-  virtual void write_block(ByteWriter& writer,
-                           const KernelCompression& stream) const = 0;
-
-  /// Parse one per-block payload, validating every locally checkable
-  /// invariant; CheckError (carrying the reader's context) otherwise.
-  /// The returned artifact carries recovered code lengths; the stream
-  /// bytes stay borrowed (see ParsedBlock).
-  virtual ParsedBlock read_block(ByteReader& reader) const = 0;
-
-  /// Deep artifact cross-checks for `bkcm_tool verify`: decode the
-  /// stream and confirm it reproduces the stored statistics. CheckError
-  /// (naming block `index`) on any mismatch.
-  virtual void verify_artifact(const KernelCompression& stream,
-                               std::size_t index) const = 0;
+ private:
+  GroupedTreeConfig tree_;
+  ClusteringConfig clustering_;
 };
 
-// ---- Registry ----
-
-/// True when `id` names a registered codec.
-bool block_codec_registered(std::uint32_t id);
-
-/// The process-wide default-configuration instance for `id` — the
-/// dispatch target of every decode/read/write/verify path (those are
-/// independent of the compression configuration). CheckError on an
-/// unregistered id: this is the gate that keeps a CRC-valid hostile v2
-/// container from selecting a codec that does not exist.
-const BlockCodec& codec_for(std::uint32_t id);
-
-/// Registered codec ids, ascending. codec_for(id).name() gives the
-/// display name.
-std::span<const std::uint32_t> registered_block_codecs();
-
-/// Codec id for a registry name (`bkcm_tool compress --codec`).
-/// CheckError listing the registered names when `name` is unknown.
-std::uint32_t block_codec_id(std::string_view name);
-
-/// A codec instance carrying a specific compression configuration, for
-/// ModelCompressor. (grouped-huffman uses both configs; mst-delta has
-/// no tuning and ignores them.) CheckError on an unregistered id.
-std::shared_ptr<const BlockCodec> make_block_codec(
-    std::uint32_t id, GroupedTreeConfig tree, ClusteringConfig clustering);
-
-/// Decode `stream` with the codec that produced it (dispatch on
-/// `stream.codec_id` through the registry).
+/// Decode the artifact's stream back to the channel-packed kernel it
+/// encodes — the only way from a stream back to a kernel. Lossless
+/// inverse of the stream emitted by compress_block (for the
+/// `clustered` column, CompressedBlock::clustered_kernel).
 bnn::PackedKernel decode_block(const KernelCompression& stream);
+
+/// Serialize the per-block container payload (the v1 block layout,
+/// and the v2 payload behind its codec-id word). The code lengths are
+/// not written: read_block recovers them from the stream.
+void write_block(ByteWriter& writer, const KernelCompression& stream);
+
+/// Parse one per-block payload, validating every locally checkable
+/// invariant; CheckError (carrying the reader's context) otherwise.
+/// The returned artifact carries recovered code lengths; the stream
+/// bytes stay borrowed (see ParsedBlock).
+ParsedBlock read_block(ByteReader& reader);
+
+/// Deep artifact cross-checks for `bkcm_tool verify`: decode the
+/// stream and confirm it reproduces the stored statistics. CheckError
+/// (naming block `index`) on any mismatch.
+void verify_artifact(const KernelCompression& stream, std::size_t index);
+
+/// The codec for `id` under `tree` and `clustering`; CheckError for
+/// any id but kCodecGroupedHuffman. Kept only because the benchmark
+/// harness (bkcbench/) calls it; it goes, together with
+/// EngineOptions::codec_id, in the next change to the benchmark
+/// (ROADMAP item 6). Everything else constructs BlockCodec directly.
+std::unique_ptr<const BlockCodec> make_block_codec(
+    std::uint32_t id, GroupedTreeConfig tree, ClusteringConfig clustering);
 
 }  // namespace bkc::compress

@@ -16,15 +16,12 @@
 #include "bnn/bitseq.h"
 #include "compress/clustering.h"
 #include "compress/grouped_huffman.h"
-#include "compress/mst_codec.h"
 
 namespace bkc::compress {
 
-/// Block-codec identifiers, stable on disk (BKCM v2 stores one per
-/// block). The registry lives in compress/block_codec.h; adding a
-/// backend means claiming the next id here and registering it there.
+/// The block codec's on-disk id. BKCM v2 stores it before every block
+/// and lists it in the codec directory; a reader accepts no other id.
 inline constexpr std::uint32_t kCodecGroupedHuffman = 1;
-inline constexpr std::uint32_t kCodecMstDelta = 2;
 
 /// A 3x3 binary kernel in compressed form. Mirrors the hardware
 /// configuration structure of Table III: number of sequences, pointer
@@ -52,18 +49,12 @@ struct CompressedKernel {
 /// One compressed 3x3 kernel: statistics, decode tables and stream —
 /// the fields a container block stores, plus the code lengths recovered
 /// from them. Emitted by BlockCodec::compress_block, parsed back by
-/// BlockCodec::read_block.
+/// read_block (compress/block_codec.h).
 struct KernelCompression {
-  /// Which block codec produced (and can decode) `compressed`. Grouped
-  /// Huffman artifacts populate `codec`; MST-delta artifacts populate
-  /// `mst` (with `codec` left inert). Dispatch on this id via
-  /// compress/block_codec.h.
-  std::uint32_t codec_id = kCodecGroupedHuffman;
   FrequencyTable frequencies;        ///< before clustering
   ClusteringResult clustering;       ///< identity when disabled
   FrequencyTable coded_frequencies;  ///< after clustering
   GroupedHuffmanCodec codec;
-  MstDictionary mst;  ///< populated only when codec_id == kCodecMstDelta
   CompressedKernel compressed;
   /// Per-sequence codeword bit lengths of `compressed` in stream order,
   /// computed once when the stream is emitted (or scanned once when a

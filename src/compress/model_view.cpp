@@ -47,8 +47,7 @@ CompressedModelView view_of(std::vector<bnn::OpRecord> ops,
         .stream_bits = stream.compressed.stream_bits,
         .code_lengths = stream.code_lengths,
         .codec = &stream.codec,
-        .clustering = &stream.clustering,
-        .codec_id = stream.codec_id});
+        .clustering = &stream.clustering});
   }
   return assemble_view(std::move(ops), std::move(blocks));
 }

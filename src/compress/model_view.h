@@ -43,16 +43,11 @@ struct BlockStreamView {
   /// Per-sequence codeword bit lengths in stream order; their sum is
   /// `stream_bits`.
   std::span<const std::uint8_t> code_lengths;
-  /// Decode tables (the Fig. 6 scratchpad banks). Inert (default-
-  /// constructed) when `codec_id` is not grouped-huffman.
+  /// Decode tables (the Fig. 6 scratchpad banks).
   const GroupedHuffmanCodec* codec = nullptr;
   /// Clustering remap the stream was emitted under (identity when the
   /// pipeline ran without clustering).
   const ClusteringResult* clustering = nullptr;
-  /// Which block codec (compress/block_codec.h registry) emitted the
-  /// stream. Declared last so existing designated initializers that
-  /// stop at `clustering` keep compiling (they get the grouped default).
-  std::uint32_t codec_id = kCodecGroupedHuffman;
 
   std::size_t num_sequences() const {
     return static_cast<std::size_t>(out_channels * in_channels);

@@ -1,8 +1,8 @@
 #include "compress/pipeline.h"
 
 #include <optional>
+#include <utility>
 
-#include "compress/block_codec.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -10,22 +10,8 @@
 namespace bkc::compress {
 
 ModelCompressor::ModelCompressor(GroupedTreeConfig tree,
-                                 ClusteringConfig clustering,
-                                 std::uint32_t codec_id)
-    : tree_(std::move(tree)),
-      clustering_(clustering),
-      codec_id_(codec_id),
-      codec_(make_block_codec(codec_id, tree_, clustering_)) {
-  tree_.validate();
-}
-
-CompressedBlock ModelCompressor::compress_block(
-    const std::string& name, const bnn::PackedKernel& kernel) const {
-  // The whole per-block pass lives in the selected codec backend
-  // (compress/block_codec.h); for the default grouped-huffman codec it
-  // is the original single-pass body, moved verbatim.
-  return codec_->compress_block(name, kernel);
-}
+                                 ClusteringConfig clustering)
+    : codec_(std::move(tree), clustering) {}
 
 ModelReport aggregate_block_reports(std::vector<BlockReport> blocks,
                                     std::uint64_t model_bits) {
@@ -83,7 +69,7 @@ CompressedModel ModelCompressor::compress_model(const bnn::ReActNet& model,
                  for (std::int64_t b = begin; b < end; ++b) {
                    const auto i = static_cast<std::size_t>(b);
                    const auto& block = model.block(i);
-                   slots[i].emplace(compress_block(
+                   slots[i].emplace(codec_.compress_block(
                        block.name(), block.conv3x3().kernel()));
                  }
                });

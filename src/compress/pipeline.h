@@ -1,6 +1,6 @@
 #pragma once
 // Model-level compression pipeline (Sec IV-A), organised as ONE pass
-// per basic block:
+// per basic block (BlockCodec::compress_block, compress/block_codec.h):
 //   1. compute the frequency of use of every bit sequence in the
 //      block's 3x3 binary kernel (offline),
 //   2. run the clustering pass (Sec III-C),
@@ -17,47 +17,12 @@
 // Table I storage breakdown.
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "bnn/reactnet.h"
-#include "compress/kernel_codec.h"
+#include "compress/block_codec.h"
 
 namespace bkc::compress {
-
-class BlockCodec;  // compress/block_codec.h
-
-/// Everything measured about one basic block's 3x3 kernel. Every field
-/// is derived from the block's CompressedBlock artifacts.
-struct BlockReport {
-  std::string block_name;
-  std::uint64_t num_sequences = 0;     ///< channel count (O*I)
-  std::size_t distinct_sequences = 0;  ///< unique bit sequences observed
-  double top16_share = 0.0;            ///< Fig. 3 aggregate
-  double top64_share = 0.0;            ///< Table II column 1
-  double top256_share = 0.0;           ///< Table II column 2
-  double entropy_bits = 0.0;           ///< optimal bits/sequence bound
-
-  std::uint64_t uncompressed_bits = 0;
-  std::uint64_t encoding_bits = 0;   ///< grouped tree, no clustering
-  std::uint64_t clustering_bits = 0; ///< grouped tree after clustering
-  double encoding_ratio = 0.0;       ///< Table V column "Encoding"
-  double clustering_ratio = 0.0;     ///< Table V column "Clustering"
-  double huffman_ratio = 0.0;        ///< full-Huffman upper bound
-
-  /// Frequency share landing on each tree node (the paper quotes
-  /// 46/24/23/5% before and 65/25/8/0.6% after clustering).
-  std::vector<double> node_shares_encoding;
-  std::vector<double> node_shares_clustering;
-
-  /// Accuracy proxy: fraction of kernel weight bits flipped.
-  double flipped_bit_fraction = 0.0;
-  std::size_t replaced_sequences = 0;  ///< distinct sequences removed
-
-  /// Decode-table storage of the clustered codec for this block.
-  std::uint64_t decode_table_bits = 0;
-};
 
 /// Whole-model outcome.
 struct ModelReport {
@@ -77,23 +42,6 @@ struct ModelReport {
   double model_ratio_with_tables = 0.0;
 };
 
-/// One basic block's complete pipeline outcome: both stream artifacts
-/// (Table V's two columns), the one kernel the pass builds, plus the
-/// report derived from them. Carrying both columns costs one extra
-/// codec/stream copy per block at peak versus a single-artifact
-/// layout — accepted so that every consumer (report, deploy, verify,
-/// hwsim) reads from the same pass.
-struct CompressedBlock {
-  KernelCompression encoding;   ///< stream over the original kernel
-  KernelCompression clustered;  ///< stream over `clustered_kernel`
-  /// The kernel the clustered stream encodes — what Engine::compress
-  /// installs when clustering is on (the input kernel itself for a
-  /// codec without a clustering pass). decode_block(clustered) equals
-  /// it bit-exactly.
-  bnn::PackedKernel clustered_kernel;
-  BlockReport report;  ///< derived from the two artifacts
-};
-
 /// Whole-model outcome of the single pass: per-block artifacts plus the
 /// aggregated report (which embeds copies of the per-block reports).
 struct CompressedModel {
@@ -111,15 +59,13 @@ struct CompressedModel {
 ModelReport aggregate_block_reports(std::vector<BlockReport> blocks,
                                     std::uint64_t model_bits);
 
-/// Drives the pipeline over a ReActNet. The per-block work is owned by
-/// a block codec (compress/block_codec.h) selected by `codec_id`; the
-/// default is the paper's grouped-huffman scheme, whose per-block pass
-/// is bit-identical to the pre-interface pipeline.
+/// Drives the pipeline over a ReActNet. The per-block work is
+/// BlockCodec::compress_block (compress/block_codec.h), run once per
+/// block.
 class ModelCompressor {
  public:
   explicit ModelCompressor(GroupedTreeConfig tree = GroupedTreeConfig::paper(),
-                           ClusteringConfig clustering = {},
-                           std::uint32_t codec_id = kCodecGroupedHuffman);
+                           ClusteringConfig clustering = {});
 
   /// The single pass: build the frequency table, clustering result and
   /// both codecs exactly once per block, emit both streams, and derive
@@ -138,18 +84,11 @@ class ModelCompressor {
   /// code path is the point of the design (no report/stream drift).
   ModelReport analyze(const bnn::ReActNet& model, int num_threads = 1) const;
 
-  const GroupedTreeConfig& tree() const { return tree_; }
-  const ClusteringConfig& clustering() const { return clustering_; }
-  std::uint32_t codec_id() const { return codec_id_; }
+  const GroupedTreeConfig& tree() const { return codec_.tree(); }
+  const ClusteringConfig& clustering() const { return codec_.clustering(); }
 
  private:
-  CompressedBlock compress_block(const std::string& name,
-                                 const bnn::PackedKernel& kernel) const;
-
-  GroupedTreeConfig tree_;
-  ClusteringConfig clustering_;
-  std::uint32_t codec_id_ = kCodecGroupedHuffman;
-  std::shared_ptr<const BlockCodec> codec_;
+  BlockCodec codec_;
 };
 
 }  // namespace bkc::compress

@@ -12,6 +12,9 @@ namespace bkc::compress {
 
 namespace {
 
+/// The 'CDCS' directory name of kCodecGroupedHuffman.
+constexpr std::string_view kCodecGroupedHuffmanName = "grouped-huffman";
+
 /// A fourcc as error messages render it ("CONF", or hex for garbage);
 /// passed to check() as an object so it is rendered only on failure.
 struct FourCC {
@@ -289,15 +292,6 @@ void write_compressed_kernel(ByteWriter& writer,
   writer.write_bytes(kernel.stream);
 }
 
-void write_kernel_compression(ByteWriter& writer,
-                              const KernelCompression& stream) {
-  write_frequency_table(writer, stream.frequencies);
-  write_clustering_result(writer, stream.clustering);
-  write_frequency_table(writer, stream.coded_frequencies);
-  write_codec(writer, stream.codec);
-  write_compressed_kernel(writer, stream.compressed);
-}
-
 void write_block_report(ByteWriter& writer, const BlockReport& report) {
   writer.write_string(report.block_name);
   writer.write_varint(report.num_sequences);
@@ -440,30 +434,19 @@ std::vector<std::uint8_t> write_bkcm(
   ByteWriter rept;
   write_model_report(rept, report);
 
-  // BLKS, v2: each block payload behind its codec-id word, serialized
-  // by the owning codec backend. codec_for rejects an unregistered id
-  // before a single byte is written.
+  // BLKS, v2: each block payload behind its codec-id word.
   ByteWriter blks;
   blks.write_varint(streams.size());
-  std::vector<std::uint32_t> used_codecs;
   for (const KernelCompression& stream : streams) {
-    const BlockCodec& codec = codec_for(stream.codec_id);
-    blks.write_u32(stream.codec_id);
-    codec.write_block(blks, stream);
-    used_codecs.push_back(stream.codec_id);
+    blks.write_u32(kCodecGroupedHuffman);
+    write_block(blks, stream);
   }
-  std::sort(used_codecs.begin(), used_codecs.end());
-  used_codecs.erase(std::unique(used_codecs.begin(), used_codecs.end()),
-                    used_codecs.end());
 
-  // CDCS: the codec directory (distinct ids ascending, with their
-  // registry names).
+  // CDCS: the codec directory, the one codec every block names.
   ByteWriter cdcs;
-  cdcs.write_varint(used_codecs.size());
-  for (const std::uint32_t id : used_codecs) {
-    cdcs.write_u32(id);
-    cdcs.write_string(codec_for(id).name());
-  }
+  cdcs.write_varint(1);
+  cdcs.write_u32(kCodecGroupedHuffman);
+  cdcs.write_string(kCodecGroupedHuffmanName);
 
   constexpr int kNumWritten = kNumCoreSections + 1;
   const ByteWriter* payloads[kNumWritten] = {&conf, &rept, &blks, &cdcs};
@@ -580,24 +563,21 @@ ByteReader bkcm_section_reader(const ByteReader& whole, const BkcmInfo& info,
                    "BKCM section '" + section.name + "'");
 }
 
-/// Validate one 'CDCS' codec-directory payload against the registry and
-/// the codec ids 'BLKS' actually used (distinct, ascending).
-void validate_codecs_section(ByteReader cdcs,
-                             const std::vector<std::uint32_t>& used) {
+/// Validate one 'CDCS' codec-directory payload: every v2 block names
+/// the one codec, so the directory is exactly {1, "grouped-huffman"}.
+void validate_codecs_section(ByteReader cdcs) {
   const std::uint64_t count = cdcs.read_varint();
-  check(count == used.size(),
-        cdcs.context(), ": directory lists ", count, " codecs, 'BLKS' uses ",
-        used.size());
-  for (const std::uint32_t expected : used) {
-    const std::uint32_t id = cdcs.read_u32();
-    check(id == expected,
-          cdcs.context(),
-          ": directory does not match the codecs used by 'BLKS'");
-    const std::string name = cdcs.read_string(/*max_length=*/64);
-    check(name == codec_for(id).name(),
-          cdcs.context(), ": codec ", id, " name '", name,
-          "' does not match the registered codec");
-  }
+  check(count == 1,
+        cdcs.context(), ": directory lists ", count,
+        " codecs, 'BLKS' uses 1");
+  const std::uint32_t id = cdcs.read_u32();
+  check(id == kCodecGroupedHuffman,
+        cdcs.context(),
+        ": directory does not match the codecs used by 'BLKS'");
+  const std::string name = cdcs.read_string(/*max_length=*/64);
+  check(name == kCodecGroupedHuffmanName,
+        cdcs.context(), ": codec ", id, " name '", name,
+        "' does not match the registered codec");
   cdcs.expect_exhausted();
 }
 
@@ -639,30 +619,24 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
         " does not match the model's ", out.model_config_.blocks.size(),
         " blocks");
   out.blocks_.reserve(static_cast<std::size_t>(num_streams));
-  std::vector<std::uint32_t> used_codecs;
   for (std::uint64_t b = 0; b < num_streams; ++b) {
-    // v2 prefixes every block payload with its codec id; v1 blocks are
-    // implicitly grouped-huffman. The registry gate here is what keeps
-    // a CRC-valid hostile container from selecting a codec that does
-    // not exist.
-    std::uint32_t codec_id = kCodecGroupedHuffman;
+    // v2 prefixes every block payload with its codec id; v1 blocks
+    // carry none. This gate keeps a CRC-valid hostile container from
+    // selecting a codec that does not exist.
     if (info.version >= 2) {
-      codec_id = blks.read_u32();
-      check(block_codec_registered(codec_id),
+      const std::uint32_t codec_id = blks.read_u32();
+      check(codec_id == kCodecGroupedHuffman,
             blks.context(), ": stream ", b, " selects unregistered codec id ",
             codec_id);
     }
-    Block block = codec_for(codec_id).read_block(blks);
-    // Every grouped stream codec must use the container's tree config
-    // (the writer always emits them identical); a mismatch means CONF
-    // and BLKS describe different formats — same standard as the
-    // mirrored clustering flag.
-    check(codec_id != kCodecGroupedHuffman ||
-              block.artifact.codec.config().index_bits ==
-                  out.tree_.index_bits,
+    Block block = read_block(blks);
+    // Every stream codec must use the container's tree config (the
+    // writer always emits them identical); a mismatch means CONF and
+    // BLKS describe different formats — same standard as the mirrored
+    // clustering flag.
+    check(block.artifact.codec.config().index_bits == out.tree_.index_bits,
           blks.context(), ": stream ", b,
           " codec tree config does not match the 'CONF' section");
-    used_codecs.push_back(codec_id);
     out.blocks_.push_back(std::move(block));
   }
   blks.expect_exhausted();
@@ -674,13 +648,9 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
   // Optional sections: 'CDCS' is validated, unknown ids are skipped
   // (their structure and checksum were already checked by
   // inspect_bkcm).
-  std::sort(used_codecs.begin(), used_codecs.end());
-  used_codecs.erase(std::unique(used_codecs.begin(), used_codecs.end()),
-                    used_codecs.end());
   for (std::size_t s = kNumCoreSections; s < info.sections.size(); ++s) {
     if (info.sections[s].name == "CDCS") {
-      validate_codecs_section(bkcm_section_reader(whole, info, s),
-                              used_codecs);
+      validate_codecs_section(bkcm_section_reader(whole, info, s));
     }
   }
   return out;
@@ -698,8 +668,7 @@ CompressedModelView MappedBkcm::view(std::vector<bnn::OpRecord> ops) const {
                         .stream_bits = artifact.compressed.stream_bits,
                         .code_lengths = artifact.code_lengths,
                         .codec = &artifact.codec,
-                        .clustering = &artifact.clustering,
-                        .codec_id = artifact.codec_id});
+                        .clustering = &artifact.clustering});
   }
   return assemble_view(std::move(ops), std::move(blocks));
 }

@@ -2,7 +2,7 @@
 // BKCM ("BNN Kernel-Compressed Model") — the on-disk container for a
 // compressed model, v2 (v1 containers still load). This is the
 // deployment artifact: the model ships as the per-block codec payloads
-// (decode tables / dictionaries plus the compressed kernel streams —
+// (decode tables plus the compressed kernel streams —
 // exactly what the Sec IV hardware decoder consumes), the clustering
 // remap and frequency statistics, the model configuration needed to
 // rebuild the uncompressed layers, and the compression report. The 3x3
@@ -20,14 +20,14 @@
 //   | 'CONF' tree + clustering config, ReActNet model config       |
 //   | 'REPT' ModelReport (doubles stored as IEEE-754 bit patterns) |
 //   | 'BLKS' per-block payloads; v2 prefixes each with its codec id|
-//   | 'CDCS' (v2) codec directory: ids + names used by 'BLKS'      |
+//   | 'CDCS' (v2) codec directory: {1, "grouped-huffman"}          |
 //   +--------------------------------------------------------------+
 //
 // Version negotiation: a v1 container is strict — exactly the three
 // core sections, in order, 'BLKS' implicitly grouped-huffman. A v2
 // container starts with the same three core sections (each 'BLKS'
-// block prefixed by a u32 codec id, dispatched through the
-// compress/block_codec.h registry) and may append optional sections;
+// block prefixed by the u32 codec id 1, the only id a reader accepts;
+// compress/block_codec.h) and may append optional sections;
 // a reader validates structure + CRC of every section but skips
 // optional ids it does not know, so future minor additions stay
 // readable. Both versions reject bad magic, an unknown flag bit, an
@@ -73,11 +73,10 @@ inline constexpr std::uint32_t kBkcmFlagClustering = 1u << 0;
 inline constexpr std::uint32_t kBkcmSectionConfig = fourcc('C', 'O', 'N', 'F');
 inline constexpr std::uint32_t kBkcmSectionReport = fourcc('R', 'E', 'P', 'T');
 inline constexpr std::uint32_t kBkcmSectionBlocks = fourcc('B', 'L', 'K', 'S');
-/// v2 optional section: the codec directory — (id, name) of every
-/// distinct codec used by 'BLKS', ascending. Redundant with the
-/// per-block ids by design: a reader cross-checks it against the
-/// registry and the streams, and tooling can list the codecs without
-/// parsing a single block payload.
+/// v2 optional section: the codec directory — the (id, name) of the
+/// codec every 'BLKS' block names, always {1, "grouped-huffman"}.
+/// Redundant with the per-block ids by design: a reader checks it
+/// against that one entry.
 inline constexpr std::uint32_t kBkcmSectionCodecs = fourcc('C', 'D', 'C', 'S');
 
 // ---- Per-struct serializers ----
@@ -118,17 +117,10 @@ void write_codec(ByteWriter& writer, const GroupedHuffmanCodec& codec);
 GroupedHuffmanCodec read_codec(ByteReader& reader);
 
 /// The stream header and bytes; read back by read_compressed_kernel_ref
-/// (compress/block_codec.h), which borrows the bytes in place.
+/// (compress/block_codec.h), which borrows the bytes in place. The
+/// whole per-block payload is write_block / read_block there.
 void write_compressed_kernel(ByteWriter& writer,
                              const CompressedKernel& kernel);
-
-/// Everything except `code_lengths` (recovered from the stream). The
-/// GROUPED-HUFFMAN per-block payload — the v1 block layout, and the v2
-/// grouped payload behind its codec-id word — parsed back by
-/// GroupedBlockCodec::read_block. Other codecs serialize through their
-/// BlockCodec::write_block/read_block instead.
-void write_kernel_compression(ByteWriter& writer,
-                              const KernelCompression& stream);
 
 void write_block_report(ByteWriter& writer, const BlockReport& report);
 BlockReport read_block_report(ByteReader& reader);

@@ -12,10 +12,13 @@ Engine::Engine(const bnn::ReActNetConfig& model_config,
                const EngineOptions& options)
     : options_(options),
       model_(model_config),
-      compressor_(options.tree, options.clustering_config,
-                  options.codec_id),
+      compressor_(options.tree, options.clustering_config),
       workspaces_(
-          std::make_unique<bnn::WorkspacePool>(model_.memory_plan())) {}
+          std::make_unique<bnn::WorkspacePool>(model_.memory_plan())) {
+  check(options.codec_id == compress::kCodecGroupedHuffman,
+        "unregistered codec id ", options.codec_id, " (registered: ",
+        compress::kCodecGroupedHuffman, " grouped-huffman)");
+}
 
 const compress::ModelReport& Engine::compress(int num_threads) {
   if (compressed_) return report_;
@@ -124,10 +127,7 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
       mapped.model_config(),
       EngineOptions{.clustering = mapped.clustering(),
                     .tree = mapped.tree(),
-                    .clustering_config = mapped.clustering_config(),
-                    .codec_id = blocks.empty()
-                                    ? compress::kCodecGroupedHuffman
-                                    : blocks.front().artifact.codec_id});
+                    .clustering_config = mapped.clustering_config()});
   const auto num_blocks = static_cast<std::int64_t>(blocks.size());
   check(blocks.size() == engine.model_.num_blocks(),
         "Engine::load_compressed: container block count does not match "

@@ -38,11 +38,11 @@ struct EngineOptions {
   bool clustering = true;
   compress::GroupedTreeConfig tree = compress::GroupedTreeConfig::paper();
   compress::ClusteringConfig clustering_config = {};
-  /// Which block codec (compress/block_codec.h registry) compresses the
-  /// kernels. The default is the paper's grouped-huffman scheme;
-  /// `tree`/`clustering_config` only apply to it (other codecs ignore
-  /// them, and `clustering` selects which of their two emitted streams
-  /// deploys — for a codec without a clustering pass both are the same).
+  /// The block codec id; the Engine constructor raises CheckError for
+  /// any value but compress::kCodecGroupedHuffman. Kept only because the
+  /// benchmark harness (bkcbench/) sets it; it goes, together with
+  /// compress::make_block_codec, in the next change to the benchmark
+  /// (ROADMAP item 6).
   std::uint32_t codec_id = compress::kCodecGroupedHuffman;
 };
 

@@ -5,7 +5,9 @@
 // the throughput/inference binaries take --threads N to size the
 // parallel fan-out.
 
+#include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -19,6 +21,22 @@ inline bool has_flag(int argc, char** argv, std::string_view flag) {
     if (flag == argv[i]) return true;
   }
   return false;
+}
+
+/// Throws CheckError naming the first "--" argument that is not in
+/// `known` (compared up to any "=", so "--threads=4" is "--threads"),
+/// so a misspelt flag ("--no-clusterin") fails instead of leaving the
+/// run on the default it meant to change. Arguments without the "--"
+/// prefix (subcommands, values) are not checked.
+inline void check_known_flags(int argc, char** argv,
+                              std::initializer_list<std::string_view> known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--") continue;
+    const std::string_view name = arg.substr(0, arg.find('='));
+    check(std::find(known.begin(), known.end(), name) != known.end(),
+          "unknown flag '", name, "'");
+  }
 }
 
 /// Resolves both accepted value spellings — "--threads 4" and

@@ -51,8 +51,8 @@ std::string number(double v, NonFinitePolicy policy = NonFinitePolicy::kCheck);
 ///
 ///   json::Writer w;
 ///   w.begin_object();
-///   w.key("bench").value("codec_shootout");
-///   w.key("codecs").begin_array();
+///   w.key("bench").value("serve_load");
+///   w.key("points").begin_array();
 ///   ... w.begin_object(); w.key("id").value(7); w.end_object(); ...
 ///   w.end_array();
 ///   w.end_object();

@@ -50,8 +50,7 @@ hwsim::OwnedStreamInfo uniform_stream(std::size_t sequences,
 }
 
 compress::CompressedBlock encode_block(const bnn::PackedKernel& kernel) {
-  return compress::codec_for(compress::kCodecGroupedHuffman)
-      .compress_block("kernel", kernel);
+  return compress::BlockCodec().compress_block("kernel", kernel);
 }
 
 hwsim::OwnedStreamInfo compressed_stream(std::int64_t channels,

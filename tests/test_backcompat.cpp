@@ -3,8 +3,7 @@
 // with the same tiny/seed-42 recipe as the current golden) must keep
 // parsing through MappedBkcm::open into the artifacts a from-scratch
 // compression emits, and loading bit-identically to it. Plus the
-// forward contract: every codec in the block-codec registry must
-// round-trip an engine through a v2 container.
+// forward contract: an engine round-trips through a v2 container.
 //
 // The v1 fixture is never regenerated; if this suite fails the READER
 // broke, not the fixture (the CTest 'backcompat' label runs it in CI).
@@ -92,11 +91,6 @@ TEST(BackCompatV1, FixtureIsAVersion1Container) {
   EXPECT_EQ(info.sections[0].name, "CONF");
   EXPECT_EQ(info.sections[1].name, "REPT");
   EXPECT_EQ(info.sections[2].name, "BLKS");
-  // v1 blocks are implicitly grouped-huffman; the reader stamps the id.
-  const MappedBkcm mapped = MappedBkcm::open(v1_path());
-  for (const MappedBkcm::Block& block : mapped.blocks()) {
-    EXPECT_EQ(block.artifact.codec_id, compress::kCodecGroupedHuffman);
-  }
 }
 
 TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
@@ -115,7 +109,6 @@ TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
   for (std::size_t b = 0; b < streams.size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
     const compress::KernelCompression& stream = streams[b];
-    EXPECT_EQ(block.artifact.codec_id, stream.codec_id) << "block " << b;
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits)
         << "block " << b;
@@ -162,24 +155,20 @@ TEST(BackCompatV1, RewritingTheFixtureUpgradesItToV2Unchanged) {
   std::remove(path.c_str());
 }
 
-// ---- Forward contract: every registered codec round-trips ----
+// ---- Forward contract: an engine round-trips through v2 ----
 
-class BackCompatCodecs : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(BackCompatCodecs, EngineRoundTripsThroughAV2Container) {
-  const std::uint32_t codec_id = GetParam();
-  const std::string path = ::testing::TempDir() + "/bkc_codec_" +
-                           std::to_string(codec_id) + ".bkcm";
-  Engine source(test::tiny_config(61), EngineOptions{.codec_id = codec_id});
+TEST(BackCompatV2, EngineRoundTripsThroughAV2Container) {
+  const std::string path = ::testing::TempDir() + "/bkc_codec_v2.bkcm";
+  Engine source(test::tiny_config(61));
   source.compress(2);
   EXPECT_TRUE(source.verify_streams(2));
   source.save_compressed(path);
 
-  // Every parsed block names the codec and carries the source's stream
-  // bytes; the engine load installs the source kernels.
+  // Every parsed block carries the source's stream bytes; the engine
+  // load installs the source kernels.
   const MappedBkcm mapped = MappedBkcm::open(path);
+  EXPECT_EQ(mapped.info().version, compress::kBkcmVersion);
   const Engine loaded = Engine::load_compressed(mapped, 2);
-  EXPECT_EQ(loaded.options().codec_id, codec_id);
   EXPECT_TRUE(loaded.verify_streams(2));
   ASSERT_EQ(mapped.blocks().size(), source.model().num_blocks());
   ASSERT_EQ(loaded.model().num_blocks(), source.model().num_blocks());
@@ -187,29 +176,15 @@ TEST_P(BackCompatCodecs, EngineRoundTripsThroughAV2Container) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
     const std::vector<std::uint8_t>& bytes =
         source.block_streams()[b].compressed.stream;
-    EXPECT_EQ(block.artifact.codec_id, codec_id);
     EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
                            bytes.begin(), bytes.end()))
-        << "codec " << codec_id << ", block " << b << " (parsed)";
+        << "block " << b << " (parsed)";
     EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() ==
                 source.model().block(b).conv3x3().kernel())
-        << "codec " << codec_id << ", block " << b << " (loaded)";
+        << "block " << b << " (loaded)";
   }
   std::remove(path.c_str());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllRegisteredCodecs, BackCompatCodecs,
-    ::testing::ValuesIn(std::vector<std::uint32_t>(
-        compress::registered_block_codecs().begin(),
-        compress::registered_block_codecs().end())),
-    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
-      std::string name(compress::codec_for(info.param).name());
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
 
 }  // namespace
 }  // namespace bkc

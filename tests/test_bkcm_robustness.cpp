@@ -283,9 +283,8 @@ TEST(BkcmRobustness, CorruptPayloadBehindAValidChecksumStillFailsCleanly) {
 
 // ---- v2 codec-id robustness ----
 // A v2 'BLKS' block starts with a u32 codec id; a CRC-valid hostile
-// container must not be able to select a codec outside the registry,
-// and the 'CDCS' directory must agree with both the registry and the
-// streams.
+// container must not be able to select any codec but id 1, and the
+// 'CDCS' directory must be exactly {1, "grouped-huffman"}.
 
 /// Overwrite the first stream's codec-id word (it sits right after the
 /// 1-byte varint stream count) and recompute the BLKS CRC so the
@@ -303,23 +302,15 @@ std::vector<std::uint8_t> file_with_codec_id(std::uint32_t codec_id) {
 }
 
 TEST(BkcmRobustness, UnregisteredCodecIdBehindValidCrcIsRejected) {
-  for (const std::uint32_t hostile : {0u, 99u, 0xffffffffu}) {
+  for (const std::uint32_t hostile : {0u, 2u, 99u, 0xffffffffu}) {
     expect_read_fails(file_with_codec_id(hostile), "unregistered codec",
                       "codec id " + std::to_string(hostile));
   }
 }
 
-TEST(BkcmRobustness, SwappedCodecIdFailsTheCodecDirectoryCrossCheck) {
-  // mst-delta IS registered, so the per-stream gate passes — but the
-  // payload (and the 'CDCS' directory) still describe grouped-huffman,
-  // so the open must fail before any kernel is accepted.
-  expect_read_fails(file_with_codec_id(kCodecMstDelta), "BKCM section",
-                    "registered-but-wrong codec id");
-}
-
 TEST(BkcmRobustness, CorruptCodecDirectoryBehindValidCrcIsRejected) {
   // Flip the last byte of 'CDCS' (the tail of the codec name) and
-  // recompute its CRC: the directory no longer matches the registry.
+  // recompute its CRC: the directory no longer names the codec.
   const BkcmSection& cdcs = valid_info().sections[3];
   ASSERT_EQ(cdcs.name, "CDCS");
   auto file = valid_file();

@@ -189,6 +189,27 @@ TEST(Cli, FlagStringValueRejectsFlagLikeValue) {
   EXPECT_EQ(flag_string_value(dash.argc(), dash.argv(), "--out", "x"), "-");
 }
 
+TEST(Cli, CheckKnownFlagsRejectsAnUnlistedFlagByName) {
+  Argv good({"compress", "--tiny", "--threads=4", "--out", "m.bkcm"});
+  EXPECT_NO_THROW(check_known_flags(good.argc(), good.argv(),
+                                    {"--tiny", "--threads", "--out"}));
+  Argv typo({"compress", "--tiny", "--no-clusterin"});
+  try {
+    check_known_flags(typo.argc(), typo.argv(),
+                      {"--tiny", "--no-clustering"});
+    FAIL() << "a misspelt flag must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag '--no-clusterin'"),
+              std::string::npos)
+        << e.what();
+  }
+  // The "=" form is matched on its name, so a value cannot smuggle a
+  // known flag's spelling past the check.
+  Argv equals({"--seed=--tiny"});
+  EXPECT_THROW(check_known_flags(equals.argc(), equals.argv(), {"--tiny"}),
+               CheckError);
+}
+
 TEST(Cli, PositiveFlagValueValidatesTheFallbackToo) {
   // A bad default is a caller bug, not something to silently pass into
   // parallel_for when the user omits the flag.

@@ -117,9 +117,8 @@ TEST(Clustering, ApplyToKernelRewritesChannels) {
             (std::vector<SeqId>{0, 0, 0, 0}));
   // The codec pass rewrites the kernel through the same remap.
   const CompressedBlock block =
-      make_block_codec(kCodecGroupedHuffman, GroupedTreeConfig::paper(),
-                       config)
-          ->compress_block("b", kernel);
+      BlockCodec(GroupedTreeConfig::paper(), config).compress_block("b",
+                                                                    kernel);
   EXPECT_EQ(bnn::extract_sequences(block.clustered_kernel),
             (std::vector<SeqId>{0, 0, 0, 0}));
   EXPECT_TRUE(decode_block(block.clustered) == block.clustered_kernel);

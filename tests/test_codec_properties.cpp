@@ -48,9 +48,7 @@ bnn::PackedKernel random_kernel(Rng& rng, std::uint64_t capacity) {
 /// The encoding column of one compress_block pass under `config`.
 KernelCompression encode_with(const bnn::PackedKernel& kernel,
                               const GroupedTreeConfig& config) {
-  return make_block_codec(kCodecGroupedHuffman, config, {})
-      ->compress_block("k", kernel)
-      .encoding;
+  return BlockCodec(config).compress_block("k", kernel).encoding;
 }
 
 void expect_round_trip(const bnn::PackedKernel& kernel,

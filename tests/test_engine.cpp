@@ -61,31 +61,35 @@ void expect_installed_kernels_decode_from_streams(const Engine& engine,
 TEST(Engine, InstalledKernelsAreTheDecodedStreams) {
   const std::string path =
       ::testing::TempDir() + "/bkc_engine_installed.bkcm";
-  for (const std::uint32_t codec_id : compress::registered_block_codecs()) {
-    for (const bool clustering : {true, false}) {
-      for (const int threads : {1, 4}) {
-        const std::string what = "codec " + std::to_string(codec_id) +
-                                 " clustering " +
-                                 std::to_string(clustering) + " threads " +
-                                 std::to_string(threads);
-        Engine engine(test::tiny_config(41),
-                      EngineOptions{.clustering = clustering,
-                                    .codec_id = codec_id});
-        engine.compress(threads);
-        expect_installed_kernels_decode_from_streams(engine,
-                                                     what + " compress");
-        engine.save_compressed(path);
-        const Engine loaded = Engine::load_compressed(path, threads);
-        expect_installed_kernels_decode_from_streams(loaded, what + " load");
-        for (std::size_t b = 0; b < engine.model().num_blocks(); ++b) {
-          EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() ==
-                      engine.model().block(b).conv3x3().kernel())
-              << what << " block " << b;
-        }
+  for (const bool clustering : {true, false}) {
+    for (const int threads : {1, 4}) {
+      const std::string what = "clustering " + std::to_string(clustering) +
+                               " threads " + std::to_string(threads);
+      Engine engine(test::tiny_config(41),
+                    EngineOptions{.clustering = clustering});
+      engine.compress(threads);
+      expect_installed_kernels_decode_from_streams(engine,
+                                                   what + " compress");
+      engine.save_compressed(path);
+      const Engine loaded = Engine::load_compressed(path, threads);
+      expect_installed_kernels_decode_from_streams(loaded, what + " load");
+      for (std::size_t b = 0; b < engine.model().num_blocks(); ++b) {
+        EXPECT_TRUE(loaded.model().block(b).conv3x3().kernel() ==
+                    engine.model().block(b).conv3x3().kernel())
+            << what << " block " << b;
       }
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(Engine, RejectsAnyCodecIdButGroupedHuffman) {
+  for (const std::uint32_t codec_id : {0u, 2u, 99u}) {
+    EXPECT_THROW(Engine(test::tiny_config(41),
+                        EngineOptions{.codec_id = codec_id}),
+                 CheckError)
+        << "codec id " << codec_id;
+  }
 }
 
 TEST(Engine, CompressIsIdempotent) {

@@ -294,10 +294,10 @@ TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
     const KernelCompression& stream =
         clustering ? block.clustered : block.encoding;
     ByteWriter writer;
-    write_kernel_compression(writer, stream);
+    write_block(writer, stream);
     const std::vector<std::uint8_t> bytes = writer.take();
     ByteReader reader(bytes, "round-trip");
-    ParsedBlock parsed = codec_for(kCodecGroupedHuffman).read_block(reader);
+    ParsedBlock parsed = read_block(reader);
     reader.expect_exhausted();
     // The parse borrows the stream bytes; copy them in to decode.
     KernelCompression& read = parsed.artifact;
@@ -535,7 +535,6 @@ TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
   for (std::size_t b = 0; b < streams.size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
     const KernelCompression& stream = streams[b];
-    EXPECT_EQ(block.artifact.codec_id, stream.codec_id);
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
     EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
@@ -587,7 +586,6 @@ TEST(SerializeMapped, MappedViewBorrowsTheMappingAndDecodesNothing) {
     EXPECT_GE(block.stream.data(), image.data());
     EXPECT_LE(block.stream.data() + block.stream.size(),
               image.data() + image.size());
-    EXPECT_EQ(block.artifact.codec_id, stream.codec_id);
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
     // The mapped artifact owns no stream copy — zero-copy means the
@@ -644,7 +642,6 @@ TEST(SerializeMapped, MappedViewFeedsAssembledBlockViews) {
     EXPECT_LE(block.stream.data() + block.stream.size(),
               image.data() + image.size());
     EXPECT_EQ(block.codec, &mapped.blocks()[b].artifact.codec);
-    EXPECT_EQ(block.codec_id, mapped.blocks()[b].artifact.codec_id);
     EXPECT_EQ(block.code_lengths.size(), block.num_sequences());
   }
   // An op layout from a different configuration must be rejected.

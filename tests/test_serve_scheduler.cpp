@@ -8,18 +8,23 @@
 // that: the deadline flushes partial batches, a full batch dispatches
 // without waiting for the deadline, admission control rejects
 // deterministically at max_queue with a typed error, stop() drains
-// every accepted request, and the counters add up.
+// every accepted request, and the counters add up — also when client
+// threads open, submit to and evict from a shared registry while the
+// scheduler stops under them (the TSan job runs this suite).
 
 #include "serve/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bnn/weights.h"
@@ -276,6 +281,144 @@ TEST_F(ServeSchedulerTest, PerTenantAndPerModelCountersAddUp) {
   // Queue time is measured for every dispatched request.
   EXPECT_EQ(stats.total.queue.count(), 6u);
   EXPECT_GE(stats.total.mean_queue_ms(), 0.0);
+}
+
+// Client threads interleave registry open / evict_unused with submits
+// to two models while the main thread stops the scheduler in the
+// middle of their traffic. Every accepted request must still resolve
+// bit-identical to the direct path, every refusal must be kStopped
+// (the queue bound is never reached), and the per-model and per-tenant
+// counters must add up to exactly what the clients saw.
+TEST_F(ServeSchedulerTest, RegistryAndSchedulerSurviveConcurrentStop) {
+  constexpr int kClients = 4;
+  constexpr int kIterations = 12;
+  const std::string path_b = ::testing::TempDir() + "/scheduler_model_b.bkcm";
+  {
+    Engine engine(test::tiny_config(28));
+    engine.compress(2);
+    engine.save_compressed(path_b);
+  }
+  const std::string names[2] = {"stress-a", "stress-b"};
+  const std::string paths[2] = {path_, path_b};
+  const std::vector<Tensor> images = sample_images(4, 37);
+  std::vector<Tensor> expected[2];
+  for (int m = 0; m < 2; ++m) {
+    expected[m] = Engine::load_compressed(paths[m]).classify_batch(images, 1);
+  }
+
+  SchedulerOptions options;
+  options.max_batch = 3;
+  options.max_delay = 1ms;
+  options.max_queue = kClients * kIterations;  // admission never refuses
+  options.num_threads = 2;
+  BatchScheduler scheduler(options);
+
+  struct Accepted {
+    int model = 0;
+    std::size_t image = 0;
+    std::future<Tensor> future;
+  };
+  struct Client {
+    std::vector<Accepted> accepted;
+    std::vector<RejectReason> rejected;
+  };
+  std::vector<Client> clients(kClients);
+  std::atomic<int> past_half{0};
+  std::atomic<bool> stopped{false};
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client& client = clients[static_cast<std::size_t>(c)];
+      const std::string tenant = "tenant-" + std::to_string(c % 2);
+      for (int i = 0; i < kIterations; ++i) {
+        if (i == kIterations / 2) past_half.fetch_add(1);
+        // The last submission always lands after stop() returned.
+        if (i == kIterations - 1) {
+          while (!stopped.load()) std::this_thread::yield();
+        }
+        const int m = (c + i) % 2;
+        const std::size_t image = static_cast<std::size_t>(i) % images.size();
+        ModelHandle handle = registry_->open(names[m], paths[m]);
+        try {
+          client.accepted.push_back(
+              {m, image, scheduler.submit(std::move(handle), tenant,
+                                          images[image])});
+        } catch (const RejectError& e) {
+          client.rejected.push_back(e.reason());
+        }
+        if (i % 3 == 2) registry_->evict_unused();
+      }
+    });
+  }
+  // Stop once every client is halfway, while their second halves are
+  // still submitting.
+  while (past_half.load() < kClients) std::this_thread::yield();
+  scheduler.stop();
+  stopped.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  std::uint64_t accepted_total = 0;
+  std::uint64_t rejected_total = 0;
+  std::map<std::string, std::uint64_t> model_requests;
+  std::map<std::string, std::uint64_t> tenant_requests;
+  for (int c = 0; c < kClients; ++c) {
+    Client& client = clients[static_cast<std::size_t>(c)];
+    const std::string tenant = "tenant-" + std::to_string(c % 2);
+    for (Accepted& request : client.accepted) {
+      ASSERT_EQ(request.future.wait_for(60s), std::future_status::ready);
+      expect_scores_bit_identical(
+          request.future.get(),
+          expected[request.model][request.image],
+          "client " + std::to_string(c) + " model " +
+              names[request.model] + " image " +
+              std::to_string(request.image));
+      ++model_requests[names[request.model]];
+      ++tenant_requests[tenant];
+    }
+    for (const RejectReason reason : client.rejected) {
+      EXPECT_EQ(reason, RejectReason::kStopped);
+    }
+    EXPECT_FALSE(client.rejected.empty()) << "client " << c;
+    accepted_total += client.accepted.size();
+    rejected_total += client.rejected.size();
+  }
+  EXPECT_EQ(accepted_total + rejected_total,
+            static_cast<std::uint64_t>(kClients * kIterations));
+
+  const StatsSnapshot stats = scheduler.stats();
+  EXPECT_EQ(stats.total.requests, accepted_total);
+  EXPECT_EQ(stats.total.dispatched, accepted_total);
+  EXPECT_EQ(stats.total.rejects, rejected_total);
+  std::uint64_t per_model_requests = 0;
+  std::uint64_t per_model_rejects = 0;
+  for (const auto& [name, counters] : stats.per_model) {
+    EXPECT_EQ(counters.requests, model_requests[name]) << name;
+    EXPECT_EQ(counters.dispatched, counters.requests) << name;
+    per_model_requests += counters.requests;
+    per_model_rejects += counters.rejects;
+  }
+  EXPECT_EQ(per_model_requests, accepted_total);
+  EXPECT_EQ(per_model_rejects, rejected_total);
+  std::uint64_t per_tenant_requests = 0;
+  std::uint64_t per_tenant_dispatched = 0;
+  std::uint64_t per_tenant_rejects = 0;
+  for (const auto& [tenant, counters] : stats.per_tenant) {
+    EXPECT_EQ(counters.requests, tenant_requests[tenant]) << tenant;
+    per_tenant_requests += counters.requests;
+    per_tenant_dispatched += counters.dispatched;
+    per_tenant_rejects += counters.rejects;
+  }
+  EXPECT_EQ(per_tenant_requests, accepted_total);
+  EXPECT_EQ(per_tenant_dispatched, accepted_total);
+  EXPECT_EQ(per_tenant_rejects, rejected_total);
+
+  // Drained: nothing pins the stress models any more.
+  registry_->evict_unused();
+  EXPECT_FALSE(registry_->contains("stress-a"));
+  EXPECT_FALSE(registry_->contains("stress-b"));
+  EXPECT_TRUE(registry_->contains("tiny"));
+  std::remove(path_b.c_str());
 }
 
 TEST_F(ServeSchedulerTest, OptionValidation) {
