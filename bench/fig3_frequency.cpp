@@ -10,6 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace bkc;
+  exit_on_unknown_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds.

@@ -208,6 +208,8 @@ void write_json(const std::string& path, const SweepConfig& config,
 
 int main(int argc, char** argv) {
   try {
+    check_known_flags(argc, argv,
+                      {"--tiny", "--json", "--threads", "--seed"});
     const bool tiny = has_flag(argc, argv, "--tiny");
     const std::string json_path = flag_string_value(argc, argv, "--json", "");
     const int num_threads = positive_flag_value(argc, argv, "--threads", 2);

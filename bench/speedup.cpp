@@ -170,6 +170,8 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
 
 int main(int argc, char** argv) {
   using namespace bkc;
+  exit_on_unknown_flags(argc, argv,
+                        {"--tiny", "--repeat", "--threads", "--sampled"});
 
   const bool tiny = has_flag(argc, argv, "--tiny");
   const int repeat = positive_flag_value(argc, argv, "--repeat", 8);

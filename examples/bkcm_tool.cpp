@@ -181,10 +181,9 @@ int run_classify(int argc, char** argv) {
 }
 
 int run_speedup(int argc, char** argv) {
-  // The artifact-view path end to end: the container is memory-mapped,
-  // its 'BLKS' section becomes a CompressedModelView (stream spans
-  // point into the mapping, code lengths come from a prefix scan), and
-  // the timing model consumes that view. No compression pass runs, no
+  // The artifact-view path end to end: the container is parsed, its
+  // 'BLKS' blocks become a CompressedModelView (code lengths come from
+  // a prefix scan), and the timing model consumes that view. No compression pass runs, no
   // kernel is decoded and no weight is sampled — the op-record layout
   // comes from the configuration alone (bnn::op_records_for).
   const bool sampled = has_flag(argc, argv, "--sampled");

@@ -22,6 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace bkc;
+  exit_on_unknown_flags(argc, argv, {"--tiny", "--threads"});
   // The count is positional and optional: skip it when argv[1] is a
   // flag (so `reactnet_inference --tiny` still measures 3 images).
   const int num_images =

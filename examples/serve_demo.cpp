@@ -47,6 +47,8 @@ std::string write_model(const std::string& dir, const std::string& name,
 
 int main(int argc, char** argv) {
   try {
+    check_known_flags(argc, argv,
+                      {"--tiny", "--dir", "--requests", "--threads", "--seed"});
     const bool tiny = has_flag(argc, argv, "--tiny");
     const std::string dir =
         flag_string_value(argc, argv, "--dir", ".");

@@ -181,7 +181,7 @@ class ReActNet {
 /// layout can never drift from a real model's, and op records depend on
 /// shapes alone (tests/test_reactnet.cpp pins the field-for-field
 /// equality). This is what container tooling uses to feed
-/// hwsim::compare_model from a mapped BKCM file without paying the
+/// hwsim::compare_model from a parsed BKCM file without paying the
 /// weight-generation cost of a full model.
 std::vector<OpRecord> op_records_for(const ReActNetConfig& config);
 

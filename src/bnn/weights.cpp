@@ -194,7 +194,7 @@ double zipf_partial(double s, int k) {
 }  // namespace
 
 SequenceDistribution SequenceDistribution::fitted(
-    const BlockFrequencyTarget& target, double /*reserved*/) {
+    const BlockFrequencyTarget& target) {
   check(target.top64 > 0.0 && target.top64 < 1.0,
         "fitted: top64 must be in (0, 1)");
   check(target.top256 > target.top64 && target.top256 < 1.0,

@@ -60,10 +60,8 @@ class SequenceDistribution {
   /// == target.top64 and top-256 mass == target.top256 (the exponent is
   /// bisected so one monotone curve satisfies both). The fitted curves
   /// also land the Fig. 3 interior values (all-zeros/all-ones pair near
-  /// 12.5% each, top-16 near 44-47%) without further tuning. The second
-  /// parameter is reserved (ignored).
-  static SequenceDistribution fitted(const BlockFrequencyTarget& target,
-                                     double reserved = 0.0);
+  /// 12.5% each, top-16 near 44-47%) without further tuning.
+  static SequenceDistribution fitted(const BlockFrequencyTarget& target);
 
   /// The canonical popularity ranking: Fig. 3's sixteen, then all other
   /// sequences in complement-adjacent pairs ordered by how far their

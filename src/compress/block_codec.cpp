@@ -1,6 +1,5 @@
 #include "compress/block_codec.h"
 
-#include <limits>
 #include <utility>
 
 #include "bnn/kernel_sequences.h"
@@ -17,32 +16,16 @@ std::int64_t read_channel_count(ByteReader& reader, const char* what) {
   return value;
 }
 
-CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader) {
-  CompressedKernelRef kernel;
-  kernel.out_channels = read_channel_count(reader, "stream out_channels");
-  kernel.in_channels = read_channel_count(reader, "stream in_channels");
-  check(kernel.out_channels * kernel.in_channels <= kMaxModelUnits,
-        reader.context(), ": implausible stream kernel size");
-  const std::uint64_t stream_bits = reader.read_varint();
-  check(stream_bits <= std::numeric_limits<std::size_t>::max() - 7,
-        reader.context(), ": implausible stream bit count");
-  kernel.stream_bits = static_cast<std::size_t>(stream_bits);
-  kernel.stream = reader.read_span((kernel.stream_bits + 7) / 8);
-  return kernel;
-}
-
 namespace {
 
 /// Recover the per-codeword lengths of a parsed stream, re-contexted so
 /// a corrupt-behind-valid-crc stream still names the section at fault.
 std::vector<std::uint8_t> scan_lengths_checked(
-    const ByteReader& reader, const CompressedKernelRef& kernel,
+    const ByteReader& reader, const CompressedKernel& kernel,
     const GroupedTreeConfig& config) {
   try {
-    return scan_code_lengths(
-        kernel.stream, kernel.stream_bits,
-        static_cast<std::size_t>(kernel.out_channels * kernel.in_channels),
-        config);
+    return scan_code_lengths(kernel.stream, kernel.stream_bits,
+                             kernel.num_sequences(), config);
   } catch (const CheckError& e) {
     throw CheckError(reader.context() + ": " + e.what());
   }
@@ -185,21 +168,16 @@ void write_block(ByteWriter& writer, const KernelCompression& stream) {
   write_compressed_kernel(writer, stream.compressed);
 }
 
-ParsedBlock read_block(ByteReader& reader) {
-  ParsedBlock parsed;
-  KernelCompression& artifact = parsed.artifact;
+KernelCompression read_block(ByteReader& reader) {
+  KernelCompression artifact;
   artifact.frequencies = read_frequency_table(reader);
   artifact.clustering = read_clustering_result(reader);
   artifact.coded_frequencies = read_frequency_table(reader);
   artifact.codec = read_codec(reader);
-  const CompressedKernelRef ref = read_compressed_kernel_ref(reader);
-  artifact.compressed.out_channels = ref.out_channels;
-  artifact.compressed.in_channels = ref.in_channels;
-  artifact.compressed.stream_bits = ref.stream_bits;
-  artifact.code_lengths =
-      scan_lengths_checked(reader, ref, artifact.codec.config());
-  parsed.stream = ref.stream;
-  return parsed;
+  artifact.compressed = read_compressed_kernel(reader);
+  artifact.code_lengths = scan_lengths_checked(reader, artifact.compressed,
+                                               artifact.codec.config());
+  return artifact;
 }
 
 void verify_artifact(const KernelCompression& stream, std::size_t index) {

@@ -6,8 +6,8 @@
 // report (ModelCompressor runs it once per block), the decode back to
 // the packed kernel, the per-block container payload (the v1 block
 // layout; BKCM v2 stores it behind codec id 1, kCodecGroupedHuffman,
-// and MappedBkcm::open parses it in place), and the artifact
-// cross-checks behind `bkcm_tool verify`.
+// and MappedBkcm::open parses it back), and the artifact cross-checks
+// behind `bkcm_tool verify`.
 //
 // The encode pass is the single-pass body: the instrumentation
 // counters pin one frequency count, one clustering search and two
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -40,17 +39,6 @@ inline constexpr std::int64_t kMaxModelUnits = 1 << 25;
 
 /// Read an int64 channel count and reject implausible values.
 std::int64_t read_channel_count(ByteReader& reader, const char* what);
-
-/// Parsed CompressedKernel fields with the stream still borrowed from
-/// the reader's buffer — the per-stream front end of read_block.
-struct CompressedKernelRef {
-  std::int64_t out_channels = 0;
-  std::int64_t in_channels = 0;
-  std::size_t stream_bits = 0;
-  std::span<const std::uint8_t> stream;
-};
-
-CompressedKernelRef read_compressed_kernel_ref(ByteReader& reader);
 
 /// Everything measured about one basic block's 3x3 kernel. Every field
 /// is derived from the block's CompressedBlock artifacts.
@@ -99,18 +87,6 @@ struct CompressedBlock {
   BlockReport report;  ///< derived from the two artifacts
 };
 
-/// One block artifact parsed from a container section (also
-/// MappedBkcm::Block): the same KernelCompression fields
-/// compress_block emits, since the artifact holds exactly what the
-/// container stores. Everything except the stream bytes is owned;
-/// `artifact.compressed.stream` is left EMPTY and the bytes stay
-/// borrowed in `stream`, so parsing never copies a bitstream
-/// (Engine::load_compressed copies them in when it takes ownership).
-struct ParsedBlock {
-  KernelCompression artifact;
-  std::span<const std::uint8_t> stream;  ///< borrowed from the reader
-};
-
 /// The per-block encoder under one tree and clustering configuration.
 /// Stateless beyond that configuration, so one instance can serve
 /// concurrent blocks.
@@ -148,9 +124,10 @@ void write_block(ByteWriter& writer, const KernelCompression& stream);
 
 /// Parse one per-block payload, validating every locally checkable
 /// invariant; CheckError (carrying the reader's context) otherwise.
-/// The returned artifact carries recovered code lengths; the stream
-/// bytes stay borrowed (see ParsedBlock).
-ParsedBlock read_block(ByteReader& reader);
+/// The returned artifact is complete: it owns its stream bytes and
+/// carries the code lengths recovered from them, exactly the
+/// KernelCompression compress_block emitted.
+KernelCompression read_block(ByteReader& reader);
 
 /// Deep artifact cross-checks for `bkcm_tool verify`: decode the
 /// stream and confirm it reproduces the stored statistics. CheckError

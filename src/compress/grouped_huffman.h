@@ -54,9 +54,9 @@ struct GroupedTreeConfig {
 class GroupedHuffmanCodec {
  public:
   /// An inert codec (paper tree shape, every table empty, no sequence
-  /// has a codeword). The value a KernelCompression carries when its
-  /// block was produced by a non-grouped codec. Does not bump the
-  /// instrumentation build counter: nothing was built from data.
+  /// has a codeword): the value a default-constructed KernelCompression
+  /// carries until a codec is built or parsed into it. Does not bump
+  /// the instrumentation build counter: nothing was built from data.
   GroupedHuffmanCodec();
 
   /// Build from counts. All sequences with non-zero count must fit in
@@ -147,7 +147,7 @@ class GroupedHuffmanCodec {
 /// recovered by reading each codeword's node prefix only (the index
 /// bits are skipped): no decode-table lookups, no sequence
 /// reconstruction. Identical to the lengths the encoder assigned, so a
-/// mapped container can expose a code-length vector without decoding a
+/// parsed container can expose a code-length vector without decoding a
 /// single kernel. CheckError when the stream ends mid-codeword or the
 /// `count` codewords do not consume exactly `bit_count` bits.
 std::vector<std::uint8_t> scan_code_lengths(

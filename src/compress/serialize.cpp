@@ -292,6 +292,20 @@ void write_compressed_kernel(ByteWriter& writer,
   writer.write_bytes(kernel.stream);
 }
 
+CompressedKernel read_compressed_kernel(ByteReader& reader) {
+  CompressedKernel kernel;
+  kernel.out_channels = read_channel_count(reader, "stream out_channels");
+  kernel.in_channels = read_channel_count(reader, "stream in_channels");
+  check(kernel.out_channels * kernel.in_channels <= kMaxModelUnits,
+        reader.context(), ": implausible stream kernel size");
+  const std::uint64_t stream_bits = reader.read_varint();
+  check(stream_bits <= std::numeric_limits<std::size_t>::max() - 7,
+        reader.context(), ": implausible stream bit count");
+  kernel.stream_bits = static_cast<std::size_t>(stream_bits);
+  kernel.stream = reader.read_bytes((kernel.stream_bits + 7) / 8);
+  return kernel;
+}
+
 void write_block_report(ByteWriter& writer, const BlockReport& report) {
   writer.write_string(report.block_name);
   writer.write_varint(report.num_sequences);
@@ -585,8 +599,9 @@ void validate_codecs_section(ByteReader cdcs) {
 
 MappedBkcm MappedBkcm::open(const std::string& path) {
   MappedBkcm out;
-  out.file_ = MmapFile::open(path);
-  const std::span<const std::uint8_t> file = out.file_.bytes();
+  // Every parsed piece is copied out of `file`, which is dropped on
+  // return: the result owns its artifacts and holds no file buffer.
+  const std::vector<std::uint8_t> file = read_file_bytes(path);
   out.info_ = inspect_bkcm(file);
   const BkcmInfo& info = out.info_;
   const ByteReader whole(file, "BKCM");
@@ -609,9 +624,9 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
   out.report_ = read_model_report(rept);
   rept.expect_exhausted();
 
-  // BLKS, zero-copy: the small artifacts are parsed into owned storage,
-  // the bitstream stays a span into the mapping, and one prefix-only
-  // scan per stream recovers the code-length vector. No kernel decode.
+  // BLKS: every block becomes a complete artifact (stream bytes copied
+  // out, code lengths recovered by one prefix-only scan). No kernel
+  // decode.
   ByteReader blks = bkcm_section_reader(whole, info, 2);
   const std::uint64_t num_streams = blks.read_varint();
   check(num_streams == out.model_config_.blocks.size(),
@@ -629,15 +644,16 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
             blks.context(), ": stream ", b, " selects unregistered codec id ",
             codec_id);
     }
-    Block block = read_block(blks);
+    KernelCompression artifact = read_block(blks);
     // Every stream codec must use the container's tree config (the
     // writer always emits them identical); a mismatch means CONF and
     // BLKS describe different formats — same standard as the mirrored
     // clustering flag.
-    check(block.artifact.codec.config().index_bits == out.tree_.index_bits,
+    check(artifact.codec.config().index_bits == out.tree_.index_bits,
           blks.context(), ": stream ", b,
           " codec tree config does not match the 'CONF' section");
-    out.blocks_.push_back(std::move(block));
+    Block& block = out.blocks_.emplace_back(std::move(artifact));
+    block.stream = block.artifact.compressed.stream;
   }
   blks.expect_exhausted();
 
@@ -657,20 +673,10 @@ MappedBkcm MappedBkcm::open(const std::string& path) {
 }
 
 CompressedModelView MappedBkcm::view(std::vector<bnn::OpRecord> ops) const {
-  std::vector<BlockStreamView> blocks;
-  blocks.reserve(blocks_.size());
-  for (const Block& block : blocks_) {
-    const KernelCompression& artifact = block.artifact;
-    blocks.push_back(
-        BlockStreamView{.out_channels = artifact.compressed.out_channels,
-                        .in_channels = artifact.compressed.in_channels,
-                        .stream = block.stream,
-                        .stream_bits = artifact.compressed.stream_bits,
-                        .code_lengths = artifact.code_lengths,
-                        .codec = &artifact.codec,
-                        .clustering = &artifact.clustering});
-  }
-  return assemble_view(std::move(ops), std::move(blocks));
+  std::vector<std::reference_wrapper<const KernelCompression>> artifacts;
+  artifacts.reserve(blocks_.size());
+  for (const Block& block : blocks_) artifacts.emplace_back(block.artifact);
+  return view_of(std::move(ops), std::move(artifacts));
 }
 
 }  // namespace bkc::compress

@@ -48,7 +48,6 @@
 #include "compress/model_view.h"
 #include "compress/pipeline.h"
 #include "util/binary_io.h"
-#include "util/mmap_file.h"
 
 namespace bkc::compress {
 
@@ -116,11 +115,11 @@ ClusteringResult read_clustering_result(ByteReader& reader);
 void write_codec(ByteWriter& writer, const GroupedHuffmanCodec& codec);
 GroupedHuffmanCodec read_codec(ByteReader& reader);
 
-/// The stream header and bytes; read back by read_compressed_kernel_ref
-/// (compress/block_codec.h), which borrows the bytes in place. The
-/// whole per-block payload is write_block / read_block there.
+/// The stream header and bytes. The whole per-block payload is
+/// write_block / read_block (compress/block_codec.h).
 void write_compressed_kernel(ByteWriter& writer,
                              const CompressedKernel& kernel);
+CompressedKernel read_compressed_kernel(ByteReader& reader);
 
 void write_block_report(ByteWriter& writer, const BlockReport& report);
 BlockReport read_block_report(ByteReader& reader);
@@ -161,41 +160,41 @@ struct BkcmInfo {
 
 BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file);
 
-// ---- Zero-copy container access ----
+// ---- Container parser ----
 
-/// A BKCM container opened without materializing a model: the file
-/// stays memory-mapped (util/mmap_file.h) and its 'BLKS' section is
-/// exposed as CompressedModelView blocks. Opening validates the header,
-/// section table and CRCs, parses the small sections ('CONF', 'REPT')
-/// and the small per-block artifacts (decode tables, remaps, frequency
-/// statistics), and scans each stream's codeword prefixes for its
-/// code-length vector — but never decodes a kernel and never copies a
-/// bitstream: every BlockStreamView::stream points straight into the
-/// mapping. This is the Sec IV deployment story for the simulator —
-/// `bkcm_tool speedup` runs the full CPU/decoder comparison from a
-/// container file alone.
+/// A parsed BKCM container. open() reads the file once, validates the
+/// header, section table and CRCs, and parses every section into owned
+/// storage: 'CONF', 'REPT' and one complete KernelCompression per
+/// 'BLKS' block (stream bytes included, code lengths recovered by a
+/// prefix-only scan). No kernel is decoded and no file buffer outlives
+/// open(). `bkcm_tool speedup` runs the full CPU/decoder comparison
+/// from these artifacts alone, and Engine::load_compressed decodes
+/// them into a model.
 ///
-/// Lifetime: views returned by view() borrow this object (the mapping
-/// and the owned per-block artifacts). Moving a MappedBkcm keeps all
-/// borrowed addresses valid (the mapping never moves and the per-block
-/// storage is heap-allocated); destroying it invalidates every view.
+/// Nothing is mapped: the name MappedBkcm and Block::stream stay only
+/// because the benchmark harness (bkcbench/) uses both; they go in the
+/// next change to the benchmark (ROADMAP item 6).
 class MappedBkcm {
  public:
-  /// One block of the mapped 'BLKS' section: the owned small artifacts
-  /// (every KernelCompression field, with `artifact.compressed.stream`
-  /// left EMPTY) plus the stream bytes borrowed from the mapping. No
-  /// kernel is decoded here.
-  using Block = ParsedBlock;
+  /// One parsed 'BLKS' block. `stream` spans
+  /// `artifact.compressed.stream` (see the class comment).
+  struct Block {
+    KernelCompression artifact;
+    std::span<const std::uint8_t> stream;
+  };
 
-  /// Map `path` and parse it as described above — the one parser of
+  /// Read `path` and parse it as described above — the one parser of
   /// container bytes. CheckError (naming the path, header or section at
   /// fault) on any I/O, structural, checksum or payload failure.
   static MappedBkcm open(const std::string& path);
 
+  /// Move-only: a copied Block's `stream` would still span the source.
+  MappedBkcm(MappedBkcm&&) = default;
+  MappedBkcm& operator=(MappedBkcm&&) = default;
+  MappedBkcm(const MappedBkcm&) = delete;
+  MappedBkcm& operator=(const MappedBkcm&) = delete;
+
   const BkcmInfo& info() const { return info_; }
-  /// The raw mapped container image (every Block::stream is a subspan
-  /// of this).
-  std::span<const std::uint8_t> file_bytes() const { return file_.bytes(); }
   bool clustering() const { return clustering_; }
   const GroupedTreeConfig& tree() const { return tree_; }
   const ClusteringConfig& clustering_config() const {
@@ -205,14 +204,15 @@ class MappedBkcm {
   const ModelReport& report() const { return report_; }
   const std::vector<Block>& blocks() const { return blocks_; }
 
-  /// The artifact view over the mapped blocks, paired with `ops` — the
+  /// The artifact view over the parsed blocks, paired with `ops` — the
   /// op-record layout of a model built from model_config() (op records
   /// depend only on the configuration, never on kernel contents, so any
   /// such model yields the same layout). The view borrows this object.
   CompressedModelView view(std::vector<bnn::OpRecord> ops) const;
 
  private:
-  MmapFile file_;
+  MappedBkcm() = default;
+
   BkcmInfo info_;
   bool clustering_ = true;
   GroupedTreeConfig tree_;

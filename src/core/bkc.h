@@ -40,7 +40,6 @@
 #include "util/bitstream.h"
 #include "util/check.h"
 #include "util/cli.h"
-#include "util/mmap_file.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"

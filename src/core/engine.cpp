@@ -113,11 +113,7 @@ void Engine::save_compressed(const std::string& path) const {
 }
 
 Engine Engine::load_compressed(const std::string& path, int num_threads) {
-  return load_compressed(compress::MappedBkcm::open(path), num_threads);
-}
-
-Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
-                               int num_threads) {
+  const compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
   // Rebuild the uncompressed layers (stem, batch norms, 1x1s,
   // classifier) deterministically from the stored configuration, then
   // replace every 3x3 kernel with the decoded stream content — the
@@ -143,18 +139,14 @@ Engine Engine::load_compressed(const compress::MappedBkcm& mapped,
           "Engine::load_compressed: stream shape for block ", b, " (",
           engine.model_.block(b).name(), ") does not match the model");
   }
-  // Copy the small per-block artifacts (and the compressed bytes, so
-  // the engine owns everything and outlives the mapping) serially, then
-  // fan the expensive part — the kernel decode — out one stream per
-  // work unit; each unit installs only its own block's kernel,
-  // bit-identical to the serial path. Decode errors (a stream
-  // inconsistent with its codec) surface as CheckError out of the
-  // pool's lowest-index propagation.
+  // Take the parsed artifacts serially, then fan the expensive part —
+  // the kernel decode — out one stream per work unit; each unit
+  // installs only its own block's kernel, bit-identical to the serial
+  // path. Decode errors (a stream inconsistent with its codec) surface
+  // as CheckError out of the pool's lowest-index propagation.
   engine.streams_.reserve(blocks.size());
   for (const compress::MappedBkcm::Block& block : blocks) {
-    compress::KernelCompression stream = block.artifact;
-    stream.compressed.stream.assign(block.stream.begin(), block.stream.end());
-    engine.streams_.push_back(std::move(stream));
+    engine.streams_.push_back(block.artifact);
   }
   parallel_for(num_blocks, num_threads,
                [&](std::int64_t begin, std::int64_t end) {

@@ -26,10 +26,6 @@
 
 namespace bkc {
 
-namespace compress {
-class MappedBkcm;  // compress/serialize.h
-}
-
 /// Compression knobs for the engine.
 struct EngineOptions {
   /// Run the Sec III-C clustering pass (Table V "Clustering" column)
@@ -136,24 +132,15 @@ class Engine {
   /// file: installed kernels, report() and classification outputs all
   /// match exactly (tests/test_serialize.cpp). CheckError on a missing,
   /// truncated, corrupt or inconsistent container — the message names
-  /// the failing section. Same as load_compressed(MappedBkcm::open(path),
-  /// num_threads).
+  /// the failing section. The container is parsed once
+  /// (compress::MappedBkcm::open) and the engine keeps the parsed
+  /// artifacts as its block_streams().
   static Engine load_compressed(const std::string& path,
                                 int num_threads = 1);
 
-  /// Same, from a container that is ALREADY open as a MappedBkcm — the
-  /// serving hook (serve/registry.h): MappedBkcm::open validated the
-  /// header, section table, CRCs and payloads once, so this overload
-  /// does no second parse and no second checksum walk. The per-block
-  /// artifacts are copied out of the mapped state (the engine owns its
-  /// streams and does not borrow `mapped`, which may be destroyed
-  /// afterwards) and the kernels decode straight from the mapping.
-  static Engine load_compressed(const compress::MappedBkcm& mapped,
-                                int num_threads = 1);
-
   /// The non-owning artifact view over this engine's compressed state
-  /// (compress/model_view.h): op-record layout plus per-block spans
-  /// over the streams the engine deployed (clustered when clustering is
+  /// (compress/model_view.h): op-record layout plus references to the
+  /// streams the engine deployed (clustered when clustering is
   /// enabled, plain encoding otherwise). This is what the hwsim
   /// simulator consumes; the engine must outlive the view.
   /// Precondition: compress() was called.

@@ -34,9 +34,8 @@ namespace bkc::hwsim {
 /// Static description of one compressed kernel stream: the per-sequence
 /// codeword lengths in stream order (canonical o-major enumeration).
 /// Non-owning — `code_lengths` borrows the artifact that carries the
-/// lengths (compress::KernelCompression::code_lengths, a
-/// BlockStreamView, or an OwnedStreamInfo), which must outlive every
-/// use. The struct itself is two words; pass and copy it freely.
+/// lengths (compress::KernelCompression::code_lengths or an
+/// OwnedStreamInfo), which must outlive every use. The struct itself is two words; pass and copy it freely.
 struct StreamInfo {
   std::span<const std::uint8_t> code_lengths;  ///< bits per sequence
   std::uint64_t total_bits = 0;

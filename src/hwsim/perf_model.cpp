@@ -144,15 +144,6 @@ StreamInfo stream_info_for(const compress::KernelCompression& compression) {
                     .total_bits = compression.compressed.stream_bits};
 }
 
-StreamInfo stream_info_for(const compress::BlockStreamView& block) {
-  check(block.code_lengths.size() == block.num_sequences(),
-        "stream_info_for: block view code-length vector has ",
-        block.code_lengths.size(), " entries for ", block.num_sequences(),
-        " sequences");
-  return StreamInfo{.code_lengths = block.code_lengths,
-                    .total_bits = block.stream_bits};
-}
-
 SpeedupReport compare_model(const compress::CompressedModelView& view,
                             const CpuParams& cpu,
                             const DecoderParams& decoder,

@@ -81,9 +81,9 @@ struct SpeedupReport {
 /// LayerGeometry; this is the sampled walk of hwsim/sampled.h with
 /// every block representing itself. The simulator consumes compression artifacts only —
 /// it never runs (or re-runs) a compression pass, whether the view is
-/// backed by an Engine's block_streams() or by a memory-mapped BKCM
-/// container (compress::MappedBkcm). The view's borrowed artifacts must
-/// outlive the call, nothing more.
+/// backed by an Engine's block_streams() or by a parsed BKCM container
+/// (compress::MappedBkcm). The view's borrowed artifacts must outlive
+/// the call, nothing more.
 SpeedupReport compare_model(const compress::CompressedModelView& view,
                             const CpuParams& cpu = {},
                             const DecoderParams& decoder = {},
@@ -100,8 +100,5 @@ bool cycles_identical(const SpeedupReport& a, const SpeedupReport& b);
 /// re-derived; `compression` must outlive the result. CheckError when
 /// the artifact carries no lengths.
 StreamInfo stream_info_for(const compress::KernelCompression& compression);
-
-/// Same, over one block of an artifact view.
-StreamInfo stream_info_for(const compress::BlockStreamView& block);
 
 }  // namespace bkc::hwsim

@@ -22,7 +22,7 @@ namespace {
 struct SimTask {
   const bnn::OpRecord* op = nullptr;
   ConvVariant variant = ConvVariant::kBaseline;
-  const compress::BlockStreamView* block = nullptr;  ///< null for baseline
+  const compress::KernelCompression* block = nullptr;  ///< null for baseline
 };
 
 /// Marks an op costed analytically rather than simulated.
@@ -36,7 +36,7 @@ std::vector<SampledClusterInfo> split_group(
     const compress::CompressedModelView& view,
     const std::vector<std::size_t>& group, std::size_t max_runs) {
   const auto bits = [&](std::size_t block) {
-    return view.blocks[block].stream_bits;
+    return view.blocks[block].get().compressed.stream_bits;
   };
   std::vector<std::size_t> sorted = group;
   std::stable_sort(sorted.begin(), sorted.end(),
@@ -139,10 +139,10 @@ SampledSpeedupReport compare_model_sampled(
       const std::size_t rep = run.representative;
       tasks.push_back({.op = block_op[rep],
                        .variant = ConvVariant::kSwDecode,
-                       .block = &view.blocks[rep]});
+                       .block = &view.blocks[rep].get()});
       tasks.push_back({.op = block_op[rep],
                        .variant = ConvVariant::kHwDecode,
-                       .block = &view.blocks[rep]});
+                       .block = &view.blocks[rep].get()});
       summary.clusters.push_back(std::move(run));
     }
   }

@@ -23,8 +23,8 @@ ModelHandle ModelRegistry::open(const std::string& name,
     return it->second;
   }
   // Parse and validate once (header, sections, CRCs, payload
-  // plausibility) and reconstruct the engine straight from the mapped
-  // state; the mapping is dropped once the engine owns its copy.
+  // plausibility) and reconstruct the engine from the parsed artifacts;
+  // the file buffer is gone before the load returns.
   ModelHandle handle = std::make_shared<const ServedModel>(
       name, path, Engine::load_compressed(path, load_threads_));
   models_.emplace(name, handle);

@@ -5,14 +5,12 @@
 //
 // This is the deployment story of the paper scaled out: compressed
 // models are small enough that many of them fit in memory together.
-// Opening a model maps and validates the container once
-// (MappedBkcm::open — header, section table, CRCs) and reconstructs the
-// inference engine once from the already-mapped state
-// (Engine::load_compressed(MappedBkcm) — no second parse, no second
-// checksum pass). The engine copies out everything it needs, so the
-// mapping is released as soon as the load returns and each entry holds
-// one copy of the model; every subsequent open() of the same name
-// returns the same refcounted entry.
+// Opening a model loads the container once (Engine::load_compressed:
+// one read, one parse that validates the header, section table and
+// CRCs, one decode per block). The engine owns everything it needs and
+// no file buffer outlives the load, so each entry holds one copy of
+// the model; every subsequent open() of the same name returns the same
+// refcounted entry.
 //
 // Lifetime: handles are shared_ptrs. The registry holds one reference
 // per resident model; sessions (schedulers, queued requests, demo code)

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 namespace bkc {
@@ -213,6 +214,11 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   check(in.good(), "cannot open file for reading: ", path);
+  // A directory opens like a file here, and its end offset sized the
+  // buffer below (std::bad_alloc instead of a CheckError).
+  std::error_code ec;
+  check(std::filesystem::is_regular_file(path, ec),
+        "not a regular file: ", path);
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
   check(size >= 0, "cannot determine file size: ", path);

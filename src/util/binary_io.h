@@ -74,8 +74,6 @@ class ByteReader {
   std::vector<std::uint8_t> read_bytes(std::size_t count);
   /// Borrow `count` raw bytes without copying: a subspan of the SAME
   /// underlying buffer, which must outlive every use of the result.
-  /// This is the zero-copy path for bulk payloads (kernel bitstreams)
-  /// when the buffer is a memory-mapped file (util/mmap_file.h).
   std::span<const std::uint8_t> read_span(std::size_t count);
   /// varint length + raw bytes. `max_length` guards against a corrupt
   /// length field requesting an absurd allocation.
@@ -109,7 +107,7 @@ class ByteReader {
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 /// Read a whole file into memory. CheckError (naming the path) when the
-/// file cannot be opened or read.
+/// path cannot be opened, is not a regular file, or cannot be read.
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 
 /// Write a buffer to a file, replacing any existing content atomically

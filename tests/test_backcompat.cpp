@@ -3,7 +3,8 @@
 // with the same tiny/seed-42 recipe as the current golden) must keep
 // parsing through MappedBkcm::open into the artifacts a from-scratch
 // compression emits, and loading bit-identically to it. Plus the
-// forward contract: an engine round-trips through a v2 container.
+// forward contract: an engine round-trips through a v2 container, and
+// every block parsed from either golden is a complete artifact.
 //
 // The v1 fixture is never regenerated; if this suite fails the READER
 // broke, not the fixture (the CTest 'backcompat' label runs it in CI).
@@ -32,6 +33,23 @@ const std::string& v1_path() {
   static const std::string path =
       test::golden_path("reactnet_tiny_v1.bkcm");
   return path;
+}
+
+/// Every block MappedBkcm::open parses from `path` owns its stream: it
+/// decodes, on its own, to the kernel the loaded engine installs, and
+/// passes bkcm_tool verify's artifact cross-checks.
+void expect_parsed_blocks_complete(const std::string& path) {
+  const MappedBkcm mapped = MappedBkcm::open(path);
+  const Engine loaded = Engine::load_compressed(path);
+  ASSERT_EQ(mapped.blocks().size(), loaded.model().num_blocks());
+  for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
+    const compress::KernelCompression& artifact = mapped.blocks()[b].artifact;
+    EXPECT_TRUE(compress::decode_block(artifact) ==
+                loaded.model().block(b).conv3x3().kernel())
+        << path << ", block " << b;
+    EXPECT_NO_THROW(compress::verify_artifact(artifact, b))
+        << path << ", block " << b;
+  }
 }
 
 /// The engine every load must reproduce: the golden recipe (tiny
@@ -101,6 +119,7 @@ TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
   const MappedBkcm mapped = MappedBkcm::open(v1_path());
   const Engine& reference = reference_engine();
   const Engine loaded = Engine::load_compressed(v1_path());
+  EXPECT_EQ(mapped.info().version, 1u);
   EXPECT_EQ(mapped.clustering(), reference.options().clustering);
   EXPECT_EQ(mapped.model_config().seed, reference.model().config().seed);
   const std::vector<compress::KernelCompression>& streams =
@@ -126,19 +145,15 @@ TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
 
 TEST(BackCompatV1, MappedLoadIsBitIdenticalAtEveryThreadCount) {
   for (const int threads : {1, 2, 4, 7}) {
-    // Engine::load_compressed(path) opens the MappedBkcm itself; the
-    // MappedBkcm overload is the serving path — exercise both.
     const Engine loaded = Engine::load_compressed(v1_path(), threads);
     EXPECT_TRUE(loaded.verify_streams(threads));
     expect_engine_matches_reference(
-        loaded, "mapped, threads " + std::to_string(threads));
-
-    const MappedBkcm mapped = MappedBkcm::open(v1_path());
-    EXPECT_EQ(mapped.info().version, 1u);
-    const Engine served = Engine::load_compressed(mapped, threads);
-    expect_engine_matches_reference(
-        served, "mapped (serving), threads " + std::to_string(threads));
+        loaded, "threads " + std::to_string(threads));
   }
+}
+
+TEST(BackCompatV1, ParsedBlocksAreCompleteArtifacts) {
+  expect_parsed_blocks_complete(v1_path());
 }
 
 TEST(BackCompatV1, RewritingTheFixtureUpgradesItToV2Unchanged) {
@@ -168,7 +183,7 @@ TEST(BackCompatV2, EngineRoundTripsThroughAV2Container) {
   // load installs the source kernels.
   const MappedBkcm mapped = MappedBkcm::open(path);
   EXPECT_EQ(mapped.info().version, compress::kBkcmVersion);
-  const Engine loaded = Engine::load_compressed(mapped, 2);
+  const Engine loaded = Engine::load_compressed(path, 2);
   EXPECT_TRUE(loaded.verify_streams(2));
   ASSERT_EQ(mapped.blocks().size(), source.model().num_blocks());
   ASSERT_EQ(loaded.model().num_blocks(), source.model().num_blocks());
@@ -184,6 +199,11 @@ TEST(BackCompatV2, EngineRoundTripsThroughAV2Container) {
         << "block " << b << " (loaded)";
   }
   std::remove(path.c_str());
+}
+
+TEST(BackCompatV2, ParsedBlocksAreCompleteArtifacts) {
+  if (test::update_goldens()) GTEST_SKIP() << "golden being regenerated";
+  expect_parsed_blocks_complete(test::golden_path("reactnet_tiny.bkcm"));
 }
 
 }  // namespace

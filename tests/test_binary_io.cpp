@@ -178,12 +178,27 @@ TEST(BinaryIo, FileRoundTripAndMissingFileError) {
   const std::vector<std::uint8_t> payload = {0x00, 0xff, 0x42, 0x10};
   write_file_bytes(path, payload);
   EXPECT_EQ(read_file_bytes(path), payload);
+  // An empty file reads as an empty buffer, not an error.
+  write_file_bytes(path, std::vector<std::uint8_t>{});
+  EXPECT_TRUE(read_file_bytes(path).empty());
   std::remove(path.c_str());
   try {
     read_file_bytes(path);
     FAIL() << "missing file must throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinaryIo, ReadingADirectoryIsACheckErrorNamingThePath) {
+  // A directory opens like a file; its size must not size the buffer.
+  const std::string dir = ::testing::TempDir();
+  try {
+    read_file_bytes(dir);
+    FAIL() << "reading a directory must throw";
+  } catch (const CheckError& e) {
+    EXPECT_TRUE(std::string(e.what()).ends_with(": not a regular file: " + dir))
         << e.what();
   }
 }

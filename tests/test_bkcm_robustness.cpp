@@ -53,7 +53,7 @@ const BkcmInfo& valid_info() {
 }
 
 /// MappedBkcm::open over a temp file holding `file`. The temp file is
-/// removed before returning (or throwing); the mapping outlives it.
+/// removed before returning (or throwing); the parse owns its data.
 MappedBkcm open_image(const std::vector<std::uint8_t>& file) {
   const std::string path = ::testing::TempDir() + "/bkc_robustness.bkcm";
   write_file_bytes(path, file);
@@ -377,6 +377,27 @@ TEST(BkcmRobustness, LoadCompressedPropagatesContainerErrors) {
     EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos)
         << e.what();
   }
+}
+
+/// The what() of the CheckError `fn` throws ("" when none is thrown).
+template <typename Fn>
+std::string check_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BkcmRobustness, DirectoryFailsAsTheFileReaderDoes) {
+  // There is one file reader: the container parser and the engine load
+  // fail on a directory with read_file_bytes' own CheckError.
+  const std::string dir = ::testing::TempDir();
+  const std::string expected = check_error_of([&] { read_file_bytes(dir); });
+  EXPECT_TRUE(expected.ends_with(": not a regular file: " + dir)) << expected;
+  EXPECT_EQ(check_error_of([&] { MappedBkcm::open(dir); }), expected);
+  EXPECT_EQ(check_error_of([&] { Engine::load_compressed(dir); }), expected);
 }
 
 }  // namespace

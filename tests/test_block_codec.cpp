@@ -35,8 +35,8 @@ TEST(BlockCodec, CompressBlockKeepsTheSinglePassContract) {
 }
 
 TEST(BlockCodec, DefaultGroupedHuffmanCodecIsInert) {
-  // KernelCompression (and ParsedBlock) default-construct their codec
-  // member; that must not count as a codec build.
+  // KernelCompression default-constructs its codec member (read_block
+  // starts from one); that must not count as a codec build.
   const PipelineCounters before = pipeline_counters();
   const GroupedHuffmanCodec inert;
   const PipelineCounters delta = pipeline_counters().delta_since(before);
@@ -53,26 +53,22 @@ TEST(BlockCodec, BlockPayloadRoundTripsThroughWriteReadAndVerify) {
   const std::vector<std::uint8_t> bytes = writer.take();
 
   ByteReader reader(bytes, "payload");
-  ParsedBlock parsed = read_block(reader);
+  const KernelCompression parsed = read_block(reader);
   reader.expect_exhausted();
 
-  EXPECT_EQ(parsed.artifact.frequencies.counts(),
+  EXPECT_EQ(parsed.frequencies.counts(),
             block.clustered.frequencies.counts());
-  EXPECT_EQ(parsed.artifact.code_lengths, block.clustered.code_lengths);
-  // The parsed artifact borrows its stream; copying it in reproduces
-  // the original compressed kernel, and decoding reproduces the kernel
-  // the clustered stream encodes.
-  EXPECT_TRUE(parsed.artifact.compressed.stream.empty());
-  parsed.artifact.compressed.stream.assign(parsed.stream.begin(),
-                                           parsed.stream.end());
-  EXPECT_EQ(parsed.artifact.compressed.stream,
-            block.clustered.compressed.stream);
-  EXPECT_TRUE(decode_block(parsed.artifact) == block.clustered_kernel);
+  EXPECT_EQ(parsed.code_lengths, block.clustered.code_lengths);
+  // The parsed artifact owns its stream: it reproduces the original
+  // compressed kernel, and decoding reproduces the kernel the clustered
+  // stream encodes.
+  EXPECT_EQ(parsed.compressed.stream, block.clustered.compressed.stream);
+  EXPECT_TRUE(decode_block(parsed) == block.clustered_kernel);
 
   // verify_artifact accepts the honest artifact and rejects a tampered
   // frequency table.
-  verify_artifact(parsed.artifact, 0);
-  KernelCompression tampered = parsed.artifact;
+  verify_artifact(parsed, 0);
+  KernelCompression tampered = parsed;
   tampered.frequencies = FrequencyTable::from_sequences(
       std::vector<SeqId>(tampered.compressed.num_sequences(),
                          static_cast<SeqId>(3)));

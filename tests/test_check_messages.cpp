@@ -161,8 +161,8 @@ TEST(CheckMessages, ReadChannelCount) {
 
 TEST(CheckMessages, CompressedModelViewBlockCountMismatch) {
   EXPECT_EQ(message_of([] {
-              compress::assemble_view({}, {compress::BlockStreamView{},
-                                           compress::BlockStreamView{}});
+              compress::view_of({},
+                                std::vector<compress::KernelCompression>(2));
             }),
             "CompressedModelView: 2 blocks for 0 3x3 binary convs in the op "
             "layout");

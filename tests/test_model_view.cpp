@@ -2,10 +2,9 @@
 // between the compression pipeline and its consumers (hwsim, tooling).
 //
 // The contract under test: a CompressedModelView borrows, never copies
-// and never recomputes — block spans alias the artifacts they were
-// built over, assembly validates the op pairing, and building a view
-// (or scanning a stream's code lengths) triggers zero pipeline
-// primitives.
+// and never recomputes — its blocks are the artifacts it was built
+// over, assembly validates the op pairing, and building a view (or
+// scanning a stream's code lengths) triggers zero pipeline primitives.
 
 #include "compress/model_view.h"
 
@@ -30,16 +29,8 @@ TEST(ModelView, BlocksBorrowTheEngineArtifacts) {
   ASSERT_EQ(view.blocks.size(), streams.size());
   ASSERT_EQ(view.blocks.size(), engine.model().num_blocks());
   for (std::size_t b = 0; b < view.blocks.size(); ++b) {
-    const BlockStreamView& block = view.blocks[b];
-    const KernelCompression& stream = streams[b];
-    // Spans and pointers alias the engine's artifacts — no copies.
-    EXPECT_EQ(block.stream.data(), stream.compressed.stream.data());
-    EXPECT_EQ(block.stream.size(), stream.compressed.stream.size());
-    EXPECT_EQ(block.code_lengths.data(), stream.code_lengths.data());
-    EXPECT_EQ(block.codec, &stream.codec);
-    EXPECT_EQ(block.clustering, &stream.clustering);
-    EXPECT_EQ(block.stream_bits, stream.compressed.stream_bits);
-    EXPECT_EQ(block.num_sequences(), stream.compressed.num_sequences());
+    // The view refers to the engine's artifacts — no copies.
+    EXPECT_EQ(&view.blocks[b].get(), &streams[b]);
   }
 }
 
@@ -53,10 +44,9 @@ TEST(ModelView, OpLayoutPairsBlocksWith3x3ConvsInOrder) {
       continue;
     }
     ASSERT_LT(block_index, view.blocks.size());
-    EXPECT_EQ(view.blocks[block_index].out_channels,
-              op.kernel_shape.out_channels);
-    EXPECT_EQ(view.blocks[block_index].in_channels,
-              op.kernel_shape.in_channels);
+    const CompressedKernel& kernel = view.blocks[block_index].get().compressed;
+    EXPECT_EQ(kernel.out_channels, op.kernel_shape.out_channels);
+    EXPECT_EQ(kernel.in_channels, op.kernel_shape.in_channels);
     ++block_index;
   }
   EXPECT_EQ(block_index, view.blocks.size());
@@ -105,15 +95,15 @@ TEST(ModelView, RejectsShapeMismatchAndMissingLengths) {
 TEST(ModelView, CodeLengthSumMatchesStreamBits) {
   Engine engine(test::tiny_config(13));
   engine.compress();
-  for (const BlockStreamView& block : engine.artifact_view().blocks) {
+  for (const KernelCompression& block : engine.artifact_view().blocks) {
     std::uint64_t sum = 0;
     for (const std::uint8_t len : block.code_lengths) sum += len;
-    EXPECT_EQ(sum, block.stream_bits);
+    EXPECT_EQ(sum, block.compressed.stream_bits);
   }
 }
 
 TEST(ModelView, ScanCodeLengthsMatchesCompressionArtifact) {
-  // The prefix-only scan (the mapped-container path) must recover
+  // The prefix-only scan (the container-parse path) must recover
   // exactly the lengths the encoder recorded — for both columns.
   const auto kernel = test::calibrated_kernel(32, 16, 17);
   const CompressedBlock block = test::encode_block(kernel);

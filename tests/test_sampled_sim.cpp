@@ -96,7 +96,7 @@ TEST(SampledSim, RepresentativesFollowTheStreamBitsRule) {
   const Engine& engine = tiny_engine();
   const compress::CompressedModelView view = engine.artifact_view();
   const auto bits = [&](std::size_t block) {
-    return view.blocks[block].stream_bits;
+    return view.blocks[block].get().compressed.stream_bits;
   };
   // The five {512,512,1}/8 blocks (6..10) are the one group with more
   // members than the default budget of two runs.

@@ -21,7 +21,6 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -278,13 +277,12 @@ TEST(Serialize, CompressedKernelRoundTrip) {
   write_compressed_kernel(writer, compressed);
   const std::vector<std::uint8_t> bytes = writer.take();
   ByteReader reader(bytes, "round-trip");
-  const CompressedKernelRef read = read_compressed_kernel_ref(reader);
+  const CompressedKernel read = read_compressed_kernel(reader);
   reader.expect_exhausted();
   EXPECT_EQ(read.out_channels, compressed.out_channels);
   EXPECT_EQ(read.in_channels, compressed.in_channels);
   EXPECT_EQ(read.stream_bits, compressed.stream_bits);
-  EXPECT_TRUE(std::equal(read.stream.begin(), read.stream.end(),
-                         compressed.stream.begin(), compressed.stream.end()));
+  EXPECT_EQ(read.stream, compressed.stream);
 }
 
 TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
@@ -297,11 +295,8 @@ TEST(Serialize, KernelCompressionRoundTripAndDecodeReconstruction) {
     write_block(writer, stream);
     const std::vector<std::uint8_t> bytes = writer.take();
     ByteReader reader(bytes, "round-trip");
-    ParsedBlock parsed = read_block(reader);
+    const KernelCompression read = read_block(reader);
     reader.expect_exhausted();
-    // The parse borrows the stream bytes; copy them in to decode.
-    KernelCompression& read = parsed.artifact;
-    read.compressed.stream.assign(parsed.stream.begin(), parsed.stream.end());
     expect_tables_equal(read.frequencies, stream.frequencies);
     expect_clustering_equal(read.clustering, stream.clustering);
     expect_tables_equal(read.coded_frequencies, stream.coded_frequencies);
@@ -357,10 +352,8 @@ TEST(Serialize, ContainerRoundTrip) {
   const std::vector<KernelCompression>& streams = engine.block_streams();
   ASSERT_EQ(read.blocks().size(), streams.size());
   for (std::size_t b = 0; b < streams.size(); ++b) {
-    const std::span<const std::uint8_t> stream = read.blocks()[b].stream;
-    EXPECT_TRUE(std::equal(stream.begin(), stream.end(),
-                           streams[b].compressed.stream.begin(),
-                           streams[b].compressed.stream.end()))
+    EXPECT_EQ(read.blocks()[b].artifact.compressed.stream,
+              streams[b].compressed.stream)
         << "block " << b;
   }
 }
@@ -508,7 +501,7 @@ TEST(SerializeGolden, ReaderLoadsTheCheckedInContainer) {
   expect_model_reports_equal(loaded.report(), fresh.report());
 }
 
-// ---- Zero-copy (mapped) load path ----
+// ---- Parsed container (MappedBkcm) ----
 
 // Cycle-level equality lives in hwsim::cycles_identical (also used by
 // the bench/speedup self-check); nothing serialize-specific to add.
@@ -520,10 +513,9 @@ TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
   source.compress(2);
   source.save_compressed(path);
 
-  // MappedBkcm::open parses the mapping in place (Engine::load_compressed's
-  // path). Every block must carry the artifacts the source engine wrote,
-  // and the source's streams must decode to the kernels the loaded
-  // engine installed.
+  // MappedBkcm::open is Engine::load_compressed's parser. Every block
+  // must carry the artifacts the source engine wrote, and the source's
+  // streams must decode to the kernels the loaded engine installed.
   const MappedBkcm mapped = MappedBkcm::open(path);
   const Engine loaded = Engine::load_compressed(path, 2);
   EXPECT_EQ(mapped.clustering(), source.options().clustering);
@@ -537,9 +529,7 @@ TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
     const KernelCompression& stream = streams[b];
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
-    EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
-                           stream.compressed.stream.begin(),
-                           stream.compressed.stream.end()));
+    EXPECT_EQ(block.artifact.compressed.stream, stream.compressed.stream);
     EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths);
     expect_codecs_equal(block.artifact.codec, stream.codec);
     expect_clustering_equal(block.artifact.clustering, stream.clustering);
@@ -552,7 +542,7 @@ TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeMapped, MappedViewBorrowsTheMappingAndDecodesNothing) {
+TEST(SerializeMapped, OpenRestoresTheWrittenBlocksAndDecodesNothing) {
   if (test::update_goldens()) GTEST_SKIP() << "golden being regenerated";
   const std::string path = test::golden_path("reactnet_tiny.bkcm");
 
@@ -574,26 +564,19 @@ TEST(SerializeMapped, MappedViewBorrowsTheMappingAndDecodesNothing) {
   EXPECT_EQ(mapped.model_config().seed, fresh.model().config().seed);
   expect_model_reports_equal(mapped.report(), fresh.report());
 
-  // Every block's stream span points INSIDE the mapping (zero-copy)
-  // and matches the written bytes; the scanned code lengths match the
-  // ones the encoder emitted.
-  const std::span<const std::uint8_t> image = mapped.file_bytes();
+  // Every block's stream matches the written bytes; the scanned code
+  // lengths match the ones the encoder emitted.
   const std::vector<KernelCompression>& streams = fresh.block_streams();
   ASSERT_EQ(mapped.blocks().size(), streams.size());
   for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
     const MappedBkcm::Block& block = mapped.blocks()[b];
     const KernelCompression& stream = streams[b];
-    EXPECT_GE(block.stream.data(), image.data());
-    EXPECT_LE(block.stream.data() + block.stream.size(),
-              image.data() + image.size());
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
-    // The mapped artifact owns no stream copy — zero-copy means the
-    // bytes live only in the mapping.
-    EXPECT_TRUE(block.artifact.compressed.stream.empty());
-    ASSERT_EQ(block.stream.size(), stream.compressed.stream.size());
-    EXPECT_TRUE(std::equal(block.stream.begin(), block.stream.end(),
-                           stream.compressed.stream.begin()));
+    EXPECT_EQ(block.artifact.compressed.stream, stream.compressed.stream);
+    // `stream` spans the block's own bytes.
+    EXPECT_EQ(block.stream.data(), block.artifact.compressed.stream.data());
+    EXPECT_EQ(block.stream.size(), block.artifact.compressed.stream.size());
     EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths);
     expect_codecs_equal(block.artifact.codec, stream.codec);
     expect_clustering_equal(block.artifact.clustering, stream.clustering);
@@ -609,7 +592,7 @@ TEST(SerializeMapped, ContainerBackedSpeedupMatchesEngineBacked) {
   const Engine engine = Engine::load_compressed(path, 2);
   const hwsim::SpeedupReport engine_report = engine.simulate_speedup();
 
-  // Container-backed: map the file, feed hwsim the mapped view — no
+  // Container-backed: parse the file, feed hwsim the parsed view — no
   // engine, no kernel decode, no weight sampling, no pipeline work.
   const MappedBkcm mapped = MappedBkcm::open(path);
   const PipelineCounters before = pipeline_counters();
@@ -623,7 +606,7 @@ TEST(SerializeMapped, ContainerBackedSpeedupMatchesEngineBacked) {
   EXPECT_TRUE(hwsim::cycles_identical(mapped_report, engine_report));
 }
 
-TEST(SerializeMapped, MappedViewFeedsAssembledBlockViews) {
+TEST(SerializeMapped, ViewBorrowsTheParsedBlocks) {
   const std::string path = ::testing::TempDir() + "/bkc_mapped_spans.bkcm";
   Engine source(test::tiny_config(53));
   source.compress();
@@ -633,16 +616,11 @@ TEST(SerializeMapped, MappedViewFeedsAssembledBlockViews) {
   const CompressedModelView view =
       mapped.view(bnn::op_records_for(mapped.model_config()));
   ASSERT_EQ(view.blocks.size(), mapped.blocks().size());
-  const std::span<const std::uint8_t> image = mapped.file_bytes();
   for (std::size_t b = 0; b < view.blocks.size(); ++b) {
-    const BlockStreamView& block = view.blocks[b];
-    // Assembled views alias the mapped blocks, which alias the mapping.
-    EXPECT_EQ(block.stream.data(), mapped.blocks()[b].stream.data());
-    EXPECT_GE(block.stream.data(), image.data());
-    EXPECT_LE(block.stream.data() + block.stream.size(),
-              image.data() + image.size());
-    EXPECT_EQ(block.codec, &mapped.blocks()[b].artifact.codec);
-    EXPECT_EQ(block.code_lengths.size(), block.num_sequences());
+    const KernelCompression& block = view.blocks[b];
+    // The view refers to the parsed artifacts; it copies none of them.
+    EXPECT_EQ(&block, &mapped.blocks()[b].artifact);
+    EXPECT_EQ(block.code_lengths.size(), block.compressed.num_sequences());
   }
   // An op layout from a different configuration must be rejected.
   EXPECT_THROW(mapped.view(bnn::op_records_for(test::mid_config(53))),

@@ -4,8 +4,7 @@
 //   * open-once semantics: the same name resolves to the same refcounted
 //     entry, a conflicting path is refused, and a failed open leaves the
 //     registry unchanged,
-//   * the serving load path: an engine reconstructed from the already-
-//     mapped container (Engine::load_compressed(MappedBkcm)) is
+//   * the serving load path: the engine a registry entry holds is
 //     bit-identical to Engine::load_compressed(path) — kernels, report
 //     and classification outputs at thread counts 1/2/4/7,
 //   * eviction: only models with no outstanding handles are dropped, and
@@ -138,9 +137,9 @@ TEST_F(ServeRegistryTest, NamesListsResidentModels) {
   std::remove(path.c_str());
 }
 
-// The mapped-state load behind the registry must be bit-identical to the
-// plain path load: installed kernels, report and classification.
-TEST_F(ServeRegistryTest, MappedLoadIsBitIdenticalToPathLoad) {
+// The load behind the registry must be bit-identical to the plain path
+// load: installed kernels, report and classification.
+TEST_F(ServeRegistryTest, RegistryLoadIsBitIdenticalToPathLoad) {
   const std::string path = write_container("registry_bitident.bkcm", 31);
   const Engine from_path = Engine::load_compressed(path, 2);
 
