@@ -7,9 +7,9 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds.
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
                "the rare sequences, keeping the perturbation ~1-3% of\n"
                "weight bits for a ~1.3x kernel compression.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_clustering: " << e.what() << "\n";
+  return 1;
 }

@@ -16,9 +16,9 @@
 #include "core/bkc.h"
 #include "util/json.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny", "--json"});
+  check_known_flags(argc, argv, {"--tiny", "--json"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds. --json FILE additionally
@@ -103,4 +103,7 @@ int main(int argc, char** argv) {
                "detector, a 4-entry length table and a small banked\n"
                "uncompressed table (Fig. 6) - deeper trees buy little.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_tree: " << e.what() << "\n";
+  return 1;
 }

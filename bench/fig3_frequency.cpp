@@ -8,9 +8,9 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds.
@@ -55,4 +55,7 @@ int main(int argc, char** argv) {
                "is sampling noise; the leading complement pair and the\n"
                "cumulative shares are the calibrated quantities.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "fig3_frequency: " << e.what() << "\n";
+  return 1;
 }

@@ -168,10 +168,10 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv,
-                        {"--tiny", "--repeat", "--threads", "--sampled"});
+  check_known_flags(argc, argv,
+                    {"--tiny", "--repeat", "--threads", "--sampled"});
 
   const bool tiny = has_flag(argc, argv, "--tiny");
   const int repeat = positive_flag_value(argc, argv, "--repeat", 8);
@@ -250,4 +250,7 @@ int main(int argc, char** argv) {
             << big.hw_detail.dram_accesses << "\n";
 
   return run_sampled_section(tiny, repeat, num_threads);
+} catch (const std::exception& e) {
+  std::cerr << "speedup: " << e.what() << "\n";
+  return 1;
 }

@@ -9,9 +9,9 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds.
@@ -62,4 +62,7 @@ int main(int argc, char** argv) {
                "observation that the classifier stays a scalar fp32 GEMV\n"
                "in daBNN-style deployments.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "table1_breakdown: " << e.what() << "\n";
+  return 1;
 }

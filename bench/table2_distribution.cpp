@@ -6,9 +6,9 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds.
@@ -46,4 +46,7 @@ int main(int argc, char** argv) {
             << " (finite-sample noise; the weight generator is fitted to\n"
                "the paper's targets and converges with channel count).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "table2_distribution: " << e.what() << "\n";
+  return 1;
 }

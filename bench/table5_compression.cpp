@@ -11,9 +11,9 @@
 #include "core/bkc.h"
 #include "util/json.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny", "--json"});
+  check_known_flags(argc, argv, {"--tiny", "--json"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
   // this binary finishes in milliseconds. --json FILE additionally
@@ -104,4 +104,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "table5_compression: " << e.what() << "\n";
+  return 1;
 }

@@ -14,7 +14,7 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
   const std::int64_t channels = argc > 1 ? std::atoll(argv[1]) : 256;
 
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
                "flips more weights per substitution;\nthe paper constrains "
                "d=1 to keep the introduced error low.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "compression_explorer: " << e.what() << "\n";
+  return 1;
 }

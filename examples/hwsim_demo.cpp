@@ -19,7 +19,7 @@
 #include "compress/block_codec.h"
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
   using hwsim::ConvVariant;
   const std::int64_t channels = argc > 1 ? std::atoll(argv[1]) : 512;
@@ -82,4 +82,7 @@ int main(int argc, char** argv) {
          "decoding unit streams and decodes in the background) and cuts\n"
          "DRAM traffic by the compression ratio.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "hwsim_demo: " << e.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 
 #include "core/bkc.h"
 
-int main() {
+int main() try {
   using namespace bkc;
 
   // A reduced ReActNet (32x32 input, width/8 channels, 10 classes) so
@@ -75,4 +75,7 @@ int main() {
               << " (score " << scores.at(best, 0, 0) << ")\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 1;
 }

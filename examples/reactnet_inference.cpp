@@ -20,9 +20,9 @@
 
 #include "core/bkc.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bkc;
-  exit_on_unknown_flags(argc, argv, {"--tiny", "--threads"});
+  check_known_flags(argc, argv, {"--tiny", "--threads"});
   // The count is positional and optional: skip it when argv[1] is a
   // flag (so `reactnet_inference --tiny` still measures 3 images).
   const int num_images =
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
             << " - the clustering perturbation the paper reports as "
                "accuracy-neutral.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "reactnet_inference: " << e.what() << "\n";
+  return 1;
 }

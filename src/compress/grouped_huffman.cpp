@@ -2,7 +2,6 @@
 
 #include "compress/instrumentation.h"
 #include "util/check.h"
-#include "util/simd.h"
 
 namespace bkc::compress {
 
@@ -47,7 +46,6 @@ GroupedTreeConfig GroupedTreeConfig::fixed9() {
 GroupedHuffmanCodec::GroupedHuffmanCodec() {
   node_.fill(-1);
   tables_.resize(static_cast<std::size_t>(config_.num_nodes()));
-  multi_ = MultiDecoder(config_.index_bits, tables_);
 }
 
 GroupedHuffmanCodec::GroupedHuffmanCodec(const FrequencyTable& table,
@@ -83,7 +81,6 @@ GroupedHuffmanCodec::GroupedHuffmanCodec(const FrequencyTable& table,
         tables_[static_cast<std::size_t>(node)].size());
     tables_[static_cast<std::size_t>(node)].push_back(s);
   }
-  multi_ = MultiDecoder(config_.index_bits, tables_);
 }
 
 GroupedHuffmanCodec::GroupedHuffmanCodec(GroupedTreeConfig config,
@@ -108,7 +105,6 @@ GroupedHuffmanCodec::GroupedHuffmanCodec(GroupedTreeConfig config,
       index_[s] = static_cast<std::uint16_t>(i);
     }
   }
-  multi_ = MultiDecoder(config_.index_bits, tables_);
 }
 
 bool GroupedHuffmanCodec::has_code(SeqId s) const {
@@ -169,24 +165,11 @@ std::vector<std::uint8_t> GroupedHuffmanCodec::encode(
 std::vector<SeqId> GroupedHuffmanCodec::decode(
     std::span<const std::uint8_t> stream, std::size_t bit_count,
     std::size_t count) const {
-  if (simd::scalar_forced()) return decode_scalar(stream, bit_count, count);
-  return multi_.decode(stream, bit_count, count);
-}
-
-std::vector<SeqId> GroupedHuffmanCodec::decode_scalar(
-    std::span<const std::uint8_t> stream, std::size_t bit_count,
-    std::size_t count) const {
   BitReader reader(stream, bit_count);
   std::vector<SeqId> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(decode_one(reader));
   return out;
-}
-
-std::vector<SeqId> GroupedHuffmanCodec::decode_multi(
-    std::span<const std::uint8_t> stream, std::size_t bit_count,
-    std::size_t count) const {
-  return multi_.decode(stream, bit_count, count);
 }
 
 std::span<const SeqId> GroupedHuffmanCodec::uncompressed_table(

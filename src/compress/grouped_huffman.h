@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "compress/frequency.h"
-#include "compress/multi_decode.h"
 #include "util/bitstream.h"
 
 namespace bkc::compress {
@@ -55,8 +54,9 @@ class GroupedHuffmanCodec {
  public:
   /// An inert codec (paper tree shape, every table empty, no sequence
   /// has a codeword): the value a default-constructed KernelCompression
-  /// carries until a codec is built or parsed into it. Does not bump
-  /// the instrumentation build counter: nothing was built from data.
+  /// carries until a codec is built or parsed into it. Holds nothing
+  /// but its empty node tables, and does not bump the instrumentation
+  /// build counter: nothing was built from data.
   GroupedHuffmanCodec();
 
   /// Build from counts. All sequences with non-zero count must fit in
@@ -92,24 +92,11 @@ class GroupedHuffmanCodec {
   std::vector<std::uint8_t> encode(std::span<const SeqId> sequences,
                                    std::size_t& bit_count) const;
 
-  /// Decode `count` sequences. Dispatches to the table-driven
-  /// multi-symbol path (compress/multi_decode.h) unless
-  /// simd::scalar_forced() pins the bit-serial reference; both paths
-  /// are bit-identical, including which CheckError a truncated or
-  /// corrupt stream raises.
+  /// Decode `count` sequences: decode_one per codeword, the bit-serial
+  /// stream parser of Fig. 6. CheckError when the stream ends
+  /// mid-codeword or an index lands beyond its node's table.
   std::vector<SeqId> decode(std::span<const std::uint8_t> stream,
                             std::size_t bit_count, std::size_t count) const;
-
-  /// The bit-serial reference: decode_one per symbol. The bit-identity
-  /// suites and benchmarks diff the fast path against this.
-  std::vector<SeqId> decode_scalar(std::span<const std::uint8_t> stream,
-                                   std::size_t bit_count,
-                                   std::size_t count) const;
-
-  /// The table-driven multi-symbol path, regardless of scalar_forced().
-  std::vector<SeqId> decode_multi(std::span<const std::uint8_t> stream,
-                                  std::size_t bit_count,
-                                  std::size_t count) const;
 
   /// The node's uncompressed table (index -> sequence), i.e. the
   /// contents of the hardware scratchpad bank for that node.
@@ -140,7 +127,6 @@ class GroupedHuffmanCodec {
   std::array<std::int8_t, bnn::kNumSequences> node_{};
   std::array<std::uint16_t, bnn::kNumSequences> index_{};
   std::vector<std::vector<SeqId>> tables_;  // node -> index -> sequence
-  MultiDecoder multi_;  // built eagerly by both ctors; value-semantic
 };
 
 /// Per-codeword bit lengths of an encoded stream in stream order,

@@ -67,17 +67,6 @@ std::uint64_t BitReader::read_bits(unsigned count) {
 
 bool BitReader::read_bit() { return read_bits(1) != 0; }
 
-std::uint64_t BitReader::peek_bits(unsigned count) const {
-  check(count <= 64, "peek_bits: count must be <= 64");
-  BitReader probe = *this;
-  const std::size_t avail = probe.remaining();
-  if (avail >= count) return probe.read_bits(count);
-  // Zero-fill past the end, mirroring a hardware shifter draining its
-  // input buffer.
-  const auto head = probe.read_bits(static_cast<unsigned>(avail));
-  return head << (count - avail);
-}
-
 void BitReader::skip_bits(std::size_t count) {
   check(count <= remaining(), "skip_bits: past end of stream");
   position_ += count;

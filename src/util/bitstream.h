@@ -64,12 +64,6 @@ class BitReader {
   /// Read one bit. Precondition: remaining() >= 1.
   bool read_bit();
 
-  /// Look at the next `count` bits without consuming them. If fewer than
-  /// `count` bits remain, the missing low bits are zero-filled - this is
-  /// exactly what a hardware stream parser sees at the end of a stream,
-  /// and lets table-driven decoders always peek a fixed width.
-  std::uint64_t peek_bits(unsigned count) const;
-
   /// Skip `count` bits. Precondition: count <= remaining().
   void skip_bits(std::size_t count);
 

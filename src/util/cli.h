@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -38,19 +36,6 @@ inline void check_known_flags(int argc, char** argv,
     const std::string_view name = arg.substr(0, arg.find('='));
     check(std::find(known.begin(), known.end(), name) != known.end(),
           "unknown flag '", name, "'");
-  }
-}
-
-/// check_known_flags for a main() without an exception handler of its
-/// own: prints the error to stderr and exits 1, instead of letting the
-/// CheckError reach std::terminate.
-inline void exit_on_unknown_flags(
-    int argc, char** argv, std::initializer_list<std::string_view> known) {
-  try {
-    check_known_flags(argc, argv, known);
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    std::exit(1);
   }
 }
 

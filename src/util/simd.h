@@ -1,14 +1,12 @@
 #pragma once
 // Runtime control of the fast-path kernel dispatch.
 //
-// Every vectorized / table-driven hot path in bkc (the AVX2
-// xnor+popcount convolution kernels in bnn/bconv_kernels.h together
-// with the basic block's fused batch norm / residual / RPReLU epilogue
-// they apply, the AVX2 int8 stem and classifier kernels in
-// bnn/int8_kernels.h, the multi-symbol grouped-Huffman stream decode in
-// compress/multi_decode.h) is contractually bit-identical to its scalar
-// reference, so *which* implementation runs is purely a performance
-// choice. This header owns that choice:
+// Every vectorized hot path in bkc (the AVX2 xnor+popcount convolution
+// kernels in bnn/bconv_kernels.h together with the basic block's fused
+// batch norm / residual / RPReLU epilogue they apply, and the AVX2 int8
+// stem and classifier kernels in bnn/int8_kernels.h) is contractually
+// bit-identical to its scalar reference, so *which* implementation runs
+// is purely a performance choice. This header owns that choice:
 //
 //   * `cpu_supports_avx2()` - runtime ISA detection (cached cpuid).
 //   * `scalar_forced()` - true when every fast path must yield to its

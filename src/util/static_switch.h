@@ -3,12 +3,14 @@
 //
 // Each macro turns one runtime value into a `constexpr` constant inside
 // an immediately-invoked lambda, so the hot loop it wraps is
-// monomorphized: the compiler sees a compile-time node count / word
-// count / flag and can fully unroll, hoist and vectorize instead of
-// branching per symbol or per word. Usage:
+// monomorphized: the compiler sees a compile-time word count / flag
+// and can fully unroll, hoist and vectorize instead of branching per
+// word. Usage (bnn/bconv_kernels_avx2.cpp):
 //
-//   return BKC_NUM_NODES_SWITCH(config.num_nodes(), kNodes, [&] {
-//     return decode_stream<kNodes>(reader, count);   // kNodes constexpr
+//   BKC_WORDS_SWITCH(input.words_per_pixel(), kWpp, [&] {
+//     BKC_BOOL_SWITCH(is_3x3, kIs3x3, [&] {
+//       conv_avx2_impl<kWpp, kIs3x3>(input, ...);   // both constexpr
+//     });
 //   });
 //
 // Values outside the dedicated set fall through to a 0 ("stay runtime
@@ -25,36 +27,6 @@
       constexpr bool CONST_NAME = false;        \
       return __VA_ARGS__();                     \
     }                                           \
-  }()
-
-// Grouped-Huffman tree node counts. 1..4 get dedicated instantiations
-// (1 is the fixed-width degenerate tree, 4 is the paper's config; the
-// test matrix lives in between); anything else decodes through the
-// generic 0 instantiation (GroupedTreeConfig allows up to 14 nodes).
-#define BKC_NUM_NODES_SWITCH(num_nodes, CONST_NAME, ...) \
-  [&] {                                                  \
-    switch (num_nodes) {                                 \
-      case 1: {                                          \
-        constexpr int CONST_NAME = 1;                    \
-        return __VA_ARGS__();                            \
-      }                                                  \
-      case 2: {                                          \
-        constexpr int CONST_NAME = 2;                    \
-        return __VA_ARGS__();                            \
-      }                                                  \
-      case 3: {                                          \
-        constexpr int CONST_NAME = 3;                    \
-        return __VA_ARGS__();                            \
-      }                                                  \
-      case 4: {                                          \
-        constexpr int CONST_NAME = 4;                    \
-        return __VA_ARGS__();                            \
-      }                                                  \
-      default: {                                         \
-        constexpr int CONST_NAME = 0;                    \
-        return __VA_ARGS__();                            \
-      }                                                  \
-    }                                                    \
   }()
 
 // Packed words per channel group (bnn::words_per_group). 1..4 covers

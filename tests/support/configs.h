@@ -40,7 +40,7 @@ std::vector<compress::KernelCompression> clustered_artifacts(
 /// Grouped-Huffman tree shapes under test: the paper's config, the
 /// fixed-width baseline, and assorted capacities (tight, tiny,
 /// two-node, 1-entry nodes) that stress prefix handling and partially
-/// filled nodes. Shared by the codec property and multi-symbol decode
+/// filled nodes. Shared by the codec property and grouped-Huffman
 /// suites so both agree on what "all tree shapes" means.
 std::vector<compress::GroupedTreeConfig> codec_tree_configs();
 

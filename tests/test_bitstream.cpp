@@ -71,21 +71,6 @@ TEST(BitReader, BitCountBeyondBufferThrows) {
   EXPECT_THROW(BitReader(bytes, 9), CheckError);
 }
 
-TEST(BitReader, PeekDoesNotConsume) {
-  const std::vector<std::uint8_t> bytes{0xB4};  // 1011'0100
-  BitReader reader(bytes);
-  EXPECT_EQ(reader.peek_bits(4), 0xBu);
-  EXPECT_EQ(reader.position(), 0u);
-  EXPECT_EQ(reader.read_bits(4), 0xBu);
-  EXPECT_EQ(reader.peek_bits(4), 0x4u);
-}
-
-TEST(BitReader, PeekPastEndZeroFills) {
-  const std::vector<std::uint8_t> bytes{0xC0};
-  BitReader reader(bytes, 2);  // just "11"
-  EXPECT_EQ(reader.peek_bits(4), 0xCu);  // 11 then 00 fill
-}
-
 TEST(BitReader, SkipAdvances) {
   const std::vector<std::uint8_t> bytes{0x0F, 0xF0};
   BitReader reader(bytes);

@@ -20,7 +20,7 @@
 namespace bkc::compress {
 namespace {
 
-// Tree shapes under test, shared with the multi-symbol decode suite
+// Tree shapes under test, shared with the grouped-Huffman suite
 // (tests/support/configs.h).
 std::vector<GroupedTreeConfig> test_configs() {
   return test::codec_tree_configs();
