@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/support.h"
 #include "util/check.h"
@@ -167,20 +169,33 @@ TEST(ReActNet, BlockIndexGuard) {
   EXPECT_THROW(model.block(13), CheckError);
 }
 
-TEST(ReActNet, OpRecordLayoutMatchesGolden) {
-  // The resolved op list (names, shapes, precisions, storage) is the
-  // contract both the compressor and the timing model consume; pin it.
-  const ReActNet model(test::tiny_config(42));
+std::string op_layout(const std::vector<OpRecord>& records) {
   std::ostringstream out;
-  for (const auto& r : model.op_records()) {
+  for (const auto& r : records) {
     out << r.name << " " << op_class_name(r.op_class) << " int"
         << r.precision_bits << " in=" << r.input_shape.to_string()
         << " out=" << r.output_shape.to_string()
         << " kernel=" << r.kernel_shape.to_string()
+        << " stride=" << r.geometry.stride
+        << " padding=" << r.geometry.padding
         << " storage_bits=" << r.storage_bits << " macs=" << r.macs
         << "\n";
   }
-  test::expect_matches_golden("reactnet_tiny_ops.txt", out.str());
+  return out.str();
+}
+
+TEST(ReActNet, OpRecordLayoutMatchesGolden) {
+  // The resolved op list (names, shapes, geometry, precisions, storage)
+  // is the contract the compressor, the memory plan and the timing
+  // model consume; pin it on the tiny model and at the paper's widths
+  // (the latter through op_records_for, which walks the same layers
+  // without sampling a weight).
+  test::expect_matches_golden(
+      "reactnet_tiny_ops.txt",
+      op_layout(ReActNet(test::tiny_config(42)).op_records()));
+  test::expect_matches_golden(
+      "reactnet_paper_ops.txt",
+      op_layout(op_records_for(paper_reactnet_config(42))));
 }
 
 TEST(ReActNet, OpRecordsForMatchesARealModelFieldForField) {
