@@ -170,7 +170,7 @@ LevelResult run_level(const serve::ModelHandle& model_a,
 void write_json(const std::string& path, const SweepConfig& config,
                 const std::vector<LevelResult>& results, int num_threads) {
   // Strict-JSON writer (util/json.h). The sweep math never produces a
-  // non-finite value (percentile and RunningStats check finiteness),
+  // non-finite value (percentile checks finiteness),
   // so the default CheckError policy guards the division fallbacks.
   json::Writer w;
   w.begin_object();

@@ -9,14 +9,15 @@
 //
 //   ./examples/compression_explorer [channels=256]
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/bkc.h"
 
 int main(int argc, char** argv) try {
   using namespace bkc;
-  const std::int64_t channels = argc > 1 ? std::atoll(argv[1]) : 256;
+  check_known_flags(argc, argv, {});
+  const std::int64_t channels =
+      argc > 1 ? parse_integer<std::int64_t>("channels", argv[1]) : 256;
 
   bnn::WeightGenerator gen(2024);
   const auto dist =

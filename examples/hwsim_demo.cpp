@@ -13,7 +13,6 @@
 //
 //   ./examples/hwsim_demo [channels=512] [size=14]
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compress/block_codec.h"
@@ -22,8 +21,11 @@
 int main(int argc, char** argv) try {
   using namespace bkc;
   using hwsim::ConvVariant;
-  const std::int64_t channels = argc > 1 ? std::atoll(argv[1]) : 512;
-  const std::int64_t size = argc > 2 ? std::atoll(argv[2]) : 14;
+  check_known_flags(argc, argv, {});
+  const std::int64_t channels =
+      argc > 1 ? parse_integer<std::int64_t>("channels", argv[1]) : 512;
+  const std::int64_t size =
+      argc > 2 ? parse_integer<std::int64_t>("size", argv[2]) : 14;
 
   // Build the layer's OpRecord and its compressed stream.
   bnn::OpRecord op;

@@ -12,8 +12,9 @@
 
 #include "core/bkc.h"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace bkc;
+  check_known_flags(argc, argv, {});
 
   // A reduced ReActNet (32x32 input, width/8 channels, 10 classes) so
   // the example runs in well under a second. Use

@@ -14,7 +14,6 @@
 // inference in the portable engine takes a few seconds per image.
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
@@ -25,8 +24,9 @@ int main(int argc, char** argv) try {
   check_known_flags(argc, argv, {"--tiny", "--threads"});
   // The count is positional and optional: skip it when argv[1] is a
   // flag (so `reactnet_inference --tiny` still measures 3 images).
-  const int num_images =
-      argc > 1 && argv[1][0] != '-' ? std::atoi(argv[1]) : 3;
+  const int num_images = argc > 1 && argv[1][0] != '-'
+                             ? parse_integer<int>("num_images", argv[1])
+                             : 3;
   check(num_images >= 1, "reactnet_inference: num_images must be >= 1");
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
 

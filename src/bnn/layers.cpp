@@ -12,22 +12,6 @@
 
 namespace bkc::bnn {
 
-std::string op_class_name(OpClass op) {
-  switch (op) {
-    case OpClass::kInputLayer:
-      return "Input Layer";
-    case OpClass::kOutputLayer:
-      return "Output Layer";
-    case OpClass::kConv1x1:
-      return "Conv 1x1";
-    case OpClass::kConv3x3:
-      return "Conv 3x3";
-    case OpClass::kOther:
-      return "Others";
-  }
-  unreachable("op_class_name: bad enum");
-}
-
 // ---------------------------------------------------------- BinaryConv2d
 
 BinaryConv2d::BinaryConv2d(std::string name, PackedKernel kernel,
@@ -50,9 +34,9 @@ void BinaryConv2d::forward_packed(const PackedFeature& input,
   binary_conv2d_into(input, kernel_, geometry_, output, epilogue);
 }
 
-LayerInfo BinaryConv2d::info(const FeatureShape& input_shape) const {
+OpRecord BinaryConv2d::op_record(const FeatureShape& input) const {
   const auto& k = kernel_.shape();
-  const FeatureShape out = geometry_.output_shape(input_shape, k);
+  const FeatureShape out = output_shape(input);
   const bool is_3x3 = k.kernel_h == 3 && k.kernel_w == 3;
   const bool is_1x1 = k.kernel_h == 1 && k.kernel_w == 1;
   return {.name = name_,
@@ -63,7 +47,10 @@ LayerInfo BinaryConv2d::info(const FeatureShape& input_shape) const {
           .macs = static_cast<std::uint64_t>(out.size() *
                                              k.receptive_size()),
           .precision_bits = 1,
-          .output_shape = out};
+          .input_shape = input,
+          .output_shape = out,
+          .kernel_shape = k,
+          .geometry = geometry_};
 }
 
 void BinaryConv2d::set_kernel(PackedKernel kernel) {
@@ -282,8 +269,8 @@ void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
   arena.rewind(mark);
 }
 
-LayerInfo Int8Conv2d::info(const FeatureShape& input_shape) const {
-  const FeatureShape out = geometry_.output_shape(input_shape, shape_);
+OpRecord Int8Conv2d::op_record(const FeatureShape& input) const {
+  const FeatureShape out = output_shape(input);
   return {.name = name_,
           .op_class = op_class_,
           .storage_bits = static_cast<std::uint64_t>(shape_.size()) * 8 +
@@ -291,7 +278,10 @@ LayerInfo Int8Conv2d::info(const FeatureShape& input_shape) const {
           .macs = static_cast<std::uint64_t>(out.size() *
                                              shape_.receptive_size()),
           .precision_bits = 8,
-          .output_shape = out};
+          .input_shape = input,
+          .output_shape = out,
+          .kernel_shape = shape_,
+          .geometry = geometry_};
 }
 
 // ------------------------------------------------------------ Int8Linear
@@ -366,9 +356,9 @@ void Int8Linear::forward_into(ConstTensorView input, TensorView out,
   arena.rewind(mark);
 }
 
-LayerInfo Int8Linear::info(const FeatureShape& input_shape) const {
-  check(input_shape.channels == in_features_,
-        "Int8Linear::info: channel mismatch");
+OpRecord Int8Linear::op_record(const FeatureShape& input) const {
+  // No kernel shape: plan_reactnet_forward tells the classifier from
+  // the stem by its zero kernel_shape.
   return {.name = name_,
           .op_class = OpClass::kOutputLayer,
           .storage_bits =
@@ -376,7 +366,8 @@ LayerInfo Int8Linear::info(const FeatureShape& input_shape) const {
               static_cast<std::uint64_t>(out_features_) * 32,
           .macs = static_cast<std::uint64_t>(in_features_ * out_features_),
           .precision_bits = 8,
-          .output_shape = {out_features_, 1, 1}};
+          .input_shape = input,
+          .output_shape = output_shape(input)};
 }
 
 // -------------------------------------------------------------- BatchNorm
@@ -409,13 +400,14 @@ void BatchNorm::forward_into(ConstTensorView input, TensorView output,
   }
 }
 
-LayerInfo BatchNorm::info(const FeatureShape& input_shape) const {
+OpRecord BatchNorm::op_record(const FeatureShape& input) const {
   return {.name = name_,
           .op_class = OpClass::kOther,
           .storage_bits = static_cast<std::uint64_t>(scale_.size()) * 2 * 32,
-          .macs = static_cast<std::uint64_t>(input_shape.size()),
+          .macs = static_cast<std::uint64_t>(input.size()),
           .precision_bits = 32,
-          .output_shape = input_shape};
+          .input_shape = input,
+          .output_shape = input};
 }
 
 // ---------------------------------------------------------------- RPReLU
@@ -456,13 +448,14 @@ void RPReLU::forward_into(ConstTensorView input, TensorView output,
   }
 }
 
-LayerInfo RPReLU::info(const FeatureShape& input_shape) const {
+OpRecord RPReLU::op_record(const FeatureShape& input) const {
   return {.name = name_,
           .op_class = OpClass::kOther,
           .storage_bits = static_cast<std::uint64_t>(slope_.size()) * 3 * 32,
-          .macs = static_cast<std::uint64_t>(input_shape.size()),
+          .macs = static_cast<std::uint64_t>(input.size()),
           .precision_bits = 32,
-          .output_shape = input_shape};
+          .input_shape = input,
+          .output_shape = input};
 }
 
 // --------------------------------------------------------------- pooling
@@ -496,16 +489,6 @@ void AvgPool2x2::forward_into(ConstTensorView input, TensorView output,
   }
 }
 
-LayerInfo AvgPool2x2::info(const FeatureShape& input_shape) const {
-  return {.name = name(),
-          .op_class = OpClass::kOther,
-          .storage_bits = 0,
-          .macs = static_cast<std::uint64_t>(input_shape.size()),
-          .precision_bits = 32,
-          .output_shape = {input_shape.channels, input_shape.height / 2,
-                           input_shape.width / 2}};
-}
-
 void GlobalAvgPool::forward_into(ConstTensorView input, TensorView output,
                                  Workspace& workspace) const {
   (void)workspace;
@@ -524,13 +507,14 @@ void GlobalAvgPool::forward_into(ConstTensorView input, TensorView output,
   }
 }
 
-LayerInfo GlobalAvgPool::info(const FeatureShape& input_shape) const {
+OpRecord GlobalAvgPool::op_record(const FeatureShape& input) const {
   return {.name = name(),
           .op_class = OpClass::kOther,
           .storage_bits = 0,
-          .macs = static_cast<std::uint64_t>(input_shape.size()),
+          .macs = static_cast<std::uint64_t>(input.size()),
           .precision_bits = 32,
-          .output_shape = {input_shape.channels, 1, 1}};
+          .input_shape = input,
+          .output_shape = output_shape(input)};
 }
 
 // -------------------------------------------------------------- topology

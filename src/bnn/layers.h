@@ -6,6 +6,25 @@
 // full precision exactly as the paper describes: "batch-norm and Prelu
 // activation functions ... are computed using full-precision", while the
 // input and output layers are quantized to 8 bits (Sec II-B).
+//
+// The layer classes have no common base, since every caller knows the
+// concrete layer it runs. They share these members:
+//   * forward_into(input, output, workspace) runs the layer on CHW float
+//     views. `output` must have output_shape(input.shape()); temporary
+//     storage comes from `workspace`, so a call performs no heap
+//     allocation. `output` must not alias `input` unless the layer
+//     documents in-place support (BatchNorm and RPReLU are alias-safe).
+//     Binary layers binarize internally (packing applies Eq. 1's sign),
+//     so the float interface keeps ReActNet's residual topology plain.
+//   * output_shape(input) gives the output shape without building a
+//     record (op_record copies the name string, which the
+//     zero-allocation orchestrators cannot afford per call).
+//   * op_record(input) is the layer's complete bnn::OpRecord at that
+//     input shape: storage, work, precision, shapes and, for convs,
+//     kernel shape and geometry (Table I, the memory plan and hwsim).
+//     AvgPool2x2 has none: the stride-2 shortcut pool runs fused into
+//     the block's conv epilogue and is not a recorded op.
+//   * name() is the layer's op name.
 
 #include <cstdint>
 #include <span>
@@ -14,71 +33,17 @@
 
 #include "bnn/bconv.h"
 #include "bnn/bitpack.h"
+#include "bnn/model.h"
 #include "tensor/tensor.h"
 
 namespace bkc::bnn {
 
 class Workspace;  // bnn/memory_plan.h
 
-/// Operation classes used for the Table I storage / execution-time
-/// breakdown.
-enum class OpClass {
-  kInputLayer,   ///< 8-bit quantized stem convolution
-  kOutputLayer,  ///< 8-bit quantized fully-connected classifier
-  kConv1x1,      ///< 1-bit 1x1 convolutions
-  kConv3x3,      ///< 1-bit 3x3 convolutions (the compression target)
-  kOther,        ///< activation / normalization layers etc.
-};
-
-/// Printable name matching the paper's Table I rows.
-std::string op_class_name(OpClass op);
-
-/// Static description of a layer instance: storage, arithmetic work and
-/// output shape for a given input shape. This feeds both the Table I
-/// accounting and the hwsim trace generator.
-struct LayerInfo {
-  std::string name;
-  OpClass op_class = OpClass::kOther;
-  std::uint64_t storage_bits = 0;  ///< parameter storage
-  std::uint64_t macs = 0;          ///< multiply-accumulate (or equivalent) ops
-  int precision_bits = 32;         ///< operand precision (1, 8 or 32)
-  FeatureShape output_shape;
-};
-
-/// Abstract layer: a stateless forward pass over CHW float views. Binary
-/// layers binarize internally (packing applies Eq. 1's sign), so the
-/// float interface keeps the residual topology of ReActNet
-/// straightforward.
-class Layer {
- public:
-  virtual ~Layer() = default;
-  Layer() = default;
-  Layer(const Layer&) = delete;
-  Layer& operator=(const Layer&) = delete;
-  Layer(Layer&&) = default;
-  Layer& operator=(Layer&&) = default;
-
-  /// Run the layer on `input`, writing into `output` (whose shape must
-  /// be output_shape(input.shape())) and drawing any temporary storage
-  /// from `workspace`, so a call performs no heap allocation. `output`
-  /// must not alias `input` unless a layer documents in-place support
-  /// (BatchNorm and RPReLU are alias-safe).
-  virtual void forward_into(ConstTensorView input, TensorView output,
-                            Workspace& workspace) const = 0;
-
-  /// This layer's output shape for an input of `input_shape`, without
-  /// materializing a LayerInfo (info() builds a name string, which the
-  /// zero-allocation orchestrators cannot afford per call).
-  virtual FeatureShape output_shape(const FeatureShape& input_shape) const = 0;
-
-  virtual LayerInfo info(const FeatureShape& input_shape) const = 0;
-  virtual std::string name() const = 0;
-};
-
 /// 1-bit convolution (Eq. 2). Holds the channel-packed kernel;
 /// forward_into binarizes + packs its input (the sign that precedes each
 /// binary conv in ReActNet) and runs the xnor/popcount engine.
-class BinaryConv2d final : public Layer {
+class BinaryConv2d {
  public:
   BinaryConv2d(std::string name, PackedKernel kernel, ConvGeometry geometry);
 
@@ -86,18 +51,18 @@ class BinaryConv2d final : public Layer {
   /// workspace's shared pack scratch (caller-provided storage, no
   /// per-call pack allocation), then runs forward_packed.
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
+                    Workspace& workspace) const;
   /// Convolve an already packed input into `output`; its ring must equal
   /// geometry().padding. Lets convs that read the same tensor share one
   /// pack. An `epilogue` fuses the block's batch norm, residual and
   /// RPReLU into the conv (binary_conv2d_into).
   void forward_packed(const PackedFeature& input, TensorView output,
                       const ConvEpilogue* epilogue = nullptr) const;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return geometry_.output_shape(input_shape, kernel_.shape());
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return name_; }
 
   const PackedKernel& kernel() const { return kernel_; }
   /// Replace the kernel (used by the compression pipeline to install
@@ -130,7 +95,7 @@ class BinaryConv2d final : public Layer {
 ///     AVX2 TU is built without -mfma and with -ffp-contract=off, so
 ///     no FMA can fuse them.
 /// Any non-finite weight or input value is a CheckError.
-class Int8Conv2d final : public Layer {
+class Int8Conv2d {
  public:
   /// Quantizes `weights` symmetrically to int8.
   Int8Conv2d(std::string name, const WeightTensor& weights,
@@ -138,12 +103,12 @@ class Int8Conv2d final : public Layer {
              OpClass op_class = OpClass::kInputLayer);
 
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return geometry_.output_shape(input_shape, shape_);
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return name_; }
 
  private:
   std::string name_;
@@ -163,7 +128,7 @@ class Int8Conv2d final : public Layer {
 /// constructor caps in_features * 127^2 below 2^31; the paper's 1024
 /// features give 16,516,096 < 2^24), then the scalar dequantization.
 /// Any non-finite weight or input value is a CheckError.
-class Int8Linear final : public Layer {
+class Int8Linear {
  public:
   /// weights laid out [out][in]; quantized symmetrically to int8.
   Int8Linear(std::string name, std::int64_t in_features,
@@ -171,10 +136,10 @@ class Int8Linear final : public Layer {
              std::vector<float> bias);
 
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override;
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const;
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return name_; }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
@@ -192,18 +157,18 @@ class Int8Linear final : public Layer {
 /// Inside a basic block it runs fused into the binary conv
 /// (ConvEpilogue); forward_into is the unfused oracle the block tests
 /// compare against.
-class BatchNorm final : public Layer {
+class BatchNorm {
  public:
   BatchNorm(std::string name, std::vector<float> scale,
             std::vector<float> bias);
 
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;  // alias-safe
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return input_shape;
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return name_; }
 
   std::span<const float> scale() const { return scale_; }
   std::span<const float> bias() const { return bias_; }
@@ -221,18 +186,18 @@ class BatchNorm final : public Layer {
 /// activation is biased by shifting and reshaping its input".) Like
 /// BatchNorm it runs fused into a block's binary convs; forward_into is
 /// the unfused oracle.
-class RPReLU final : public Layer {
+class RPReLU {
  public:
   RPReLU(std::string name, std::vector<float> shift_in,
          std::vector<float> slope, std::vector<float> shift_out);
 
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;  // alias-safe
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return input_shape;
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return name_; }
 
   std::span<const float> shift_in() const { return shift_in_; }
   std::span<const float> slope() const { return slope_; }
@@ -248,28 +213,27 @@ class RPReLU final : public Layer {
 /// 2x2 stride-2 average pooling (ReActNet's downsampling shortcut). A
 /// stride-2 block reads its shortcut pooled inside the fused conv
 /// epilogue; this layer is the unfused oracle.
-class AvgPool2x2 final : public Layer {
+class AvgPool2x2 {
  public:
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return {input_shape.channels, input_shape.height / 2,
             input_shape.width / 2};
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "avgpool2x2"; }
+  std::string name() const { return "avgpool2x2"; }
 };
 
 /// Global average pooling to Cx1x1 (before the classifier).
-class GlobalAvgPool final : public Layer {
+class GlobalAvgPool {
  public:
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return {input_shape.channels, 1, 1};
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "global_avgpool"; }
+  OpRecord op_record(const FeatureShape& input) const;
+  std::string name() const { return "global_avgpool"; }
 };
 
 /// Element-wise sum of two equally-shaped views (the residual

@@ -4,6 +4,22 @@
 
 namespace bkc::bnn {
 
+std::string op_class_name(OpClass op) {
+  switch (op) {
+    case OpClass::kInputLayer:
+      return "Input Layer";
+    case OpClass::kOutputLayer:
+      return "Output Layer";
+    case OpClass::kConv1x1:
+      return "Conv 1x1";
+    case OpClass::kConv3x3:
+      return "Conv 3x3";
+    case OpClass::kOther:
+      return "Others";
+  }
+  unreachable("op_class_name: bad enum");
+}
+
 void StorageBreakdown::add(const OpRecord& op) {
   bits_by_class[op.op_class] += op.storage_bits;
   macs_by_class[op.op_class] += op.macs;
@@ -29,19 +45,6 @@ StorageBreakdown summarize(const std::vector<OpRecord>& ops) {
   StorageBreakdown breakdown;
   for (const auto& op : ops) breakdown.add(op);
   return breakdown;
-}
-
-OpRecord make_record(const LayerInfo& info, const FeatureShape& input_shape,
-                     const KernelShape& kernel_shape, ConvGeometry geometry) {
-  return {.name = info.name,
-          .op_class = info.op_class,
-          .storage_bits = info.storage_bits,
-          .macs = info.macs,
-          .precision_bits = info.precision_bits,
-          .input_shape = input_shape,
-          .output_shape = info.output_shape,
-          .kernel_shape = kernel_shape,
-          .geometry = geometry};
 }
 
 }  // namespace bkc::bnn

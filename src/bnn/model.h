@@ -6,13 +6,26 @@
 #include <string>
 #include <vector>
 
-#include "bnn/layers.h"
 #include "tensor/tensor.h"
 
 namespace bkc::bnn {
 
+/// Operation classes used for the Table I storage / execution-time
+/// breakdown.
+enum class OpClass {
+  kInputLayer,   ///< 8-bit quantized stem convolution
+  kOutputLayer,  ///< 8-bit quantized fully-connected classifier
+  kConv1x1,      ///< 1-bit 1x1 convolutions
+  kConv3x3,      ///< 1-bit 3x3 convolutions (the compression target)
+  kOther,        ///< activation / normalization layers etc.
+};
+
+/// Printable name matching the paper's Table I rows.
+std::string op_class_name(OpClass op);
+
 /// One operation instance with resolved shapes - the unit of accounting
-/// for Table I and the unit of work for the hwsim timing model.
+/// for Table I and the unit of work for the hwsim timing model. Each
+/// layer reports its own (op_record in bnn/layers.h).
 struct OpRecord {
   std::string name;
   OpClass op_class = OpClass::kOther;
@@ -21,7 +34,9 @@ struct OpRecord {
   int precision_bits = 32;
   FeatureShape input_shape;
   FeatureShape output_shape;
-  /// Kernel shape for convolution/fc ops; zeros otherwise.
+  /// Kernel shape for convolution ops; zeros otherwise (the classifier
+  /// included, which is how plan_reactnet_forward tells it from the
+  /// stem).
   KernelShape kernel_shape;
   ConvGeometry geometry;
 };
@@ -41,10 +56,5 @@ struct StorageBreakdown {
 };
 
 StorageBreakdown summarize(const std::vector<OpRecord>& ops);
-
-/// Convert a LayerInfo at a given input shape into an OpRecord.
-OpRecord make_record(const LayerInfo& info, const FeatureShape& input_shape,
-                     const KernelShape& kernel_shape = {},
-                     ConvGeometry geometry = {});
 
 }  // namespace bkc::bnn

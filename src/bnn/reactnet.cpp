@@ -193,25 +193,20 @@ FeatureShape BasicBlock::output_shape(const FeatureShape& input) const {
 
 std::vector<OpRecord> BasicBlock::op_records(const FeatureShape& input) const {
   std::vector<OpRecord> records;
-  auto push = [&](const Layer& layer, const FeatureShape& shape,
-                  const KernelShape& kernel, ConvGeometry geometry) {
-    records.push_back(
-        make_record(layer.info(shape), shape, kernel, geometry));
-    return records.back().output_shape;
-  };
-  FeatureShape shape = input;
-  shape = push(*conv3_, shape, conv3_->kernel().shape(), conv3_->geometry());
-  shape = push(*bn1_, shape, {}, {});
-  shape = push(*act1_, shape, {}, {});
-  const FeatureShape mid = shape;
-  shape = push(*conv1a_, mid, conv1a_->kernel().shape(), conv1a_->geometry());
-  shape = push(*bn2a_, shape, {}, {});
+  records.push_back(conv3_->op_record(input));
+  const FeatureShape mid = records.back().output_shape;
+  records.push_back(bn1_->op_record(mid));
+  records.push_back(act1_->op_record(mid));
+  // Every 1x1 conv reads y and writes in_channels outputs (one half of
+  // the concat when the block expands).
+  records.push_back(conv1a_->op_record(mid));
+  const FeatureShape half = records.back().output_shape;
+  records.push_back(bn2a_->op_record(half));
   if (conv1b_) {
-    push(*conv1b_, mid, conv1b_->kernel().shape(), conv1b_->geometry());
-    push(*bn2b_, {config_.in_channels, mid.height, mid.width}, {}, {});
+    records.push_back(conv1b_->op_record(mid));
+    records.push_back(bn2b_->op_record(half));
   }
-  const FeatureShape out{config_.out_channels, mid.height, mid.width};
-  records.push_back(make_record(act2_->info(out), out));
+  records.push_back(act2_->op_record(output_shape(input)));
   return records;
 }
 
@@ -313,28 +308,16 @@ const BasicBlock& ReActNet::block(std::size_t i) const {
 
 std::vector<OpRecord> ReActNet::op_records() const {
   std::vector<OpRecord> records;
-  FeatureShape shape = input_shape();
-  {
-    const LayerInfo info = stem_->info(shape);
-    records.push_back(make_record(
-        info, shape,
-        KernelShape{config_.stem_channels, config_.input_channels, 3, 3},
-        ConvGeometry{config_.stem_stride, 1}));
-    shape = info.output_shape;
-  }
+  records.push_back(stem_->op_record(input_shape()));
   for (const auto& block : blocks_) {
-    auto block_records = block.op_records(shape);
-    shape = block.output_shape(shape);
+    std::vector<OpRecord> block_records =
+        block.op_records(records.back().output_shape);
     records.insert(records.end(),
                    std::make_move_iterator(block_records.begin()),
                    std::make_move_iterator(block_records.end()));
   }
-  {
-    const LayerInfo info = pool_.info(shape);
-    records.push_back(make_record(info, shape));
-    shape = info.output_shape;
-  }
-  records.push_back(make_record(classifier_->info(shape), shape));
+  records.push_back(pool_.op_record(records.back().output_shape));
+  records.push_back(classifier_->op_record(records.back().output_shape));
   return records;
 }
 

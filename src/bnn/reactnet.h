@@ -177,7 +177,7 @@ class ReActNet {
 /// The op-record layout of a ReActNet with this configuration, without
 /// sampling a single weight: the model is stood up with zero-filled
 /// (layout-only) parameters, so the SAME structural walk and per-layer
-/// info() code as ReActNet::op_records produces the records — the
+/// op_record code as ReActNet::op_records produces the records — the
 /// layout can never drift from a real model's, and op records depend on
 /// shapes alone (tests/test_reactnet.cpp pins the field-for-field
 /// equality). This is what container tooling uses to feed

@@ -48,12 +48,11 @@ struct CpuParams {
   double elementwise_ops_per_cycle = 3.4;  ///< BN / RPReLU / sign / pool
 };
 
-/// Decoding-unit parameters (Table IV, decoding unit section).
+/// Decoding-unit timing parameters (Table IV, decoding unit section).
+/// Only what the timing model reads is here: the unit's storage sizes
+/// (node count, uncompressed table, register file, input buffer) cost
+/// no cycles in this model, so they are not parameters.
 struct DecoderParams {
-  int max_nodes = 4;
-  std::int64_t uncompressed_table_bytes = 1024;
-  std::int64_t register_file_bytes = 256;
-  std::int64_t input_buffer_bytes = 256;
   int fetch_chunk_bytes = 64;     ///< T bytes per LSU request
   int decode_per_cycle = 1;       ///< sequences decoded per cycle
   int configure_cycles = 24;      ///< lddu: load config + reset

@@ -56,12 +56,6 @@ void ServeStats::record_batch(const std::string& model,
     // shared batches sees occupancy proportional to its traffic.
     t.occupancy_sum += static_cast<double>(delta.dispatched) / capacity;
   }
-  for (const DispatchedRequest& request : requests) {
-    const double queued_ns = static_cast<double>(request.queue_ns);
-    data_.total.queue.add(queued_ns);
-    data_.per_model[model].queue.add(queued_ns);
-    data_.per_tenant[request.tenant].queue.add(queued_ns);
-  }
 }
 
 StatsSnapshot ServeStats::snapshot() const {

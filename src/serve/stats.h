@@ -16,8 +16,6 @@
 #include <span>
 #include <string>
 
-#include "util/stats.h"
-
 namespace bkc::serve {
 
 /// Counters for one traffic aggregate (the whole server, one model, or
@@ -32,8 +30,6 @@ struct Counters {
   /// (batch size / max_batch for models; own-request count / max_batch
   /// for tenants). batch_occupancy() turns it into a mean fill factor.
   double occupancy_sum = 0.0;
-  /// Queued-time distribution of dispatched requests (min/mean/max).
-  RunningStats queue;
 
   /// Mean fill factor of the batches counted here, in [0, 1]: 1.0 means
   /// every batch left exactly max_batch full. 0 when nothing dispatched.

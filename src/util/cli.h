@@ -39,6 +39,23 @@ inline void check_known_flags(int argc, char** argv,
   }
 }
 
+/// All of `text` as a base-10 integer of type T: the one integer
+/// parser behind flag values and positional counts. Throws CheckError,
+/// naming `what`, on empty text, trailing garbage ("32abc") or a value
+/// that does not fit in T ("99999999999" for int), where std::atoi
+/// would quietly return a prefix or an overflowed value.
+template <typename T>
+T parse_integer(std::string_view what, std::string_view text) {
+  T value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  check(ec != std::errc::result_out_of_range,
+        what, ": value '", text, "' is out of range");
+  check(ec == std::errc() && ptr == text.data() + text.size(),
+        what, ": malformed integer '", text, "'");
+  return value;
+}
+
 /// Resolves both accepted value spellings — "--threads 4" and
 /// "--threads=4" — against the argument at index `i` (plus its
 /// successor for the space form). Returns true when argv[i] names
@@ -78,14 +95,7 @@ inline int flag_value(int argc, char** argv, std::string_view flag,
     std::string_view text;
     bool used_next_arg = false;
     if (!flag_value_at(argc, argv, i, flag, text, used_next_arg)) continue;
-    int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    check(ec != std::errc::result_out_of_range,
-          flag, ": value '", text, "' is out of range");
-    check(ec == std::errc() && ptr == text.data() + text.size(),
-          flag, ": malformed integer '", text, "'");
-    return value;
+    return parse_integer<int>(flag, text);
   }
   return fallback;
 }

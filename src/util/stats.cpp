@@ -99,42 +99,4 @@ double top_k_share(std::span<const double> values, std::size_t k) {
   return top / total;
 }
 
-void RunningStats::add(double x) {
-  // A single NaN would propagate into min/max/mean irrecoverably (and
-  // min/max comparisons silently drop NaN depending on argument order);
-  // reject it at the boundary instead.
-  check(std::isfinite(x), "RunningStats::add requires a finite sample");
-  // Welford's online algorithm.
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const {
-  check(count_ > 0, "RunningStats::mean with no samples");
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  check(count_ > 0, "RunningStats::variance with no samples");
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningStats::min() const {
-  check(count_ > 0, "RunningStats::min with no samples");
-  return min_;
-}
-
-double RunningStats::max() const {
-  check(count_ > 0, "RunningStats::max with no samples");
-  return max_;
-}
-
 }  // namespace bkc

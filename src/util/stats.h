@@ -43,32 +43,4 @@ std::vector<std::uint32_t> rank_descending(std::span<const double> values);
 /// Precondition: sum > 0; k is clamped to values.size().
 double top_k_share(std::span<const double> values, std::size_t k);
 
-/// Running accumulator for streams whose size is not known up front.
-///
-/// Uses Welford's online algorithm: the naive sum-of-squares form
-/// (Σx² − n·mean²) subtracts two nearly equal large numbers when
-/// mean² ≫ variance — for cycle counts in the 1e8 range with
-/// microsecond-scale jitter the cancellation can even drive the
-/// computed variance negative. Welford carries the centred second
-/// moment instead, so variance() is always >= 0 and accurate at any
-/// magnitude. Note the result still depends (in the last few ulps) on
-/// the order samples are added; bit-stability across append orders is
-/// NOT part of the contract, only across identical orders.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;  ///< population variance
-  double min() const;
-  double max() const;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace bkc

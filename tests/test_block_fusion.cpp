@@ -165,10 +165,19 @@ struct BlockCase {
   bool expand;
   std::int64_t height, width;
 
+  /// Built by appends: GCC 12 flags a chain of operator+ on
+  /// temporaries here with a false-positive -Werror=restrict inside
+  /// char_traits.h.
   std::string label() const {
-    return "c" + std::to_string(channels) + "_s" + std::to_string(stride) +
-           (expand ? "_expand_" : "_same_") + std::to_string(height) + "x" +
-           std::to_string(width);
+    std::string text = "c";
+    text += std::to_string(channels);
+    text += "_s";
+    text += std::to_string(stride);
+    text += expand ? "_expand_" : "_same_";
+    text += std::to_string(height);
+    text += "x";
+    text += std::to_string(width);
+    return text;
   }
 };
 

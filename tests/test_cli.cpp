@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,26 @@ TEST(Cli, CheckKnownFlagsRejectsAnUnlistedFlagByName) {
   Argv equals({"--seed=--tiny"});
   EXPECT_THROW(check_known_flags(equals.argc(), equals.argv(), {"--tiny"}),
                CheckError);
+}
+
+TEST(Cli, ParseIntegerTakesTheWholeTextOrThrowsNamingIt) {
+  // Positional counts ("hwsim_demo 32 7") go through this parser: a
+  // prefix ("32abc") or an empty text is an error, never a silent 32
+  // or 0 as std::atoll gives.
+  EXPECT_EQ(parse_integer<std::int64_t>("channels", "32"), 32);
+  EXPECT_EQ(parse_integer<std::int64_t>("channels", "99999999999"),
+            99999999999);
+  for (const char* bad : {"32abc", "32x", "", " 32", "abc"}) {
+    try {
+      parse_integer<std::int64_t>("channels", bad);
+      FAIL() << "'" << bad << "' must throw";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("channels: malformed integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_integer<int>("count", "99999999999"), CheckError);
 }
 
 TEST(Cli, PositiveFlagValueValidatesTheFallbackToo) {

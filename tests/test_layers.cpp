@@ -23,7 +23,8 @@ Workspace test_workspace() {
 }
 
 /// `layer` applied to `input` through forward_into.
-Tensor run(const Layer& layer, const Tensor& input) {
+template <typename LayerT>
+Tensor run(const LayerT& layer, const Tensor& input) {
   Workspace workspace = test_workspace();
   Tensor out(layer.output_shape(input.shape()));
   layer.forward_into(input, out, workspace);
@@ -153,19 +154,27 @@ TEST(Topology, ResidualShapeMismatchThrows) {
   EXPECT_THROW(residual_add_into(a, a, wrong_out), CheckError);
 }
 
-TEST(LayerInfo, BinaryConvClassification) {
+TEST(OpRecord, BinaryConvReportsItsKernelAndGeometry) {
   PackedKernel k3(KernelShape{4, 8, 3, 3});
-  BinaryConv2d c3("c3", std::move(k3), {.stride = 1, .padding = 1});
-  EXPECT_EQ(c3.info({8, 4, 4}).op_class, OpClass::kConv3x3);
-  EXPECT_EQ(c3.info({8, 4, 4}).precision_bits, 1);
-  EXPECT_EQ(c3.info({8, 4, 4}).storage_bits, 4u * 8u * 9u);
+  BinaryConv2d c3("c3", std::move(k3), {.stride = 2, .padding = 1});
+  const OpRecord r3 = c3.op_record({8, 4, 4});
+  EXPECT_EQ(r3.name, "c3");
+  EXPECT_EQ(r3.op_class, OpClass::kConv3x3);
+  EXPECT_EQ(r3.precision_bits, 1);
+  EXPECT_EQ(r3.storage_bits, 4u * 8u * 9u);
+  EXPECT_TRUE(r3.input_shape == (FeatureShape{8, 4, 4}));
+  EXPECT_TRUE(r3.output_shape == (FeatureShape{4, 2, 2}));
+  EXPECT_EQ(r3.macs, 4u * 2u * 2u * 8u * 9u);
+  EXPECT_TRUE(r3.kernel_shape == (KernelShape{4, 8, 3, 3}));
+  EXPECT_EQ(r3.geometry.stride, 2);
+  EXPECT_EQ(r3.geometry.padding, 1);
 
   PackedKernel k1(KernelShape{4, 8, 1, 1});
   BinaryConv2d c1("c1", std::move(k1), {.stride = 1, .padding = 0});
-  EXPECT_EQ(c1.info({8, 4, 4}).op_class, OpClass::kConv1x1);
+  EXPECT_EQ(c1.op_record({8, 4, 4}).op_class, OpClass::kConv1x1);
 }
 
-TEST(LayerInfo, SetKernelShapeGuard) {
+TEST(BinaryConv2d, SetKernelShapeGuard) {
   PackedKernel k(KernelShape{4, 8, 3, 3});
   BinaryConv2d conv("c", std::move(k), {.stride = 1, .padding = 1});
   EXPECT_THROW(conv.set_kernel(PackedKernel(KernelShape{4, 8, 1, 1})),
@@ -223,14 +232,15 @@ TEST(ForwardInto, AliasSafeLayersRunInPlace) {
   const RPReLU act("act", gen.sample_floats(4, 0.1f),
                    gen.sample_floats(4, 0.05f, 0.25f),
                    gen.sample_floats(4, 0.1f));
-  for (const Layer* layer : {static_cast<const Layer*>(&bn),
-                             static_cast<const Layer*>(&act)}) {
-    const Tensor expected = run(*layer, input);
+  const auto expect_in_place = [&](const auto& layer) {
+    const Tensor expected = run(layer, input);
     Tensor in_place = input;
     TensorView view(in_place);
-    layer->forward_into(view, view, workspace);
-    EXPECT_TRUE(bit_identical(in_place, expected)) << layer->name();
-  }
+    layer.forward_into(view, view, workspace);
+    EXPECT_TRUE(bit_identical(in_place, expected)) << layer.name();
+  };
+  expect_in_place(bn);
+  expect_in_place(act);
 }
 
 TEST(ForwardInto, ShapeMismatchThrows) {

@@ -278,8 +278,13 @@ TEST_F(ServeSchedulerTest, PerTenantAndPerModelCountersAddUp) {
   EXPECT_EQ(stats.per_tenant.at("tenant-x").dispatched +
                 stats.per_tenant.at("tenant-y").dispatched,
             6u);
-  // Queue time is measured for every dispatched request.
-  EXPECT_EQ(stats.total.queue.count(), 6u);
+  // Queue time is charged to every aggregate a dispatched request
+  // belongs to, so the model's and the tenants' shares add up to the
+  // total.
+  EXPECT_EQ(stats.per_model.at("tiny").queue_ns, stats.total.queue_ns);
+  EXPECT_EQ(stats.per_tenant.at("tenant-x").queue_ns +
+                stats.per_tenant.at("tenant-y").queue_ns,
+            stats.total.queue_ns);
   EXPECT_GE(stats.total.mean_queue_ms(), 0.0);
 }
 
