@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <string_view>
 #include <vector>
 
 #include "core/bkc.h"
@@ -23,10 +24,12 @@ int main(int argc, char** argv) try {
   using namespace bkc;
   check_known_flags(argc, argv, {"--tiny", "--threads"});
   // The count is positional and optional: skip it when argv[1] is a
-  // flag (so `reactnet_inference --tiny` still measures 3 images).
-  const int num_images = argc > 1 && argv[1][0] != '-'
-                             ? parse_integer<int>("num_images", argv[1])
-                             : 3;
+  // flag (so `reactnet_inference --tiny` still measures 3 images). Only
+  // `--` starts a flag, so `-3` reaches the count check and fails.
+  const bool has_count =
+      argc > 1 && !std::string_view(argv[1]).starts_with("--");
+  const int num_images =
+      has_count ? parse_integer<int>("num_images", argv[1]) : 3;
   check(num_images >= 1, "reactnet_inference: num_images must be >= 1");
   const int num_threads = positive_flag_value(argc, argv, "--threads", 2);
 

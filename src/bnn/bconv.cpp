@@ -1,7 +1,5 @@
 #include "bnn/bconv.h"
 
-#include <functional>
-
 #include "bnn/bconv_kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -77,15 +75,7 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
   // kernel (the contract tests/test_bconv_simd.cpp enforces). The
   // epilogue is per channel too, so it runs inside the same chunks.
   const ConvKernelFn fn = active_conv_kernel().fn;
-  const int num_threads = current_num_threads();
-  if (num_threads <= 1) {
-    // Serial case bypasses parallel_for: constructing its std::function
-    // argument can heap-allocate, which the zero-allocation classify
-    // contract forbids. Same arithmetic, same full channel range.
-    fn(input, kernel, geometry, out, 0, out_shape.channels, epilogue);
-    return;
-  }
-  parallel_for(out_shape.channels, num_threads,
+  parallel_for(out_shape.channels, current_num_threads(),
                [&](std::int64_t o_begin, std::int64_t o_end) {
                  fn(input, kernel, geometry, out, o_begin, o_end, epilogue);
                });

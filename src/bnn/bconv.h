@@ -73,10 +73,8 @@ Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
 /// caller-provided storage of exactly the geometry's output shape
 /// (CheckError otherwise, and when the input's ring differs from
 /// geometry.padding). The caller owns the pack scratch (typically
-/// the Workspace's, filled via pack_feature_into). When
-/// current_num_threads() is 1 the kernel is invoked directly — no
-/// parallel_for, no std::function — so the single-thread path performs
-/// zero heap allocations.
+/// the Workspace's, filled via pack_feature_into). Performs no heap
+/// allocation at any thread count.
 ///
 /// With an `epilogue`, each thread's chunk applies it to every output
 /// channel plane right after the kernel writes it, while the plane is

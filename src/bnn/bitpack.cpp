@@ -161,14 +161,7 @@ void pack_feature_into(ConstTensorView input, PackedFeature& out,
       }
     }
   };
-  const int num_threads = current_num_threads();
-  if (num_threads <= 1) {
-    // parallel_for's std::function argument can heap-allocate, which
-    // the zero-allocation classify contract forbids.
-    pack_rows(0, s.height);
-    return;
-  }
-  parallel_for(s.height, num_threads, pack_rows);
+  parallel_for(s.height, current_num_threads(), pack_rows);
 }
 
 Tensor unpack_feature(const PackedFeature& packed) {

@@ -148,10 +148,9 @@ PackedFeature pack_feature(const Tensor& input, std::int64_t padding = 0);
 /// Fast pack into caller-provided storage: reshapes `out` to the input
 /// shape and ring (no allocation once storage is reserved) and ORs
 /// whole channel rows into the packed words with one branch-free pass
-/// per channel. The rows split over current_num_threads() (one direct
-/// call, no parallel_for, at 1 thread). Bit-for-bit identical to
-/// pack_feature; the arena-backed forward path packs through here using
-/// the Workspace pack scratch.
+/// per channel. The rows split over current_num_threads(). Bit-for-bit
+/// identical to pack_feature; the arena-backed forward path packs
+/// through here using the Workspace pack scratch.
 void pack_feature_into(ConstTensorView input, PackedFeature& out,
                        std::int64_t padding = 0);
 

@@ -134,13 +134,11 @@ Int8ConvPlane int8_conv_plane(const FeatureShape& input,
 }
 
 Int8Conv2d::Int8Conv2d(std::string name, const WeightTensor& weights,
-                       std::vector<float> bias, ConvGeometry geometry,
-                       OpClass op_class)
+                       std::vector<float> bias, ConvGeometry geometry)
     : name_(std::move(name)),
       shape_(weights.shape()),
       bias_(std::move(bias)),
-      geometry_(geometry),
-      op_class_(op_class) {
+      geometry_(geometry) {
   check(static_cast<std::int64_t>(bias_.size()) == shape_.out_channels,
         "Int8Conv2d: bias size must equal out_channels");
   check(shape_.receptive_size() <= kMaxInt8Taps, "Int8Conv2d: ",
@@ -212,14 +210,7 @@ void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
       internal::int8_conv_avx2(plane, layout, shape_, weight_pairs_,
                                dequant, bias_, out, o_begin, o_end);
     };
-    const int num_threads = current_num_threads();
-    if (num_threads <= 1) {
-      // parallel_for's std::function argument can heap-allocate, which
-      // the zero-allocation classify contract forbids.
-      run(0, out_shape.channels);
-    } else {
-      parallel_for(out_shape.channels, num_threads, run);
-    }
+    parallel_for(out_shape.channels, current_num_threads(), run);
     arena.rewind(mark);
     return;
   }
@@ -272,7 +263,7 @@ void Int8Conv2d::forward_into(ConstTensorView input, TensorView out,
 OpRecord Int8Conv2d::op_record(const FeatureShape& input) const {
   const FeatureShape out = output_shape(input);
   return {.name = name_,
-          .op_class = op_class_,
+          .op_class = OpClass::kInputLayer,
           .storage_bits = static_cast<std::uint64_t>(shape_.size()) * 8 +
                           static_cast<std::uint64_t>(bias_.size()) * 32,
           .macs = static_cast<std::uint64_t>(out.size() *

@@ -99,8 +99,7 @@ class Int8Conv2d {
  public:
   /// Quantizes `weights` symmetrically to int8.
   Int8Conv2d(std::string name, const WeightTensor& weights,
-             std::vector<float> bias, ConvGeometry geometry,
-             OpClass op_class = OpClass::kInputLayer);
+             std::vector<float> bias, ConvGeometry geometry);
 
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const;
@@ -119,7 +118,6 @@ class Int8Conv2d {
   std::vector<float> bias_;
   float weight_scale_ = 1.0f;
   ConvGeometry geometry_;
-  OpClass op_class_;
 };
 
 /// 8-bit quantized fully-connected classifier (the output layer).

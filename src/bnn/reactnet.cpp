@@ -226,7 +226,7 @@ ReActNet::ReActNet(const ReActNetConfig& config, WeightGenerator generator)
           0.5f),
       generator.sample_floats(static_cast<std::size_t>(config.stem_channels),
                               0.05f),
-      ConvGeometry{config.stem_stride, 1}, OpClass::kInputLayer);
+      ConvGeometry{config.stem_stride, 1});
 
   const auto& targets = paper_table2_targets();
   blocks_.reserve(config.blocks.size());

@@ -54,7 +54,11 @@ void ThreadPool::worker_loop(int worker) {
       try {
         (*task_)(t);
       } catch (...) {
-        errors_[static_cast<std::size_t>(t)] = std::current_exception();
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_ || t < error_task_) {
+          error_task_ = t;
+          error_ = std::current_exception();
+        }
       }
     }
     {
@@ -64,7 +68,7 @@ void ThreadPool::worker_loop(int worker) {
   }
 }
 
-void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
+void ThreadPool::run(int num_tasks, FunctionRef<void(int)> task) {
   check(num_tasks >= 0, "ThreadPool::run: num_tasks must be >= 0");
   check(!t_on_worker,
         "ThreadPool::run: re-entrant call from a worker thread");
@@ -76,16 +80,16 @@ void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
   std::unique_lock<std::mutex> lock(mutex_);
   num_tasks_ = num_tasks;
   task_ = &task;
-  errors_.assign(static_cast<std::size_t>(num_tasks), nullptr);
   active_workers_ = num_workers();
   ++generation_;
   start_cv_.notify_all();
   done_cv_.wait(lock, [&] { return active_workers_ == 0; });
   task_ = nullptr;
   // Deterministic propagation: the lowest-numbered failing task wins,
-  // independent of execution timing.
-  for (std::exception_ptr& error : errors_) {
-    if (error) std::rethrow_exception(error);
+  // independent of execution timing. Taking the slot leaves it empty
+  // for the next run().
+  if (std::exception_ptr error = std::exchange(error_, nullptr)) {
+    std::rethrow_exception(error);
   }
 }
 
@@ -99,7 +103,7 @@ ThreadPool& ThreadPool::shared() {
 
 void parallel_for(
     std::int64_t total, int num_threads,
-    const std::function<void(std::int64_t begin, std::int64_t end)>& chunk) {
+    FunctionRef<void(std::int64_t begin, std::int64_t end)> chunk) {
   check(num_threads >= 1, "parallel_for: num_threads must be >= 1");
   if (total <= 0) return;
   const int chunks =

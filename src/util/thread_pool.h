@@ -19,12 +19,50 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace bkc {
+
+template <typename Signature>
+class FunctionRef;
+
+/// Non-owning reference to a callable: an object pointer and a call
+/// trampoline, two words. Unlike an owning type-erased wrapper, binding
+/// one never heap-allocates, which keeps parallel regions off the heap.
+/// Lifetime rule: the callable must outlive every call through the
+/// reference. A lambda written as the argument of run() or
+/// parallel_for() lives until the call returns, which is enough.
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  // The first constraint keeps this template from capturing the copy
+  // of a non-const FunctionRef lvalue, which would otherwise wrap the
+  // reference itself (a dangling reference once the copy outlives it).
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+                std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& callable) noexcept  // NOLINT(google-explicit-constructor)
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(callable)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 /// Fixed-size pool of worker threads with a static cyclic task
 /// assignment (task t runs on worker t % num_workers) - work-stealing
@@ -47,8 +85,9 @@ class ThreadPool {
   /// a deterministic choice. Safe to call from multiple threads:
   /// concurrent calls serialize on the pool. Not re-entrant: run()
   /// must not be called from inside a task (parallel_for handles
-  /// nesting by running inline instead).
-  void run(int num_tasks, const std::function<void(int)>& task);
+  /// nesting by running inline instead). `task` is only borrowed; it
+  /// must outlive the call.
+  void run(int num_tasks, FunctionRef<void(int)> task);
 
   /// True on threads currently executing a ThreadPool task.
   static bool on_worker_thread();
@@ -74,8 +113,11 @@ class ThreadPool {
   std::uint64_t generation_ = 0;  ///< bumped once per run() call
   int num_tasks_ = 0;
   int active_workers_ = 0;
-  const std::function<void(int)>* task_ = nullptr;
-  std::vector<std::exception_ptr> errors_;  ///< one slot per task
+  const FunctionRef<void(int)>* task_ = nullptr;
+  // The lowest-numbered failing task of the current run() and its
+  // exception; written under mutex_, and only when a task throws.
+  int error_task_ = 0;
+  std::exception_ptr error_;
   bool stopping_ = false;
 };
 
@@ -100,10 +142,12 @@ ChunkBounds chunk_bounds(std::int64_t total, int chunks, int c);
 /// (nested parallelism), the whole range executes inline on the caller
 /// as the single chunk (0, total) - callers must therefore not key work
 /// off the chunk boundaries themselves, only off the indices inside
-/// them. Precondition: num_threads >= 1.
+/// them. `chunk` is only borrowed; it must outlive the call. Binding
+/// it allocates nothing, so a warm region allocates nothing at any
+/// thread count. Precondition: num_threads >= 1.
 void parallel_for(
     std::int64_t total, int num_threads,
-    const std::function<void(std::int64_t begin, std::int64_t end)>& chunk);
+    FunctionRef<void(std::int64_t begin, std::int64_t end)> chunk);
 
 /// Thread count consulted by parallel regions buried inside library
 /// internals that take no thread-count parameter of their own (today:

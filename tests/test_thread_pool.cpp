@@ -52,6 +52,8 @@ TEST(ThreadPool, RethrowsLowestNumberedFailingTask) {
       EXPECT_STREQ(e.what(), "task 2");
     }
   }
+  // A rethrown error does not outlive its run().
+  EXPECT_NO_THROW(pool.run(8, [](int) {}));
 }
 
 TEST(ThreadPool, ConcurrentCallersSerializeSafely) {
@@ -255,6 +257,22 @@ TEST(ParallelFor, PropagatesChunkException) {
 TEST(ParallelFor, BadThreadCountThrows) {
   EXPECT_THROW(parallel_for(4, 0, [](std::int64_t, std::int64_t) {}),
                CheckError);
+}
+
+TEST(FunctionRefTest, CopyRefersToTheCallableNotTheCopiedReference) {
+  int first = 0;
+  int second = 0;
+  const auto bump_first = [&](int by) { first += by; };
+  const auto bump_second = [&](int by) { second += by; };
+  FunctionRef<void(int)> ref = bump_first;
+  // Copying a non-const lvalue must copy the two words, not wrap `ref`:
+  // rebinding `ref` afterwards leaves the copy calling bump_first.
+  FunctionRef<void(int)> copy = ref;
+  ref = bump_second;
+  copy(3);
+  ref(5);
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(second, 5);
 }
 
 TEST(ScopedNumThreadsTest, InstallsAndRestores) {

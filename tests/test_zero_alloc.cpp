@@ -1,8 +1,8 @@
 // The zero-allocation contract of the planned forward path, pinned at
 // the strongest possible level: a global operator-new/delete override
 // counts EVERY heap allocation in the process, and a warm
-// Engine::classify_into (pooled workspace, correctly-shaped scores,
-// threads == 1) must perform exactly none.
+// Engine::classify_into (pooled workspace, correctly-shaped scores)
+// must perform exactly none, at threads 1, 2, 4 and 7 alike.
 //
 // This suite gets its own binary because the override is global to the
 // translation unit's final link — no other suite should run with
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "bnn/kernel_sequences.h"
 #include "bnn/memory_plan.h"
@@ -144,45 +145,50 @@ TEST(ZeroAlloc, PassingChecksAllocateNothing) {
 TEST(ZeroAlloc, WarmClassifyIntoAllocatesNothing) {
   Engine engine(test::tiny_config(51));
   engine.compress();
-  bnn::Workspace workspace = engine.make_workspace();
   bnn::WeightGenerator gen(5);
   const Tensor image = gen.sample_activation(engine.model().input_shape());
-  Tensor scores;
-  // Warm-up: shapes the scores tensor; the workspace was fully
-  // allocated at construction.
-  engine.classify_into(image, scores, workspace);
   Tensor expected;
   {
     simd::ScopedForceScalar force;
     expected = test::run_forward(engine.model(), image);
   }
 
-  const std::uint64_t arena_allocs_per_pass =
-      workspace.arena().allocation_count();
-  const std::uint64_t heap_before = allocation_count();
-  constexpr int kPasses = 10;
-  for (int i = 0; i < kPasses; ++i) {
-    engine.classify_into(image, scores, workspace);
-  }
-  const std::uint64_t heap_after = allocation_count();
+  for (const int threads : {1, 2, 4, 7}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    bnn::Workspace workspace = engine.make_workspace();
+    Tensor scores;
+    // Warm-up: shapes the scores tensor (and starts the shared pool on
+    // the first multi-threaded count); the workspace was fully
+    // allocated at construction.
+    engine.classify_into(image, scores, workspace, threads);
 
-  // The contract: zero heap allocations per steady-state classify...
-  EXPECT_EQ(heap_after - heap_before, 0u);
-  // ...while the arena shows the same fixed bump count every pass
-  // (it is doing all the work the heap no longer does)...
-  EXPECT_EQ(workspace.arena().allocation_count(),
-            (kPasses + 1) * arena_allocs_per_pass);
-  EXPECT_EQ(workspace.arena().reset_count(),
-            static_cast<std::uint64_t>(kPasses + 1));
-  // ...to exactly the planned high-water mark.
-  EXPECT_EQ(workspace.arena().high_water(),
-            engine.memory_plan().arena_bytes());
-  // And the result is still bit-identical to a fresh-workspace run on
-  // the scalar kernels.
-  ASSERT_EQ(scores.shape(), expected.shape());
-  EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
+    const std::uint64_t arena_allocs_per_pass =
+        workspace.arena().allocation_count();
+    const std::uint64_t heap_before = allocation_count();
+    constexpr int kPasses = 10;
+    for (int i = 0; i < kPasses; ++i) {
+      engine.classify_into(image, scores, workspace, threads);
+    }
+    const std::uint64_t heap_after = allocation_count();
+
+    // The contract: zero heap allocations per steady-state classify...
+    EXPECT_EQ(heap_after - heap_before, 0u);
+    // ...while the arena shows the same fixed bump count every pass
+    // (it is doing all the work the heap no longer does)...
+    EXPECT_EQ(workspace.arena().allocation_count(),
+              (kPasses + 1) * arena_allocs_per_pass);
+    EXPECT_EQ(workspace.arena().reset_count(),
+              static_cast<std::uint64_t>(kPasses + 1));
+    // ...to exactly the planned high-water mark.
+    EXPECT_EQ(workspace.arena().high_water(),
+              engine.memory_plan().arena_bytes());
+    // And the result is still bit-identical to a fresh-workspace run
+    // on the scalar kernels.
+    ASSERT_EQ(scores.shape(), expected.shape());
+    EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
+                          expected.data().size_bytes()),
+              0);
+  }
 }
 
 TEST(ZeroAlloc, PooledClassifyStopsAllocatingAfterWarmup) {
@@ -190,25 +196,29 @@ TEST(ZeroAlloc, PooledClassifyStopsAllocatingAfterWarmup) {
   engine.compress();
   bnn::WeightGenerator gen(6);
   const Tensor image = gen.sample_activation(engine.model().input_shape());
-
-  // Warm the engine's internal pool (and the score-shape path).
   const Tensor expected = engine.classify(image);
-  engine.classify(image);
 
-  // Steady state: the only allocation left per classify() is the
-  // returned score tensor itself (one vector), plus nothing from the
-  // pool, the arena or the layers.
-  const std::uint64_t before = allocation_count();
-  constexpr int kPasses = 8;
-  for (int i = 0; i < kPasses; ++i) {
-    const Tensor scores = engine.classify(image);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    // Warm the engine's internal pool (and the score-shape path).
+    engine.classify(image, threads);
+    engine.classify(image, threads);
+
+    // Steady state: the only allocation left per classify() is the
+    // returned score tensor itself (one vector), plus nothing from the
+    // pool, the arena or the layers.
+    const std::uint64_t before = allocation_count();
+    constexpr int kPasses = 8;
+    for (int i = 0; i < kPasses; ++i) {
+      const Tensor scores = engine.classify(image, threads);
+    }
+    const std::uint64_t after = allocation_count();
+    EXPECT_LE(after - before, static_cast<std::uint64_t>(kPasses));
+    EXPECT_EQ(std::memcmp(engine.classify(image, threads).data().data(),
+                          expected.data().data(),
+                          expected.data().size_bytes()),
+              0);
   }
-  const std::uint64_t after = allocation_count();
-  EXPECT_LE(after - before, static_cast<std::uint64_t>(kPasses));
-  EXPECT_EQ(std::memcmp(engine.classify(image).data().data(),
-                        expected.data().data(),
-                        expected.data().size_bytes()),
-            0);
 }
 
 }  // namespace
