@@ -7,25 +7,18 @@
 // fixed 9-bit baseline, together with the decode-table storage each
 // tree needs (the hardware cost axis).
 
-#include <cmath>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "core/bkc.h"
-#include "util/json.h"
 
 int main(int argc, char** argv) try {
   using namespace bkc;
-  check_known_flags(argc, argv, {"--tiny", "--json"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
-  // this binary finishes in milliseconds. --json FILE additionally
-  // writes the sweep machine-readably (the codec shoot-out snapshot
-  // BENCH_codecs.json follows the same idiom).
+  // this binary finishes in milliseconds.
   const bool tiny = has_flag(argc, argv, "--tiny");
-  const std::string json_path(flag_string_value(argc, argv, "--json", ""));
   const bnn::ReActNet model(tiny ? bnn::tiny_reactnet_config(/*seed=*/42)
                                  : bnn::paper_reactnet_config(/*seed=*/42));
 
@@ -55,17 +48,7 @@ int main(int argc, char** argv) try {
   }
   const double huffman_mean = mean(huffman_ratios);
 
-  // Strict-JSON emitter (util/json.h): tree names contain quotes-free
-  // text today, but escaping and round-trip doubles are no longer this
-  // bench's problem. Built alongside the table; written only on --json.
-  json::Writer json_out;
-  json_out.begin_object();
-  json_out.key("bench").value("ablation_tree");
-  json_out.key("model").value(tiny ? "tiny" : "paper");
-  json_out.key("full_huffman_mean").value(huffman_mean);
-  json_out.key("trees").begin_array();
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const auto& tree = trees[t];
+  for (const TreePoint& tree : trees) {
     const compress::ModelCompressor compressor(tree.config, {});
     const auto report = compressor.analyze(model);
     table.row()
@@ -74,26 +57,8 @@ int main(int argc, char** argv) try {
         .add(report.mean_encoding_ratio)
         .add(report.decode_table_bits / report.blocks.size())
         .add(percent_str(report.mean_clustering_ratio / huffman_mean));
-    json_out.begin_object();
-    json_out.key("tree").value(tree.name);
-    json_out.key("mean_clustering_ratio").value(report.mean_clustering_ratio);
-    json_out.key("mean_encoding_ratio").value(report.mean_encoding_ratio);
-    json_out.key("table_bits_per_block")
-        .value(report.decode_table_bits / report.blocks.size());
-    json_out.key("fraction_of_huffman")
-        .value(report.mean_clustering_ratio / huffman_mean);
-    json_out.end_object();
   }
-  json_out.end_array();
-  json_out.end_object();
   table.print("Simplified-tree ablation over the 13 ReActNet blocks");
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    check(static_cast<bool>(out), "ablation_tree: cannot open ", json_path);
-    out << json_out.str();
-    std::cout << "wrote " << json_path << "\n";
-  }
 
   std::cout << "\nFull canonical Huffman (optimal prefix code, clustered "
                "alphabet): mean "

@@ -3,23 +3,17 @@
 // plus the whole-model compression (the paper's 1.32x kernels / 1.2x
 // model headline).
 
-#include <cmath>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/bkc.h"
-#include "util/json.h"
 
 int main(int argc, char** argv) try {
   using namespace bkc;
-  check_known_flags(argc, argv, {"--tiny", "--json"});
+  check_known_flags(argc, argv, {"--tiny"});
 
   // --tiny swaps in the reduced test model so the CTest smoke run of
-  // this binary finishes in milliseconds. --json FILE additionally
-  // writes the per-block ratios machine-readably.
+  // this binary finishes in milliseconds.
   const bool tiny = has_flag(argc, argv, "--tiny");
-  const std::string json_path(flag_string_value(argc, argv, "--json", ""));
   const bnn::ReActNet model(tiny ? bnn::tiny_reactnet_config(/*seed=*/42)
                                  : bnn::paper_reactnet_config(/*seed=*/42));
   const compress::ModelCompressor compressor;
@@ -72,37 +66,6 @@ int main(int argc, char** argv) try {
   std::cout << " (paper: 65% 25% 8% 0.6%)\n";
   std::cout << "\nSee EXPERIMENTS.md for why the encoding-only column is\n"
                "bounded by Table II consistency.\n";
-
-  if (!json_path.empty()) {
-    // Strict-JSON emitter (util/json.h): locale-independent round-trip
-    // doubles; a non-finite ratio would be a CheckError, not bad JSON.
-    json::Writer w;
-    w.begin_object();
-    w.key("bench").value("table5_compression");
-    w.key("model").value(tiny ? "tiny" : "paper");
-    w.key("blocks").begin_array();
-    for (std::size_t b = 0; b < report.blocks.size(); ++b) {
-      const auto& block = report.blocks[b];
-      w.begin_object();
-      w.key("block").value(static_cast<std::uint64_t>(b + 1));
-      w.key("encoding_ratio").value(block.encoding_ratio);
-      w.key("clustering_ratio").value(block.clustering_ratio);
-      w.key("huffman_ratio").value(block.huffman_ratio);
-      w.key("flipped_bit_fraction").value(block.flipped_bit_fraction);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("mean_encoding_ratio").value(report.mean_encoding_ratio);
-    w.key("mean_clustering_ratio").value(report.mean_clustering_ratio);
-    w.key("model_ratio").value(report.model_ratio);
-    w.key("model_ratio_with_tables").value(report.model_ratio_with_tables);
-    w.end_object();
-    std::ofstream out(json_path);
-    check(static_cast<bool>(out),
-          "table5_compression: cannot open ", json_path);
-    out << w.str();
-    std::cout << "wrote " << json_path << "\n";
-  }
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "table5_compression: " << e.what() << "\n";

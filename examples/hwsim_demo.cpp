@@ -43,9 +43,8 @@ int main(int argc, char** argv) try {
   const auto kernel = gen.sample_kernel3x3(channels, channels, dist);
   const compress::CompressedBlock block =
       compress::BlockCodec().compress_block(op.name, kernel);
-  // The clustered column is the stream the paper deploys. The StreamInfo
-  // borrows its code-length artifact; `block` stays alive for the whole
-  // run.
+  // The clustered column is the stream the paper deploys; the StreamInfo
+  // holds the codeword lengths scanned from it.
   const compress::KernelCompression& compression = block.clustered;
   const hwsim::StreamInfo stream = hwsim::stream_info_for(compression);
 

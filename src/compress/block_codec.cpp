@@ -18,14 +18,15 @@ std::int64_t read_channel_count(ByteReader& reader, const char* what) {
 
 namespace {
 
-/// Recover the per-codeword lengths of a parsed stream, re-contexted so
-/// a corrupt-behind-valid-crc stream still names the section at fault.
-std::vector<std::uint8_t> scan_lengths_checked(
-    const ByteReader& reader, const CompressedKernel& kernel,
-    const GroupedTreeConfig& config) {
+/// Check that a parsed stream holds exactly its codewords (the prefix
+/// scan; the lengths themselves are discarded), re-contexted so a
+/// corrupt-behind-valid-crc stream still names the section at fault.
+void check_stream_scans(const ByteReader& reader,
+                        const CompressedKernel& kernel,
+                        const GroupedTreeConfig& config) {
   try {
-    return scan_code_lengths(kernel.stream, kernel.stream_bits,
-                             kernel.num_sequences(), config);
+    scan_code_lengths(kernel.stream, kernel.stream_bits,
+                      kernel.num_sequences(), config);
   } catch (const CheckError& e) {
     throw CheckError(reader.context() + ": " + e.what());
   }
@@ -45,18 +46,6 @@ CompressedKernel compress_sequences(std::span<const SeqId> sequences,
   out.in_channels = in_channels;
   out.stream = codec.encode(sequences, out.stream_bits);
   return out;
-}
-
-/// Codeword bit lengths of `sequences` under `codec`, in stream order —
-/// the `KernelCompression::code_lengths` artifact.
-std::vector<std::uint8_t> code_lengths_for(std::span<const SeqId> sequences,
-                                           const GroupedHuffmanCodec& codec) {
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(sequences.size());
-  for (const SeqId s : sequences) {
-    lengths.push_back(static_cast<std::uint8_t>(codec.code_length(s)));
-  }
-  return lengths;
 }
 
 }  // namespace
@@ -117,19 +106,13 @@ CompressedBlock BlockCodec::compress_block(
   report.huffman_ratio = huffman.compression_ratio(clustered_table);
 
   // Both stream artifacts, from the codecs and sequence lists already
-  // built (no re-extraction from the packed kernels). The code-length
-  // vectors are part of the artifact: hwsim's StreamInfo borrows them
-  // instead of re-walking the kernel per simulation.
+  // built (no re-extraction from the packed kernels).
   CompressedKernel plain_stream =
       compress_sequences(sequences, kernel.shape().out_channels,
                          kernel.shape().in_channels, plain_codec);
   CompressedKernel clustered_stream =
       compress_sequences(remapped, kernel.shape().out_channels,
                          kernel.shape().in_channels, clustered_codec);
-  std::vector<std::uint8_t> plain_lengths =
-      code_lengths_for(sequences, plain_codec);
-  std::vector<std::uint8_t> clustered_lengths =
-      code_lengths_for(remapped, clustered_codec);
 
   return CompressedBlock{
       .encoding =
@@ -138,16 +121,14 @@ CompressedBlock BlockCodec::compress_block(
               .clustering = ClusteringResult{},  // identity
               .coded_frequencies = table,
               .codec = std::move(plain_codec),
-              .compressed = std::move(plain_stream),
-              .code_lengths = std::move(plain_lengths)},
+              .compressed = std::move(plain_stream)},
       .clustered =
           KernelCompression{
               .frequencies = std::move(table),
               .clustering = std::move(clustering),
               .coded_frequencies = std::move(clustered_table),
               .codec = std::move(clustered_codec),
-              .compressed = std::move(clustered_stream),
-              .code_lengths = std::move(clustered_lengths)},
+              .compressed = std::move(clustered_stream)},
       .clustered_kernel = std::move(clustered_kernel),
       .report = std::move(report)};
 }
@@ -175,8 +156,7 @@ KernelCompression read_block(ByteReader& reader) {
   artifact.coded_frequencies = read_frequency_table(reader);
   artifact.codec = read_codec(reader);
   artifact.compressed = read_compressed_kernel(reader);
-  artifact.code_lengths = scan_lengths_checked(reader, artifact.compressed,
-                                               artifact.codec.config());
+  check_stream_scans(reader, artifact.compressed, artifact.codec.config());
   return artifact;
 }
 

@@ -118,15 +118,14 @@ class BlockCodec {
 bnn::PackedKernel decode_block(const KernelCompression& stream);
 
 /// Serialize the per-block container payload (the v1 block layout,
-/// and the v2 payload behind its codec-id word). The code lengths are
-/// not written: read_block recovers them from the stream.
+/// and the v2 payload behind its codec-id word).
 void write_block(ByteWriter& writer, const KernelCompression& stream);
 
 /// Parse one per-block payload, validating every locally checkable
-/// invariant; CheckError (carrying the reader's context) otherwise.
-/// The returned artifact is complete: it owns its stream bytes and
-/// carries the code lengths recovered from them, exactly the
-/// KernelCompression compress_block emitted.
+/// invariant (including a prefix scan that the stream holds exactly
+/// its codewords); CheckError (carrying the reader's context)
+/// otherwise. The returned artifact is complete: it owns its stream
+/// bytes, exactly the KernelCompression compress_block emitted.
 KernelCompression read_block(ByteReader& reader);
 
 /// Deep artifact cross-checks for `bkcm_tool verify`: decode the

@@ -47,21 +47,16 @@ struct CompressedKernel {
 };
 
 /// One compressed 3x3 kernel: statistics, decode tables and stream —
-/// the fields a container block stores, plus the code lengths recovered
-/// from them. Emitted by BlockCodec::compress_block, parsed back by
-/// read_block (compress/block_codec.h).
+/// exactly the fields a container block stores. Emitted by
+/// BlockCodec::compress_block, parsed back by read_block
+/// (compress/block_codec.h). The per-codeword lengths are a function of
+/// the stream (hwsim::stream_info_for scans them).
 struct KernelCompression {
   FrequencyTable frequencies;        ///< before clustering
   ClusteringResult clustering;       ///< identity when disabled
   FrequencyTable coded_frequencies;  ///< after clustering
   GroupedHuffmanCodec codec;
   CompressedKernel compressed;
-  /// Per-sequence codeword bit lengths of `compressed` in stream order,
-  /// computed once when the stream is emitted (or scanned once when a
-  /// container is read). hwsim::StreamInfo borrows this vector instead
-  /// of re-deriving lengths per call; their sum equals
-  /// `compressed.stream_bits` by construction.
-  std::vector<std::uint8_t> code_lengths;
 };
 
 }  // namespace bkc::compress

@@ -18,16 +18,11 @@ CompressedModelView view_of(
     check(next < blocks.size(),
           "CompressedModelView: op layout has more 3x3 binary convs than "
           "blocks (", blocks.size(), ")");
-    const KernelCompression& block = blocks[next];
-    const CompressedKernel& kernel = block.compressed;
+    const CompressedKernel& kernel = blocks[next].get().compressed;
     check(kernel.out_channels == op.kernel_shape.out_channels &&
               kernel.in_channels == op.kernel_shape.in_channels,
           "CompressedModelView: block ", next,
           " channel shape does not match op '", op.name, "'");
-    check(block.code_lengths.size() == kernel.num_sequences(),
-          "CompressedModelView: block ", next, " carries ",
-          block.code_lengths.size(), " code lengths for ",
-          kernel.num_sequences(), " sequences");
     ++next;
   }
   check(next == blocks.size(),

@@ -4,11 +4,12 @@
 //
 // The hwsim decoder/timing model (and any future deployment backend)
 // needs exactly what the paper's hardware unit is configured with: per
-// block, the decode tables, the clustering remap, the compressed
-// bitstream and its per-codeword lengths — plus the model's op-record
-// layout to know which op each stream belongs to. It does NOT need a
-// live ReActNet or a ModelCompressor, and it must never trigger a
-// compression pass of its own. CompressedModelView is that contract: a
+// block, the decode tables, the clustering remap and the compressed
+// bitstream (hwsim scans the per-codeword lengths from the stream
+// itself) — plus the model's op-record layout to know which op each
+// stream belongs to. It does NOT need a live ReActNet or a
+// ModelCompressor, and it must never trigger a compression pass of its
+// own. CompressedModelView is that contract: a
 // non-owning bundle of references to KernelCompression artifacts that
 // already exist, whether they live
 //   * in an Engine (Engine::artifact_view over block_streams()),
@@ -40,9 +41,8 @@ struct CompressedModelView {
 /// The one assembly step for every view producer: pair `blocks` (which
 /// must outlive the view) in order with the 3x3 binary-conv ops of
 /// `ops`. CheckError (naming the op or block index) when the block
-/// count does not match the op layout, a block's channel shape does not
-/// match its op, or a block carries no code-length vector (one length
-/// per sequence).
+/// count does not match the op layout or a block's channel shape does
+/// not match its op.
 CompressedModelView view_of(
     std::vector<bnn::OpRecord> ops,
     std::vector<std::reference_wrapper<const KernelCompression>> blocks);

@@ -679,4 +679,12 @@ CompressedModelView MappedBkcm::view(std::vector<bnn::OpRecord> ops) const {
   return view_of(std::move(ops), std::move(artifacts));
 }
 
+std::vector<KernelCompression> MappedBkcm::take_artifacts() {
+  std::vector<KernelCompression> artifacts;
+  artifacts.reserve(blocks_.size());
+  for (Block& block : blocks_) artifacts.push_back(std::move(block.artifact));
+  blocks_.clear();
+  return artifacts;
+}
+
 }  // namespace bkc::compress

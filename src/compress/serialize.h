@@ -165,7 +165,7 @@ BkcmInfo inspect_bkcm(std::span<const std::uint8_t> file);
 /// A parsed BKCM container. open() reads the file once, validates the
 /// header, section table and CRCs, and parses every section into owned
 /// storage: 'CONF', 'REPT' and one complete KernelCompression per
-/// 'BLKS' block (stream bytes included, code lengths recovered by a
+/// 'BLKS' block (stream bytes included, each stream checked by a
 /// prefix-only scan). No kernel is decoded and no file buffer outlives
 /// open(). `bkcm_tool speedup` runs the full CPU/decoder comparison
 /// from these artifacts alone, and Engine::load_compressed decodes
@@ -203,6 +203,10 @@ class MappedBkcm {
   const bnn::ReActNetConfig& model_config() const { return model_config_; }
   const ModelReport& report() const { return report_; }
   const std::vector<Block>& blocks() const { return blocks_; }
+  /// Move every block's artifact out, in block order, and leave
+  /// blocks() empty (Engine::load_compressed keeps the artifacts
+  /// without copying them).
+  std::vector<KernelCompression> take_artifacts();
 
   /// The artifact view over the parsed blocks, paired with `ops` — the
   /// op-record layout of a model built from model_config() (op records

@@ -113,7 +113,7 @@ void Engine::save_compressed(const std::string& path) const {
 }
 
 Engine Engine::load_compressed(const std::string& path, int num_threads) {
-  const compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
+  compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
   // Rebuild the uncompressed layers (stem, batch norms, 1x1s,
   // classifier) deterministically from the stored configuration, then
   // replace every 3x3 kernel with the decoded stream content — the
@@ -139,15 +139,13 @@ Engine Engine::load_compressed(const std::string& path, int num_threads) {
           "Engine::load_compressed: stream shape for block ", b, " (",
           engine.model_.block(b).name(), ") does not match the model");
   }
-  // Take the parsed artifacts serially, then fan the expensive part —
-  // the kernel decode — out one stream per work unit; each unit
-  // installs only its own block's kernel, bit-identical to the serial
-  // path. Decode errors (a stream inconsistent with its codec) surface
-  // as CheckError out of the pool's lowest-index propagation.
-  engine.streams_.reserve(blocks.size());
-  for (const compress::MappedBkcm::Block& block : blocks) {
-    engine.streams_.push_back(block.artifact);
-  }
+  // Take the parsed artifacts over (moved, not copied: the container
+  // object dies with this call), then fan the expensive part — the
+  // kernel decode — out one stream per work unit; each unit installs
+  // only its own block's kernel, bit-identical to the serial path.
+  // Decode errors (a stream inconsistent with its codec) surface as
+  // CheckError out of the pool's lowest-index propagation.
+  engine.streams_ = mapped.take_artifacts();
   parallel_for(num_blocks, num_threads,
                [&](std::int64_t begin, std::int64_t end) {
                  for (std::int64_t b = begin; b < end; ++b) {

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/check.h"
 
 namespace bkc::hwsim {
 
-StreamInfo StreamInfo::over(std::span<const std::uint8_t> lengths) {
-  StreamInfo info;
-  info.total_bits = std::accumulate(lengths.begin(), lengths.end(),
-                                    std::uint64_t{0});
-  info.code_lengths = lengths;
-  return info;
+StreamInfo StreamInfo::from_lengths(std::vector<std::uint8_t> lengths) {
+  const std::uint64_t total = std::accumulate(
+      lengths.begin(), lengths.end(), std::uint64_t{0});
+  return StreamInfo{.code_lengths = std::move(lengths), .total_bits = total};
 }
 
 double StreamInfo::mean_bits() const {
@@ -86,10 +85,7 @@ void DecoderUnitRuntime::ensure_group(std::size_t g) {
     }
     bits_consumed_ += needed_bits;
     // Decode: one sequence per cycle once its bits are in the buffer.
-    if (fetch_done_cycle_ > decoder_time_) {
-      fetch_wait_cycles_ += fetch_done_cycle_ - decoder_time_;
-      decoder_time_ = fetch_done_cycle_;
-    }
+    decoder_time_ = std::max(decoder_time_, fetch_done_cycle_);
     decoder_time_ += group_sizes_[group] /
                      static_cast<std::uint64_t>(params_.decode_per_cycle);
     next_seq_ += group_sizes_[group];

@@ -22,8 +22,6 @@
 // decoder traffic occupies the same DRAM channel as CPU misses.
 
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "hwsim/cache.h"
@@ -32,31 +30,17 @@
 namespace bkc::hwsim {
 
 /// Static description of one compressed kernel stream: the per-sequence
-/// codeword lengths in stream order (canonical o-major enumeration).
-/// Non-owning — `code_lengths` borrows the artifact that carries the
-/// lengths (compress::KernelCompression::code_lengths or an
-/// OwnedStreamInfo), which must outlive every use. The struct itself is two words; pass and copy it freely.
+/// codeword lengths in stream order (canonical o-major enumeration) and
+/// their sum. Owns its lengths; hwsim::stream_info_for scans them from
+/// an artifact's stream.
 struct StreamInfo {
-  std::span<const std::uint8_t> code_lengths;  ///< bits per sequence
+  std::vector<std::uint8_t> code_lengths;  ///< bits per sequence
   std::uint64_t total_bits = 0;
 
-  /// Borrow `lengths` and sum the total.
-  static StreamInfo over(std::span<const std::uint8_t> lengths);
+  /// Take `lengths` and sum the total (streams fabricated by hand, as
+  /// in tests).
+  static StreamInfo from_lengths(std::vector<std::uint8_t> lengths);
   double mean_bits() const;
-};
-
-/// Owning companion for call sites that fabricate or compute a length
-/// vector on the spot (tests, single-kernel demos): holds the vector
-/// and hands out borrowing views over it. Call view() after the object
-/// has reached its final location — the view borrows the heap buffer,
-/// so moving the owner afterwards keeps it valid.
-struct OwnedStreamInfo {
-  std::vector<std::uint8_t> lengths;
-
-  static OwnedStreamInfo from_lengths(std::vector<std::uint8_t> lengths) {
-    return {std::move(lengths)};
-  }
-  StreamInfo view() const { return StreamInfo::over(lengths); }
 };
 
 /// Timing model of one decoding-unit activation (one lddu configuration
@@ -66,10 +50,13 @@ class DecoderUnitRuntime {
   /// `group_sizes[g]` = number of sequences channel-packed into group g
   /// (R, except possibly less for the last input-channel group).
   /// Each group produces `regs_per_group` packed registers to pop.
+  /// `stream` is held by reference and must outlive the runtime.
   DecoderUnitRuntime(const DecoderParams& params, MemoryHierarchy& memory,
                      const StreamInfo& stream,
                      std::vector<std::uint32_t> group_sizes,
                      int regs_per_group, std::uint64_t start_cycle);
+  DecoderUnitRuntime(const DecoderParams&, MemoryHierarchy&, StreamInfo&&,
+                     std::vector<std::uint32_t>, int, std::uint64_t) = delete;
 
   /// Cycle at which the next packed register (pops are strictly in
   /// order) is available in a CPU register, given the core asks at
@@ -79,18 +66,13 @@ class DecoderUnitRuntime {
   /// Registers still unread.
   std::uint64_t remaining_pops() const;
 
-  /// Cycles the *unit* spent waiting for stream bits (diagnostics).
-  std::uint64_t fetch_wait_cycles() const { return fetch_wait_cycles_; }
-
  private:
   /// Ensure group `g`'s ready time is computed (decodes lazily).
   void ensure_group(std::size_t g);
 
   DecoderParams params_;
   MemoryHierarchy* memory_;
-  /// Copied in (StreamInfo is a two-word view); the borrowed lengths
-  /// must outlive the runtime.
-  StreamInfo stream_;
+  const StreamInfo& stream_;
   std::vector<std::uint32_t> group_sizes_;
   int regs_per_group_;
 
@@ -104,7 +86,6 @@ class DecoderUnitRuntime {
   std::uint64_t dram_latency_ = 0;
   std::uint64_t chunk_transfer_cycles_ = 0;
   std::uint64_t decoder_time_ = 0;     ///< decoder pipeline clock
-  std::uint64_t fetch_wait_cycles_ = 0;
 
   std::vector<std::uint64_t> group_ready_;  ///< computed lazily
   std::size_t groups_computed_ = 0;

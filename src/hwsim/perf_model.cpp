@@ -133,15 +133,14 @@ bool cycles_identical(const SpeedupReport& a, const SpeedupReport& b) {
 }
 
 StreamInfo stream_info_for(const compress::KernelCompression& compression) {
-  check(compression.code_lengths.size() ==
-            compression.compressed.num_sequences(),
-        "stream_info_for: artifact code-length vector has ",
-        compression.code_lengths.size(), " entries for ",
-        compression.compressed.num_sequences(), " sequences");
-  // The lengths are borrowed, the total is already known: nothing is
-  // recomputed here (their sum is stream_bits by construction).
-  return StreamInfo{.code_lengths = compression.code_lengths,
-                    .total_bits = compression.compressed.stream_bits};
+  const compress::CompressedKernel& kernel = compression.compressed;
+  // The scan consumes exactly stream_bits or throws, so the lengths sum
+  // to the stream's bit count.
+  return StreamInfo{
+      .code_lengths = compress::scan_code_lengths(
+          kernel.stream, kernel.stream_bits, kernel.num_sequences(),
+          compression.codec.config()),
+      .total_bits = kernel.stream_bits};
 }
 
 SpeedupReport compare_model(const compress::CompressedModelView& view,

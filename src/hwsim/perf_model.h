@@ -95,10 +95,11 @@ SpeedupReport compare_model(const compress::CompressedModelView& view,
 /// view-backed against recompression-backed or container-backed runs.
 bool cycles_identical(const SpeedupReport& a, const SpeedupReport& b);
 
-/// StreamInfo borrowing the code-length vector the compression pass
-/// already computed (KernelCompression::code_lengths) — nothing is
-/// re-derived; `compression` must outlive the result. CheckError when
-/// the artifact carries no lengths.
+/// The one derivation of a stream's codeword lengths: a prefix-only
+/// scan (compress::scan_code_lengths) of the artifact's stream. The
+/// result owns its lengths and its total_bits equals
+/// `compressed.stream_bits`. CheckError when the stream does not hold
+/// exactly its declared bit count.
 StreamInfo stream_info_for(const compress::KernelCompression& compression);
 
 }  // namespace bkc::hwsim

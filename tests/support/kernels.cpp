@@ -1,7 +1,5 @@
 #include "support/kernels.h"
 
-#include <utility>
-
 namespace bkc::test {
 
 bnn::PackedKernel calibrated_kernel(std::int64_t out_channels,
@@ -43,9 +41,8 @@ bnn::OpRecord conv_op(std::int64_t channels, std::int64_t size,
   return op;
 }
 
-hwsim::OwnedStreamInfo uniform_stream(std::size_t sequences,
-                                      std::uint8_t bits) {
-  return hwsim::OwnedStreamInfo::from_lengths(
+hwsim::StreamInfo uniform_stream(std::size_t sequences, std::uint8_t bits) {
+  return hwsim::StreamInfo::from_lengths(
       std::vector<std::uint8_t>(sequences, bits));
 }
 
@@ -53,14 +50,10 @@ compress::CompressedBlock encode_block(const bnn::PackedKernel& kernel) {
   return compress::BlockCodec().compress_block("kernel", kernel);
 }
 
-hwsim::OwnedStreamInfo compressed_stream(std::int64_t channels,
-                                         std::uint64_t seed) {
-  compress::CompressedBlock block =
-      encode_block(calibrated_kernel(channels, channels, seed));
-  // Take the clustered column's length vector; the rest of the artifact
-  // is not needed for a timing-model input.
-  return hwsim::OwnedStreamInfo::from_lengths(
-      std::move(block.clustered.code_lengths));
+hwsim::StreamInfo compressed_stream(std::int64_t channels,
+                                    std::uint64_t seed) {
+  return hwsim::stream_info_for(
+      encode_block(calibrated_kernel(channels, channels, seed)).clustered);
 }
 
 bnn::PackedKernel pipeline_round_trip(const bnn::PackedKernel& kernel,

@@ -37,20 +37,16 @@ bnn::OpRecord conv_op(std::int64_t channels, std::int64_t size,
                       std::int64_t kernel = 3, std::int64_t stride = 1);
 
 /// A compressed-stream summary where every sequence costs `bits` bits.
-/// Owning (StreamInfo itself is a borrowing view): keep the result
-/// alive and pass `.view()` where a StreamInfo is consumed.
-hwsim::OwnedStreamInfo uniform_stream(std::size_t sequences,
-                                      std::uint8_t bits);
+hwsim::StreamInfo uniform_stream(std::size_t sequences, std::uint8_t bits);
 
 /// One compress_block pass of the default grouped-huffman codec (the
 /// paper's tree and clustering configuration) over `kernel`.
 compress::CompressedBlock encode_block(const bnn::PackedKernel& kernel);
 
 /// The stream summary of a freshly compressed (clustered) calibrated
-/// channels x channels kernel - a realistic decoder-unit input. Owning,
-/// like uniform_stream.
-hwsim::OwnedStreamInfo compressed_stream(std::int64_t channels,
-                                         std::uint64_t seed);
+/// channels x channels kernel - a realistic decoder-unit input.
+hwsim::StreamInfo compressed_stream(std::int64_t channels,
+                                    std::uint64_t seed);
 
 /// Compresses the kernel with encode_block and decodes one column back
 /// with decode_block (the clustered column when `clustering`); returns

@@ -135,7 +135,8 @@ TEST(BackCompatV1, MappedParserMatchesReferenceArtifacts) {
                            stream.compressed.stream.begin(),
                            stream.compressed.stream.end()))
         << "block " << b;
-    EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths)
+    EXPECT_EQ(block.artifact.codec.config().index_bits,
+              stream.codec.config().index_bits)
         << "block " << b;
     EXPECT_TRUE(compress::decode_block(stream) ==
                 loaded.model().block(b).conv3x3().kernel())

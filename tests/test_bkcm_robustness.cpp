@@ -109,12 +109,12 @@ TEST(BkcmRobustness, ValidFileLoads) {
       source_engine().block_streams();
   ASSERT_EQ(mapped.blocks().size(), 13u);
   ASSERT_EQ(streams.size(), 13u);
-  // The prefix scan recovers exactly the code lengths the encoder
-  // emitted.
+  // The parser restores exactly the streams the encoder emitted.
   for (std::size_t b = 0; b < streams.size(); ++b) {
-    EXPECT_EQ(mapped.blocks()[b].artifact.code_lengths,
-              streams[b].code_lengths)
+    const CompressedKernel& parsed = mapped.blocks()[b].artifact.compressed;
+    EXPECT_EQ(parsed.stream_bits, streams[b].compressed.stream_bits)
         << "block " << b;
+    EXPECT_EQ(parsed.stream, streams[b].compressed.stream) << "block " << b;
   }
 }
 

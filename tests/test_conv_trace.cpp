@@ -16,7 +16,7 @@ namespace {
 
 using test::conv_op;
 
-OwnedStreamInfo stream_for(std::int64_t channels, std::uint64_t seed) {
+StreamInfo stream_for(std::int64_t channels, std::uint64_t seed) {
   return test::compressed_stream(channels, seed);
 }
 
@@ -80,8 +80,7 @@ TEST(ConvTrace, CompressedVariantsRequireStream) {
 
 TEST(ConvTrace, StreamLengthMismatchThrows) {
   const auto op = conv_op(64, 8);
-  const auto owned = stream_for(32, 3);  // wrong kernel size
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = stream_for(32, 3);  // wrong kernel size
   EXPECT_THROW(
       simulate_binary_conv_layer(op, ConvVariant::kHwDecode, &stream),
       bkc::CheckError);
@@ -89,8 +88,7 @@ TEST(ConvTrace, StreamLengthMismatchThrows) {
 
 TEST(ConvTrace, SwDecodeIsSlowerThanBaseline) {
   const auto op = conv_op(128, 8);
-  const auto owned = stream_for(128, 5);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = stream_for(128, 5);
   const auto base = simulate_binary_conv_layer(op, ConvVariant::kBaseline);
   const auto sw =
       simulate_binary_conv_layer(op, ConvVariant::kSwDecode, &stream);
@@ -103,8 +101,7 @@ TEST(ConvTrace, HwDecodeNeverSlowerThanBaselineOnBigLayers) {
   // decoder unit's latency hiding must pay off (the paper's Sec VI
   // speedup mechanism).
   const auto op = conv_op(512, 14);
-  const auto owned = stream_for(512, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = stream_for(512, 7);
   const auto base = simulate_binary_conv_layer(op, ConvVariant::kBaseline);
   const auto hw =
       simulate_binary_conv_layer(op, ConvVariant::kHwDecode, &stream);
@@ -115,8 +112,7 @@ TEST(ConvTrace, HwDecodeNeverSlowerThanBaselineOnBigLayers) {
 
 TEST(ConvTrace, HwReducesDramTraffic) {
   const auto op = conv_op(512, 14);
-  const auto owned = stream_for(512, 9);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = stream_for(512, 9);
   const auto base = simulate_binary_conv_layer(op, ConvVariant::kBaseline);
   const auto hw =
       simulate_binary_conv_layer(op, ConvVariant::kHwDecode, &stream);

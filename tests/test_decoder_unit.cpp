@@ -13,8 +13,7 @@ namespace {
 using test::uniform_stream;
 
 TEST(StreamInfo, Accounting) {
-  const auto owned = uniform_stream(100, 7);
-  const StreamInfo s = owned.view();
+  const StreamInfo s = uniform_stream(100, 7);
   EXPECT_EQ(s.total_bits, 700u);
   EXPECT_DOUBLE_EQ(s.mean_bits(), 7.0);
 }
@@ -23,8 +22,7 @@ TEST(DecoderUnit, FirstPopPaysConfigureFetchAndDecode) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(128, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(128, 7);
   DecoderUnitRuntime unit(params, mem, stream, {128}, 9, /*start=*/0);
   const auto t = unit.pop(0);
   // configure + first fetch latency + 128 cycles of decode, roughly.
@@ -37,8 +35,7 @@ TEST(DecoderUnit, PopsWithinAGroupAreCheapAfterTheFirst) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(128, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(128, 7);
   DecoderUnitRuntime unit(params, mem, stream, {128}, 9, 0);
   const auto first = unit.pop(0);
   const auto second = unit.pop(first);
@@ -51,8 +48,7 @@ TEST(DecoderUnit, DecodeOverlapsConsumption) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(4 * 128, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(4 * 128, 7);
   DecoderUnitRuntime unit(params, mem, stream,
                           {128, 128, 128, 128}, 9, 0);
   std::uint64_t t = 0;
@@ -73,8 +69,7 @@ TEST(DecoderUnit, RegisterFileBackpressureThrottlesDecode) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(3 * 128, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(3 * 128, 7);
   DecoderUnitRuntime unit(params, mem, stream, {128, 128, 128}, 9, 0);
   std::uint64_t t = 50000;  // consumer shows up very late
   std::uint64_t group0_last = 0;
@@ -90,8 +85,7 @@ TEST(DecoderUnit, ThroughputIsOneSequencePerCycle) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const std::size_t groups = 16;
-  const auto owned = uniform_stream(groups * 128, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(groups * 128, 7);
   std::vector<std::uint32_t> sizes(groups, 128);
   DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   // Pop everything immediately: the long-run rate is bounded by decode
@@ -109,8 +103,7 @@ TEST(DecoderUnit, StreamTrafficIsAccounted) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(512, 8);
-  const StreamInfo stream = owned.view();  // 512 bytes total
+  const StreamInfo stream = uniform_stream(512, 8);  // 512 bytes total
   DecoderUnitRuntime unit(params, mem, stream, {512}, 9, 0);
   unit.pop(0);
   EXPECT_GE(mem.stream_bytes(), 512u);
@@ -120,8 +113,7 @@ TEST(DecoderUnit, GroupSizesMustCoverStream) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(100, 7);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(100, 7);
   EXPECT_THROW(DecoderUnitRuntime(params, mem, stream, {64}, 9, 0),
                bkc::CheckError);
 }
@@ -130,8 +122,7 @@ TEST(DecoderUnit, PartialLastGroup) {
   CpuParams cpu;
   MemoryHierarchy mem(cpu);
   DecoderParams params;
-  const auto owned = uniform_stream(128 + 32, 6);
-  const StreamInfo stream = owned.view();
+  const StreamInfo stream = uniform_stream(128 + 32, 6);
   DecoderUnitRuntime unit(params, mem, stream, {128, 32}, 9, 0);
   std::uint64_t t = 0;
   for (int i = 0; i < 18; ++i) t = unit.pop(t);

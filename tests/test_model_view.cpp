@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "bnn/kernel_sequences.h"
@@ -74,7 +75,7 @@ TEST(ModelView, RejectsStreamCountMismatch) {
   EXPECT_THROW(view_of(model.op_records(), streams), CheckError);
 }
 
-TEST(ModelView, RejectsShapeMismatchAndMissingLengths) {
+TEST(ModelView, RejectsShapeMismatch) {
   const bnn::ReActNet model(test::tiny_config(11));
   auto streams = test::clustered_artifacts(model);
   {
@@ -82,39 +83,33 @@ TEST(ModelView, RejectsShapeMismatchAndMissingLengths) {
     broken[0].compressed.out_channels += 1;
     EXPECT_THROW(view_of(model.op_records(), broken), CheckError);
   }
-  {
-    auto broken = streams;
-    broken[1].code_lengths.clear();
-    EXPECT_THROW(view_of(model.op_records(), broken), CheckError);
-  }
   // Untouched artifacts still assemble.
   EXPECT_EQ(view_of(model.op_records(), streams).blocks.size(),
             streams.size());
 }
 
-TEST(ModelView, CodeLengthSumMatchesStreamBits) {
-  Engine engine(test::tiny_config(13));
-  engine.compress();
-  for (const KernelCompression& block : engine.artifact_view().blocks) {
-    std::uint64_t sum = 0;
-    for (const std::uint8_t len : block.code_lengths) sum += len;
-    EXPECT_EQ(sum, block.compressed.stream_bits);
-  }
-}
-
 TEST(ModelView, ScanCodeLengthsMatchesCompressionArtifact) {
-  // The prefix-only scan (the container-parse path) must recover
-  // exactly the lengths the encoder recorded — for both columns.
+  // The prefix-only scan must recover exactly the lengths the encoder
+  // assigned (the codec's length of each encoded sequence, in stream
+  // order) — for both columns.
   const auto kernel = test::calibrated_kernel(32, 16, 17);
   const CompressedBlock block = test::encode_block(kernel);
-  for (const KernelCompression* column : {&block.clustered, &block.encoding}) {
+  const std::pair<const KernelCompression*, const bnn::PackedKernel*>
+      columns[] = {{&block.clustered, &block.clustered_kernel},
+                   {&block.encoding, &kernel}};
+  for (const auto& [column, encoded] : columns) {
     const KernelCompression& artifact = *column;
+    std::vector<std::uint8_t> expected;
+    for (const bnn::SeqId s : bnn::extract_sequences(*encoded)) {
+      expected.push_back(
+          static_cast<std::uint8_t>(artifact.codec.code_length(s)));
+    }
     const PipelineCounters before = pipeline_counters();
     const std::vector<std::uint8_t> scanned = scan_code_lengths(
         artifact.compressed.stream, artifact.compressed.stream_bits,
         artifact.compressed.num_sequences(), artifact.codec.config());
     const PipelineCounters delta = pipeline_counters().delta_since(before);
-    EXPECT_EQ(scanned, artifact.code_lengths);
+    EXPECT_EQ(scanned, expected);
     EXPECT_EQ(delta.frequency_counts, 0u);
     EXPECT_EQ(delta.cluster_sequences_calls, 0u);
     EXPECT_EQ(delta.grouped_codec_builds, 0u);

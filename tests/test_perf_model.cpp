@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bnn/kernel_sequences.h"
+#include "compress/serialize.h"
+#include "core/engine.h"
 #include "support/support.h"
 
 #include "util/check.h"
@@ -170,14 +174,16 @@ TEST(PerfModel, StreamInfoForMatchesKernel) {
   const StreamInfo stream = stream_info_for(compression);
   EXPECT_EQ(stream.code_lengths.size(), 32u * 32u);
   EXPECT_EQ(stream.total_bits, compression.compressed.stream_bits);
-  // Borrowed, not recomputed: the span aliases the artifact's vector.
-  EXPECT_EQ(stream.code_lengths.data(), compression.code_lengths.data());
+  // The scanned lengths sum to the stream's declared bit count.
+  std::uint64_t sum = 0;
+  for (const auto len : stream.code_lengths) sum += len;
+  EXPECT_EQ(sum, compression.compressed.stream_bits);
   for (const auto len : stream.code_lengths) {
     EXPECT_GE(len, 6);
     EXPECT_LE(len, 12);
   }
-  // And the carried lengths are exactly the per-sequence codec lengths
-  // in stream order (the quantity stream_info_for used to re-derive).
+  // And the scanned lengths are exactly the per-sequence codec lengths
+  // in stream order.
   const auto sequences = bnn::extract_sequences(block.clustered_kernel);
   ASSERT_EQ(sequences.size(), stream.code_lengths.size());
   for (std::size_t i = 0; i < sequences.size(); ++i) {
@@ -186,11 +192,42 @@ TEST(PerfModel, StreamInfoForMatchesKernel) {
   }
 }
 
-TEST(PerfModel, StreamInfoForRejectsArtifactWithoutLengths) {
+TEST(PerfModel, StreamInfoForLengthsMatchEncodedAndParsedArtifacts) {
+  // The lengths a StreamInfo carries are the per-sequence codec lengths
+  // of the kernel the stream encodes, in stream order — whether the
+  // artifact comes straight from the encoder or from a parsed container
+  // of the same engine.
+  const std::string path =
+      ::testing::TempDir() + "/bkc_stream_info_lengths.bkcm";
+  Engine engine(test::tiny_config(29));
+  engine.compress();
+  engine.save_compressed(path);
+  const compress::MappedBkcm mapped = compress::MappedBkcm::open(path);
+  const auto& encoded = engine.block_streams();
+  ASSERT_EQ(mapped.blocks().size(), encoded.size());
+  for (std::size_t b = 0; b < encoded.size(); ++b) {
+    const auto sequences =
+        bnn::extract_sequences(engine.model().block(b).conv3x3().kernel());
+    for (const compress::KernelCompression* artifact :
+         {&encoded[b], &mapped.blocks()[b].artifact}) {
+      const StreamInfo stream = stream_info_for(*artifact);
+      EXPECT_EQ(stream.total_bits, artifact->compressed.stream_bits);
+      ASSERT_EQ(stream.code_lengths.size(), sequences.size()) << "block " << b;
+      for (std::size_t i = 0; i < sequences.size(); ++i) {
+        ASSERT_EQ(stream.code_lengths[i],
+                  artifact->codec.code_length(sequences[i]))
+            << "block " << b << " sequence " << i;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PerfModel, StreamInfoForRejectsTruncatedStreamBits) {
   const auto kernel = test::calibrated_kernel(16, 16, 13);
   compress::KernelCompression compression =
       test::encode_block(kernel).clustered;
-  compression.code_lengths.clear();
+  compression.compressed.stream_bits -= 3;
   EXPECT_THROW(stream_info_for(compression), bkc::CheckError);
 }
 

@@ -530,7 +530,6 @@ TEST(SerializeMapped, MappedParserMatchesSourceEngine) {
     EXPECT_EQ(block.artifact.compressed.stream_bits,
               stream.compressed.stream_bits);
     EXPECT_EQ(block.artifact.compressed.stream, stream.compressed.stream);
-    EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths);
     expect_codecs_equal(block.artifact.codec, stream.codec);
     expect_clustering_equal(block.artifact.clustering, stream.clustering);
     const bnn::PackedKernel& installed =
@@ -564,8 +563,7 @@ TEST(SerializeMapped, OpenRestoresTheWrittenBlocksAndDecodesNothing) {
   EXPECT_EQ(mapped.model_config().seed, fresh.model().config().seed);
   expect_model_reports_equal(mapped.report(), fresh.report());
 
-  // Every block's stream matches the written bytes; the scanned code
-  // lengths match the ones the encoder emitted.
+  // Every block's stream, codec and remap match the fresh compression.
   const std::vector<KernelCompression>& streams = fresh.block_streams();
   ASSERT_EQ(mapped.blocks().size(), streams.size());
   for (std::size_t b = 0; b < mapped.blocks().size(); ++b) {
@@ -577,7 +575,6 @@ TEST(SerializeMapped, OpenRestoresTheWrittenBlocksAndDecodesNothing) {
     // `stream` spans the block's own bytes.
     EXPECT_EQ(block.stream.data(), block.artifact.compressed.stream.data());
     EXPECT_EQ(block.stream.size(), block.artifact.compressed.stream.size());
-    EXPECT_EQ(block.artifact.code_lengths, stream.code_lengths);
     expect_codecs_equal(block.artifact.codec, stream.codec);
     expect_clustering_equal(block.artifact.clustering, stream.clustering);
   }
@@ -620,7 +617,6 @@ TEST(SerializeMapped, ViewBorrowsTheParsedBlocks) {
     const KernelCompression& block = view.blocks[b];
     // The view refers to the parsed artifacts; it copies none of them.
     EXPECT_EQ(&block, &mapped.blocks()[b].artifact);
-    EXPECT_EQ(block.code_lengths.size(), block.compressed.num_sequences());
   }
   // An op layout from a different configuration must be rejected.
   EXPECT_THROW(mapped.view(bnn::op_records_for(test::mid_config(53))),
