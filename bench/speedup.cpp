@@ -82,8 +82,8 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
   const hwsim::SpeedupReport exact = hwsim::compare_model(view);
   const double exact_seconds = seconds_since(exact_start);
 
-  // Sampled run through the Engine facade, serial like the exact run so
-  // the wall-clock ratio measures the algorithm, not the thread pool.
+  // Sampled run over the same view, serial like the exact run so the
+  // wall-clock ratio measures the algorithm, not the thread pool.
   // The counter delta proves the sampled path is also pure consumption
   // of the artifact view.
   hwsim::SamplingConfig sampling_config;
@@ -92,7 +92,7 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
       compress::pipeline_counters();
   const auto sampled_start = clock_type::now();
   const hwsim::SampledSpeedupReport sampled =
-      engine.simulate_speedup_sampled(sampling_config);
+      hwsim::compare_model_sampled(view, sampling_config);
   const double sampled_seconds = seconds_since(sampled_start);
   const compress::PipelineCounters delta =
       compress::pipeline_counters().delta_since(before);
@@ -107,7 +107,7 @@ int run_sampled_section(bool tiny, int repeat, int num_threads) {
   hwsim::SamplingConfig parallel_config = sampling_config;
   parallel_config.num_threads = 7;
   if (!hwsim::cycles_identical(
-          engine.simulate_speedup_sampled(parallel_config).report,
+          hwsim::compare_model_sampled(view, parallel_config).report,
           sampled.report)) {
     std::cerr << "speedup: SELF-CHECK FAILED — sampled report changed "
                  "with num_threads=7\n";

@@ -81,12 +81,4 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                });
 }
 
-std::int64_t binary_conv2d_word_ops(const FeatureShape& input,
-                                    const KernelShape& kernel,
-                                    ConvGeometry geometry) {
-  const FeatureShape out = geometry.output_shape(input, kernel);
-  return out.channels * out.height * out.width * kernel.kernel_h *
-         kernel.kernel_w * words_per_group(kernel.in_channels);
-}
-
 }  // namespace bkc::bnn

@@ -85,10 +85,4 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out,
                         const ConvEpilogue* epilogue = nullptr);
 
-/// Number of xnor+popcount word operations one call performs; the
-/// timing model uses the same accounting.
-std::int64_t binary_conv2d_word_ops(const FeatureShape& input,
-                                    const KernelShape& kernel,
-                                    ConvGeometry geometry);
-
 }  // namespace bkc::bnn

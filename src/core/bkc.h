@@ -35,6 +35,7 @@
 #include "hwsim/decoder_unit.h"
 #include "hwsim/params.h"
 #include "hwsim/perf_model.h"
+#include "hwsim/sampled.h"
 #include "tensor/tensor.h"
 #include "util/binary_io.h"
 #include "util/bitstream.h"

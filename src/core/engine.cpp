@@ -164,22 +164,10 @@ compress::CompressedModelView Engine::artifact_view() const {
   return compress::view_of(model_.op_records(), streams_);
 }
 
-hwsim::SpeedupReport Engine::simulate_speedup(
-    const hwsim::CpuParams& cpu, const hwsim::DecoderParams& decoder,
-    const hwsim::SamplingParams& sampling) const {
-  check(compressed_, "Engine::simulate_speedup: call compress() first");
+hwsim::SpeedupReport Engine::simulate_speedup() const {
   // The view is built from the streams compress() already produced —
   // simulating costs zero compression-pipeline work.
-  return hwsim::compare_model(artifact_view(), cpu, decoder, sampling);
-}
-
-hwsim::SampledSpeedupReport Engine::simulate_speedup_sampled(
-    const hwsim::SamplingConfig& config, const hwsim::CpuParams& cpu,
-    const hwsim::DecoderParams& decoder,
-    const hwsim::SamplingParams& sampling) const {
-  check(compressed_, "Engine::simulate_speedup_sampled: call compress() first");
-  return hwsim::compare_model_sampled(artifact_view(), config, cpu, decoder,
-                                      sampling);
+  return hwsim::compare_model(artifact_view());
 }
 
 const compress::ModelReport& Engine::report() const {

@@ -22,7 +22,6 @@
 #include "compress/model_view.h"
 #include "compress/pipeline.h"
 #include "hwsim/perf_model.h"
-#include "hwsim/sampled.h"
 
 namespace bkc {
 
@@ -150,25 +149,10 @@ class Engine {
   /// artifact_view() — the stream artifacts the engine already holds.
   /// No compression-pipeline primitive runs (the instrumentation
   /// counters of compress/instrumentation.h stay flat; enforced by
-  /// tests/test_engine.cpp). Precondition: compress() was called.
-  hwsim::SpeedupReport simulate_speedup(
-      const hwsim::CpuParams& cpu = {},
-      const hwsim::DecoderParams& decoder = {},
-      const hwsim::SamplingParams& sampling = {}) const;
-
-  /// Sampled variant of simulate_speedup (hwsim/sampled.h): splits
-  /// each equal-geometry group of blocks into runs of close stream
-  /// bits, simulates one representative per run (fanned out over
-  /// config.num_threads) and extrapolates the rest. Baseline cycles are
-  /// exact by construction; sw/hw cycles carry the sampling error
-  /// gauged by the returned summary. Deterministic from (engine state,
-  /// config); also runs zero compression-pipeline work.
+  /// tests/test_engine.cpp). The sampled walk takes the same view:
+  /// hwsim::compare_model_sampled(artifact_view(), config).
   /// Precondition: compress() was called.
-  hwsim::SampledSpeedupReport simulate_speedup_sampled(
-      const hwsim::SamplingConfig& config = {},
-      const hwsim::CpuParams& cpu = {},
-      const hwsim::DecoderParams& decoder = {},
-      const hwsim::SamplingParams& sampling = {}) const;
+  hwsim::SpeedupReport simulate_speedup() const;
 
   const bnn::ReActNet& model() const { return model_; }
   bnn::ReActNet& model() { return model_; }

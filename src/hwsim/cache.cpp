@@ -55,18 +55,6 @@ bool Cache::access(std::uint64_t addr) {
   return false;
 }
 
-bool Cache::probe(std::uint64_t addr) const {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(line_bytes_);
-  const auto set = static_cast<std::size_t>(
-      line % static_cast<std::uint64_t>(sets_));
-  const std::size_t base = set * static_cast<std::size_t>(ways_);
-  for (int w = 0; w < ways_; ++w) {
-    const std::size_t i = base + static_cast<std::size_t>(w);
-    if (valid_[i] && tags_[i] == line) return true;
-  }
-  return false;
-}
-
 void Cache::reset() {
   std::fill(valid_.begin(), valid_.end(), false);
   stamp_ = hits_ = misses_ = 0;
@@ -122,16 +110,6 @@ AccessResult MemoryHierarchy::access(std::uint64_t addr, int bytes,
     result.latency = std::max(result.latency, latency);
   }
   return result;
-}
-
-std::uint64_t MemoryHierarchy::stream_fetch(int bytes, std::uint64_t cycle) {
-  check(bytes >= 1, "MemoryHierarchy: bytes must be positive");
-  ++dram_accesses_;
-  const auto transfer = static_cast<std::uint64_t>(
-      static_cast<double>(bytes) / params_.dram_bytes_per_cycle);
-  const std::uint64_t start = std::max(cycle, dram_busy_until_);
-  dram_busy_until_ = start + transfer;
-  return start + static_cast<std::uint64_t>(params_.dram_latency) + transfer;
 }
 
 void MemoryHierarchy::note_stream_traffic(int bytes) {

@@ -18,9 +18,6 @@ class Cache {
   /// Returns true on hit.
   bool access(std::uint64_t addr);
 
-  /// Look up without filling (used by prefetch probes).
-  bool probe(std::uint64_t addr) const;
-
   void reset();
 
   std::uint64_t hits() const { return hits_; }
@@ -57,10 +54,6 @@ class MemoryHierarchy {
   /// Access `bytes` at `addr` at time `cycle`; straddling accesses touch
   /// every line they cover (latency of the slowest).
   AccessResult access(std::uint64_t addr, int bytes, std::uint64_t cycle);
-
-  /// A DRAM block transfer that bypasses the caches (the decoding unit's
-  /// streaming fetches). Returns completion cycle.
-  std::uint64_t stream_fetch(int bytes, std::uint64_t cycle);
 
   /// Account decoder-stream traffic that is scheduled analytically (the
   /// streaming unit's continuous prefetch, Sec IV-C). The volume is

@@ -1,7 +1,9 @@
 #include "hwsim/conv_trace.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "hwsim/params.h"
 #include "util/check.h"
 
 namespace bkc::hwsim {
@@ -18,8 +20,7 @@ std::string variant_name(ConvVariant variant) {
   unreachable("variant_name: bad enum");
 }
 
-LayerGeometry LayerGeometry::from_op(const bnn::OpRecord& op,
-                                     int vector_bits) {
+LayerGeometry LayerGeometry::from_op(const bnn::OpRecord& op) {
   check(op.kernel_shape.kernel_h == op.kernel_shape.kernel_w,
         "LayerGeometry: only square kernels are simulated");
   LayerGeometry g;
@@ -32,7 +33,7 @@ LayerGeometry LayerGeometry::from_op(const bnn::OpRecord& op,
   g.in_w = op.input_shape.width;
   g.out_h = op.output_shape.height;
   g.out_w = op.output_shape.width;
-  g.groups = (g.in_channels + vector_bits - 1) / vector_bits;
+  g.groups = (g.in_channels + kVectorBits - 1) / kVectorBits;
   check(g.groups >= 1 && g.out_h >= 1 && g.out_w >= 1,
         "LayerGeometry: degenerate layer");
   return g;
@@ -49,6 +50,21 @@ constexpr std::uint64_t kOutputBase = 0x40000000;
 constexpr std::uint64_t kStreamBase = 0x50000000;
 constexpr std::uint64_t kTableBase = 0x60000000;
 
+constexpr int kVectorBytes = kVectorBits / 8;
+
+// The row sample: every layer simulates one warm-up row (cold caches,
+// not counted) and then this many rows, whose mean is scaled to out_h.
+// Rows past the warm-up see steady-state cache behaviour.
+constexpr std::int64_t kSampleRows = 3;
+constexpr std::int64_t kWarmupRows = 1;
+
+/// Exact uop count of one emit_row sweep of `g` (any variant).
+std::size_t row_uops(const LayerGeometry& g) {
+  return static_cast<std::size_t>(
+      g.out_channels *
+      (g.groups * (2 + g.positions() * (1 + 4 * g.out_w)) + 2 * g.out_w + 1));
+}
+
 /// Emit the trace of one output row sweep.
 ///
 /// The generated code is *software-pipelined* the way daBNN's unrolled
@@ -60,9 +76,9 @@ constexpr std::uint64_t kTableBase = 0x60000000;
 /// weight-fetch latency exactly once per section - this is the latency
 /// the decoding unit hides in the kHwDecode variant.
 void emit_row(std::vector<MicroOp>& trace, const LayerGeometry& g,
-              ConvVariant variant, std::int64_t row, int vector_bytes) {
+              ConvVariant variant, std::int64_t row) {
   const std::int64_t positions = g.positions();
-  const auto vb = static_cast<std::uint16_t>(vector_bytes);
+  constexpr auto vb = static_cast<std::uint16_t>(kVectorBytes);
   for (std::int64_t o = 0; o < g.out_channels; ++o) {
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
       // Acquire the weight words for (o, grp): one per kernel position.
@@ -76,7 +92,7 @@ void emit_row(std::vector<MicroOp>& trace, const LayerGeometry& g,
               weight_row_base +
               static_cast<std::uint64_t>(((o * g.groups + grp) * positions +
                                           pos) *
-                                         vector_bytes);
+                                         kVectorBytes);
           trace.push_back(
               {.kind = UopKind::kLoad, .addr = addr, .bytes = vb});
         }
@@ -99,7 +115,7 @@ void emit_row(std::vector<MicroOp>& trace, const LayerGeometry& g,
                 kInputBase +
                 static_cast<std::uint64_t>(((iy * g.in_w + ix) * g.groups +
                                             grp) *
-                                           vector_bytes);
+                                           kVectorBytes);
             trace.push_back(
                 {.kind = UopKind::kLoad, .addr = addr, .bytes = vb});
           } else {
@@ -139,7 +155,7 @@ void emit_row(std::vector<MicroOp>& trace, const LayerGeometry& g,
 /// at stream bit offset tracked via `bits_done`.
 void emit_sw_decode(std::vector<MicroOp>& trace, const StreamInfo& stream,
                     std::size_t first_seq, std::size_t count,
-                    std::uint64_t& bits_done, int vector_bytes) {
+                    std::uint64_t& bits_done) {
   std::uint64_t packed_in_group = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t seq = first_seq + i;
@@ -166,14 +182,14 @@ void emit_sw_decode(std::vector<MicroOp>& trace, const StreamInfo& stream,
       trace.push_back({.kind = UopKind::kScalar, .dep = 1});
     }
     // Write a packed register group to the scratch kernel every
-    // `vector_bits` sequences.
+    // kVectorBits sequences.
     ++packed_in_group;
-    if (packed_in_group == static_cast<std::uint64_t>(vector_bytes) * 8) {
+    if (packed_in_group == static_cast<std::uint64_t>(kVectorBits)) {
       packed_in_group = 0;
       for (int r = 0; r < 9; ++r) {
         trace.push_back({.kind = UopKind::kStore,
                          .addr = kScratchBase + seq * 2 + r,
-                         .bytes = static_cast<std::uint16_t>(vector_bytes)});
+                         .bytes = kVectorBytes});
       }
     }
   }
@@ -183,12 +199,8 @@ void emit_sw_decode(std::vector<MicroOp>& trace, const StreamInfo& stream,
 
 LayerSimResult simulate_binary_conv_layer(const bnn::OpRecord& op,
                                           ConvVariant variant,
-                                          const StreamInfo* stream,
-                                          const CpuParams& cpu,
-                                          const DecoderParams& decoder_params,
-                                          const SamplingParams& sampling) {
-  const LayerGeometry g = LayerGeometry::from_op(op, cpu.vector_bits);
-  const int vector_bytes = cpu.vector_bits / 8;
+                                          const StreamInfo* stream) {
+  const LayerGeometry g = LayerGeometry::from_op(op);
   LayerSimResult result;
   result.name = op.name;
   result.variant = variant;
@@ -201,7 +213,7 @@ LayerSimResult simulate_binary_conv_layer(const bnn::OpRecord& op,
           "simulate_binary_conv_layer: stream length mismatch");
   }
 
-  InOrderCore core(cpu);
+  InOrderCore core(CpuParams{});
 
   // --- One-time software decode pass (sampled, linear cost). ---
   if (variant == ConvVariant::kSwDecode) {
@@ -210,8 +222,7 @@ LayerSimResult simulate_binary_conv_layer(const bnn::OpRecord& op,
     const std::size_t sample = std::min<std::size_t>(total, 16384);
     std::vector<MicroOp> decode_trace;
     std::uint64_t bits_done = 0;
-    emit_sw_decode(decode_trace, *stream, 0, sample, bits_done,
-                   vector_bytes);
+    emit_sw_decode(decode_trace, *stream, 0, sample, bits_done);
     const CoreStats stats = core.run(decode_trace);
     const double scale =
         static_cast<double>(total) / static_cast<double>(sample);
@@ -220,35 +231,39 @@ LayerSimResult simulate_binary_conv_layer(const bnn::OpRecord& op,
     result.sampled_uops += stats.uops;
   }
 
-  // --- The row sweeps. ---
-  const std::int64_t rows_to_sim =
-      std::min<std::int64_t>(g.out_h,
-                             sampling.warmup_rows + sampling.sample_rows);
-  const std::int64_t warmup =
-      rows_to_sim > sampling.warmup_rows ? sampling.warmup_rows : 0;
+  // The hw variant's channel-packing groups: (o, grp) in stream order,
+  // each as many sequences as its group has input channels.
+  std::vector<std::uint32_t> group_sizes;
+  if (variant == ConvVariant::kHwDecode) {
+    group_sizes.reserve(static_cast<std::size_t>(g.out_channels * g.groups));
+    for (std::int64_t o = 0; o < g.out_channels; ++o) {
+      for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+        const std::int64_t lo = grp * kVectorBits;
+        const std::int64_t hi =
+            std::min<std::int64_t>(g.in_channels, lo + kVectorBits);
+        group_sizes.push_back(static_cast<std::uint32_t>(hi - lo));
+      }
+    }
+  }
 
+  // --- The row sweeps, one trace buffer reused across rows. ---
+  const std::int64_t rows_to_sim =
+      std::min<std::int64_t>(g.out_h, kWarmupRows + kSampleRows);
+  const std::int64_t warmup = rows_to_sim > kWarmupRows ? kWarmupRows : 0;
+
+  std::vector<MicroOp> trace;
+  trace.reserve(row_uops(g));
   std::uint64_t counted_cycles = 0;
   std::int64_t counted_rows = 0;
   for (std::int64_t row = 0; row < rows_to_sim; ++row) {
-    std::vector<MicroOp> trace;
-    emit_row(trace, g, variant, row, vector_bytes);
+    trace.clear();
+    emit_row(trace, g, variant, row);
 
     CoreStats stats;
     if (variant == ConvVariant::kHwDecode) {
       // One lddu activation streams the whole kernel for this row sweep.
-      std::vector<std::uint32_t> group_sizes;
-      group_sizes.reserve(
-          static_cast<std::size_t>(g.out_channels * g.groups));
-      for (std::int64_t o = 0; o < g.out_channels; ++o) {
-        for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-          const std::int64_t lo = grp * cpu.vector_bits;
-          const std::int64_t hi =
-              std::min<std::int64_t>(g.in_channels, lo + cpu.vector_bits);
-          group_sizes.push_back(static_cast<std::uint32_t>(hi - lo));
-        }
-      }
-      DecoderUnitRuntime decoder(decoder_params, core.memory(), *stream,
-                                 std::move(group_sizes),
+      DecoderUnitRuntime decoder(DecoderParams{}, core.memory(), *stream,
+                                 group_sizes,
                                  static_cast<int>(g.positions()),
                                  core.cycle());
       stats = core.run(trace, &decoder);

@@ -19,6 +19,10 @@
 //   kHwDecode - weight loads are replaced by `ldps` pops from the
 //               decoding unit, which re-streams the compressed kernel in
 //               the background each row sweep.
+//
+// Every simulation runs on the one A53 configuration of hwsim/params.h
+// (its defaults) and times a fixed sample of output rows: one warm-up
+// row, then three counted rows, scaled to the full layer.
 
 #include <compare>
 #include <string>
@@ -26,18 +30,20 @@
 #include "bnn/model.h"
 #include "hwsim/core.h"
 #include "hwsim/decoder_unit.h"
-#include "hwsim/params.h"
 
 namespace bkc::hwsim {
 
 enum class ConvVariant { kBaseline, kSwDecode, kHwDecode };
+
+/// NEON register width: the channel-group size of the packed layout.
+inline constexpr int kVectorBits = 128;
 
 std::string variant_name(ConvVariant variant);
 
 /// Resolved geometry of a binary conv layer in channel groups of the
 /// vector width. The micro-op trace is a function of this, the variant
 /// and the stream alone, so two ops with equal geometry simulate to
-/// equal cycles under equal parameters: it is the simulation memo key.
+/// equal cycles: it is the simulation memo key.
 struct LayerGeometry {
   std::int64_t in_channels = 0;
   std::int64_t out_channels = 0;
@@ -46,9 +52,9 @@ struct LayerGeometry {
   std::int64_t padding = 0;
   std::int64_t in_h = 0, in_w = 0;
   std::int64_t out_h = 0, out_w = 0;
-  std::int64_t groups = 0;  ///< ceil(in_channels / vector_bits)
+  std::int64_t groups = 0;  ///< ceil(in_channels / kVectorBits)
 
-  static LayerGeometry from_op(const bnn::OpRecord& op, int vector_bits);
+  static LayerGeometry from_op(const bnn::OpRecord& op);
   std::int64_t positions() const { return kernel * kernel; }
   auto operator<=>(const LayerGeometry&) const = default;
 };
@@ -69,10 +75,8 @@ struct LayerSimResult {
 
 /// Simulate one binary conv layer. `stream` carries the compressed
 /// stream's codeword lengths and is required for kSwDecode / kHwDecode.
-LayerSimResult simulate_binary_conv_layer(
-    const bnn::OpRecord& op, ConvVariant variant,
-    const StreamInfo* stream = nullptr, const CpuParams& cpu = {},
-    const DecoderParams& decoder_params = {},
-    const SamplingParams& sampling = {});
+LayerSimResult simulate_binary_conv_layer(const bnn::OpRecord& op,
+                                          ConvVariant variant,
+                                          const StreamInfo* stream = nullptr);
 
 }  // namespace bkc::hwsim

@@ -20,16 +20,14 @@ double StreamInfo::mean_bits() const {
          static_cast<double>(code_lengths.size());
 }
 
-DecoderUnitRuntime::DecoderUnitRuntime(const DecoderParams& params,
-                                       MemoryHierarchy& memory,
-                                       const StreamInfo& stream,
-                                       std::vector<std::uint32_t> group_sizes,
-                                       int regs_per_group,
-                                       std::uint64_t start_cycle)
+DecoderUnitRuntime::DecoderUnitRuntime(
+    const DecoderParams& params, MemoryHierarchy& memory,
+    const StreamInfo& stream, const std::vector<std::uint32_t>& group_sizes,
+    int regs_per_group, std::uint64_t start_cycle)
     : params_(params),
       memory_(&memory),
       stream_(stream),
-      group_sizes_(std::move(group_sizes)),
+      group_sizes_(group_sizes),
       regs_per_group_(regs_per_group) {
   check(regs_per_group_ >= 1, "DecoderUnitRuntime: regs_per_group >= 1");
   check(!group_sizes_.empty(), "DecoderUnitRuntime: no groups");
@@ -105,7 +103,6 @@ std::uint64_t DecoderUnitRuntime::pop(std::uint64_t cycle) {
   if (reg_in_group == static_cast<std::size_t>(regs_per_group_) - 1) {
     group_freed_[group] = done;
   }
-  last_pop_cycle_ = done;
   ++next_pop_;
   return done;
 }

@@ -50,13 +50,18 @@ class DecoderUnitRuntime {
   /// `group_sizes[g]` = number of sequences channel-packed into group g
   /// (R, except possibly less for the last input-channel group).
   /// Each group produces `regs_per_group` packed registers to pop.
-  /// `stream` is held by reference and must outlive the runtime.
+  /// `stream` and `group_sizes` are held by reference and must outlive
+  /// the runtime.
   DecoderUnitRuntime(const DecoderParams& params, MemoryHierarchy& memory,
                      const StreamInfo& stream,
-                     std::vector<std::uint32_t> group_sizes,
+                     const std::vector<std::uint32_t>& group_sizes,
                      int regs_per_group, std::uint64_t start_cycle);
   DecoderUnitRuntime(const DecoderParams&, MemoryHierarchy&, StreamInfo&&,
-                     std::vector<std::uint32_t>, int, std::uint64_t) = delete;
+                     const std::vector<std::uint32_t>&, int,
+                     std::uint64_t) = delete;
+  DecoderUnitRuntime(const DecoderParams&, MemoryHierarchy&,
+                     const StreamInfo&, std::vector<std::uint32_t>&&, int,
+                     std::uint64_t) = delete;
 
   /// Cycle at which the next packed register (pops are strictly in
   /// order) is available in a CPU register, given the core asks at
@@ -73,7 +78,7 @@ class DecoderUnitRuntime {
   DecoderParams params_;
   MemoryHierarchy* memory_;
   const StreamInfo& stream_;
-  std::vector<std::uint32_t> group_sizes_;
+  const std::vector<std::uint32_t>& group_sizes_;
   int regs_per_group_;
 
   // Decode progress.
@@ -93,7 +98,6 @@ class DecoderUnitRuntime {
   // Pop state.
   std::size_t next_pop_ = 0;
   std::vector<std::uint64_t> group_freed_;  ///< when group slot was freed
-  std::uint64_t last_pop_cycle_ = 0;
 };
 
 }  // namespace bkc::hwsim

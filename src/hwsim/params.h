@@ -1,11 +1,14 @@
 #pragma once
-// Simulation parameters (Table IV of the paper).
+// The A53 configuration of the timing model (Table IV of the paper).
 //
-// The paper evaluates on a gem5 model of an ARM A53 (in-order, dual
-// issue, 128-bit NEON) at 1 GHz with 32 KB L1 / 256 KB L2 / DDR4 DRAM,
-// extended with the decoding unit of Fig. 6. These structs carry the
-// same structural parameters for our trace-driven timing model; all
-// cycle numbers are in CPU cycles at 1 GHz.
+// The paper times every variant on one gem5 model of an ARM A53
+// (in-order, dual issue, 128-bit NEON) at 1 GHz with 32 KB L1 / 256 KB
+// L2 / DDR4 DRAM, extended with the decoding unit of Fig. 6. These
+// structs carry its structural parameters as inputs of the unit models
+// (InOrderCore, MemoryHierarchy, DecoderUnitRuntime); the model-level
+// walks (hwsim/conv_trace.h, hwsim/perf_model.h) build them with their
+// defaults, so the defaults are the configuration. All cycle numbers
+// are in CPU cycles at 1 GHz.
 
 #include <cstdint>
 
@@ -15,7 +18,6 @@ namespace bkc::hwsim {
 struct CpuParams {
   // Core.
   int issue_width = 2;          ///< A53: dual-issue in-order
-  int vector_bits = 128;        ///< NEON register width
   int l1_latency = 3;           ///< load-to-use, cycles
   int l2_latency = 13;          ///< cycles
   /// Effective DRAM latency including controller queueing. Measured
@@ -34,18 +36,6 @@ struct CpuParams {
   std::int64_t l2_bytes = 256 * 1024;
   int l2_ways = 8;
   int line_bytes = 64;
-
-  // Throughput of the non-binary layers (used by the analytic cost
-  // model for the Table I execution-time column). These three constants
-  // are calibrated against the paper's Table I execution-time split:
-  // the im2col int8 stem reaches a little over 2 MAC/cycle, and the
-  // classifier - which daBNN-style deployments leave as a dependency-
-  // bound scalar fp32 GEMV after dequantization - costs ~12 cycles per
-  // MAC, which is what makes the output layer ~19% of runtime in the
-  // paper despite its tiny MAC count.
-  double stem_macs_per_cycle = 2.3;
-  double fc_cycles_per_mac = 12.0;
-  double elementwise_ops_per_cycle = 3.4;  ///< BN / RPReLU / sign / pool
 };
 
 /// Decoding-unit timing parameters (Table IV, decoding unit section).
@@ -60,14 +50,6 @@ struct DecoderParams {
   // Stream-fetch schedule (kept consistent with CpuParams' DRAM model).
   int stream_latency_cycles = 200;
   double stream_bytes_per_cycle = 12.8;
-};
-
-/// How many output rows of each conv layer to simulate in detail; the
-/// result is scaled to the full layer. Rows beyond the warm-up row see
-/// steady-state cache behaviour, so a small sample is representative.
-struct SamplingParams {
-  std::int64_t sample_rows = 3;
-  std::int64_t warmup_rows = 1;  ///< simulated but not counted
 };
 
 }  // namespace bkc::hwsim

@@ -4,7 +4,9 @@
 // *slower*, hardware-assisted decode 1.35x *faster* than the
 // uncompressed baseline).
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "compress/kernel_codec.h"
 #include "compress/model_view.h"
 #include "hwsim/conv_trace.h"
-#include "hwsim/params.h"
 
 namespace bkc::hwsim {
 
@@ -38,14 +39,29 @@ struct ModelTiming {
 /// Analytic cycle model for the non-binary ops (stem, classifier,
 /// normalization/activation): throughput-limited compute plus DRAM
 /// bandwidth for their parameter traffic.
-std::uint64_t analytic_op_cycles(const bnn::OpRecord& op,
-                                 const CpuParams& cpu);
+std::uint64_t analytic_op_cycles(const bnn::OpRecord& op);
 
-/// Baseline timing of every op in a model (binary convs simulated,
-/// everything else analytic).
-ModelTiming time_model_baseline(const std::vector<bnn::OpRecord>& ops,
-                                const CpuParams& cpu = {},
-                                const SamplingParams& sampling = {});
+/// The timing model's costing rule, written once: a binary conv (3x3
+/// or 1x1) is simulated in the baseline variant, once per distinct
+/// LayerGeometry (equal geometry, equal cycles); every other op is
+/// costed by analytic_op_cycles. time_model_baseline and
+/// compare_model_sampled both walk this plan, so Table I's
+/// execution-time column and compare_model's baseline cannot drift
+/// apart.
+struct BaselinePlan {
+  static constexpr std::size_t kAnalytic =
+      std::numeric_limits<std::size_t>::max();
+  /// The first op of each distinct geometry, in op order: the baseline
+  /// simulations to run. Points into the planned op list.
+  std::vector<const bnn::OpRecord*> simulated;
+  /// Per op: its index into `simulated`, or kAnalytic.
+  std::vector<std::size_t> slot;
+};
+
+BaselinePlan plan_baseline(const std::vector<bnn::OpRecord>& ops);
+
+/// Baseline timing of every op in a model, costed by plan_baseline.
+ModelTiming time_model_baseline(const std::vector<bnn::OpRecord>& ops);
 
 /// Per-3x3-layer variant comparison.
 struct LayerComparison {
@@ -77,17 +93,14 @@ struct SpeedupReport {
 /// Run the three variants over every op of a compressed model's
 /// artifact view (compress/model_view.h): each 3x3 binary conv is
 /// simulated from its block's code-length vector, everything else from
-/// the op records. Baselines are simulated once per distinct
-/// LayerGeometry; this is the sampled walk of hwsim/sampled.h with
-/// every block representing itself. The simulator consumes compression artifacts only —
-/// it never runs (or re-runs) a compression pass, whether the view is
-/// backed by an Engine's block_streams() or by a parsed BKCM container
+/// the op records. Baselines follow plan_baseline; this is the sampled
+/// walk of hwsim/sampled.h with every block representing itself. The
+/// simulator consumes compression artifacts only — it never runs (or
+/// re-runs) a compression pass, whether the view is backed by an
+/// Engine's block_streams() or by a parsed BKCM container
 /// (compress::MappedBkcm). The view's borrowed artifacts must outlive
 /// the call, nothing more.
-SpeedupReport compare_model(const compress::CompressedModelView& view,
-                            const CpuParams& cpu = {},
-                            const DecoderParams& decoder = {},
-                            const SamplingParams& sampling = {});
+SpeedupReport compare_model(const compress::CompressedModelView& view);
 
 /// Cycle-for-cycle equality of two speedup reports: layer names and
 /// every integer cycle field (the totals fix the derived ratios, so

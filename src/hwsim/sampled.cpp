@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -15,18 +14,6 @@
 namespace bkc::hwsim {
 
 namespace {
-
-/// One simulation to run: a pure function of (op, variant, block
-/// stream), so the task list can be executed in any order — and in
-/// parallel — with each result landing in its own preassigned slot.
-struct SimTask {
-  const bnn::OpRecord* op = nullptr;
-  ConvVariant variant = ConvVariant::kBaseline;
-  const compress::KernelCompression* block = nullptr;  ///< null for baseline
-};
-
-/// Marks an op costed analytically rather than simulated.
-constexpr std::size_t kAnalytic = std::numeric_limits<std::size_t>::max();
 
 /// Split one geometry group (block indices in block order) into at most
 /// `max_runs` runs of close stream bits: sort by stream bits, cut at the
@@ -85,47 +72,36 @@ std::vector<SampledClusterInfo> split_group(
 }  // namespace
 
 SampledSpeedupReport compare_model_sampled(
-    const compress::CompressedModelView& view, const SamplingConfig& config,
-    const CpuParams& cpu, const DecoderParams& decoder,
-    const SamplingParams& sampling) {
+    const compress::CompressedModelView& view, const SamplingConfig& config) {
   check(config.max_clusters_per_group >= 1,
         "compare_model_sampled: max_clusters_per_group must be >= 1");
   check(config.num_threads >= 1,
         "compare_model_sampled: num_threads must be >= 1");
 
-  // ---- Pass 1: one baseline task per distinct geometry (3x3 and binary
-  // 1x1 alike), and the 3x3 blocks grouped by geometry in block order.
-  std::vector<SimTask> tasks;
-  std::map<LayerGeometry, std::size_t> baseline_slot;
-  std::vector<std::size_t> op_slot(view.ops.size(), kAnalytic);
+  // ---- Pass 1: the baseline plan, and the 3x3 blocks grouped by
+  // geometry in block order.
+  const BaselinePlan plan = plan_baseline(view.ops);
   std::vector<const bnn::OpRecord*> block_op;
   std::map<LayerGeometry, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < view.ops.size(); ++i) {
     const bnn::OpRecord& op = view.ops[i];
-    const bool binary_conv = op.precision_bits == 1 &&
-                             (op.op_class == bnn::OpClass::kConv3x3 ||
-                              op.op_class == bnn::OpClass::kConv1x1);
-    if (!binary_conv) continue;
-    const LayerGeometry geometry = LayerGeometry::from_op(op, cpu.vector_bits);
-    const auto [slot, added] = baseline_slot.emplace(geometry, tasks.size());
-    if (added) tasks.push_back({.op = &op, .variant = ConvVariant::kBaseline});
-    op_slot[i] = slot->second;
-    if (op.op_class == bnn::OpClass::kConv3x3) {
-      check(block_op.size() < view.blocks.size(),
-            "compare_model: more 3x3 convs than compressed blocks");
-      groups[geometry].push_back(block_op.size());
-      block_op.push_back(&op);
+    if (plan.slot[i] == BaselinePlan::kAnalytic ||
+        op.op_class != bnn::OpClass::kConv3x3) {
+      continue;
     }
+    check(block_op.size() < view.blocks.size(),
+          "compare_model: more 3x3 convs than compressed blocks");
+    groups[LayerGeometry::from_op(op)].push_back(block_op.size());
+    block_op.push_back(&op);
   }
   check(block_op.size() == view.blocks.size(),
         "compare_model: unmatched compressed blocks");
 
-  // ---- Pass 2: split every group into runs; each run's representative
-  // gets an sw and an hw task, at rep_slot + 2 * run index.
+  // ---- Pass 2: split every group into runs; only each run's
+  // representative is simulated in the sw and hw variants.
   SamplingSummary summary;
   summary.num_blocks = view.blocks.size();
   summary.num_geometry_groups = groups.size();
-  const std::size_t rep_slot = tasks.size();
   std::vector<std::size_t> block_run(view.blocks.size(), 0);
   for (const auto& [geometry, group] : groups) {
     for (SampledClusterInfo& run : split_group(
@@ -136,13 +112,6 @@ SampledSpeedupReport compare_model_sampled(
       }
       summary.max_stream_bits_skew =
           std::max(summary.max_stream_bits_skew, run.max_stream_bits_skew);
-      const std::size_t rep = run.representative;
-      tasks.push_back({.op = block_op[rep],
-                       .variant = ConvVariant::kSwDecode,
-                       .block = &view.blocks[rep].get()});
-      tasks.push_back({.op = block_op[rep],
-                       .variant = ConvVariant::kHwDecode,
-                       .block = &view.blocks[rep].get()});
       summary.clusters.push_back(std::move(run));
     }
   }
@@ -154,25 +123,32 @@ SampledSpeedupReport compare_model_sampled(
           : static_cast<double>(summary.simulated_blocks) /
                 static_cast<double>(summary.num_blocks);
 
-  // ---- Pass 3: run every task into its preassigned slot. Each task is
-  // an independent pure function (fresh core per call), so the fan-out
-  // is bit-identical at every thread count.
-  std::vector<LayerSimResult> results(tasks.size());
-  parallel_for(static_cast<std::int64_t>(tasks.size()), config.num_threads,
-               [&](std::int64_t begin, std::int64_t end) {
-                 for (std::int64_t i = begin; i < end; ++i) {
-                   const SimTask& task = tasks[static_cast<std::size_t>(i)];
-                   StreamInfo stream;
-                   if (task.block != nullptr) {
-                     stream = stream_info_for(*task.block);
-                   }
-                   results[static_cast<std::size_t>(i)] =
-                       simulate_binary_conv_layer(
-                           *task.op, task.variant,
-                           task.block != nullptr ? &stream : nullptr, cpu,
-                           decoder, sampling);
-                 }
-               });
+  // ---- Pass 3: one job per baseline simulation (result slot = plan
+  // slot) and one per run, which scans its representative's stream once
+  // and simulates sw then hw into rep_slot + 2 * run and the slot after.
+  // Each simulation is an independent pure function (fresh core per
+  // call), so the fan-out is bit-identical at every thread count.
+  const std::size_t rep_slot = plan.simulated.size();
+  std::vector<LayerSimResult> results(rep_slot + 2 * summary.num_clusters);
+  parallel_for(
+      static_cast<std::int64_t>(rep_slot + summary.num_clusters),
+      config.num_threads, [&](std::int64_t begin, std::int64_t end) {
+        for (auto job = static_cast<std::size_t>(begin);
+             job < static_cast<std::size_t>(end); ++job) {
+          if (job < rep_slot) {
+            results[job] = simulate_binary_conv_layer(
+                *plan.simulated[job], ConvVariant::kBaseline);
+            continue;
+          }
+          const std::size_t run = job - rep_slot;
+          const std::size_t rep = summary.clusters[run].representative;
+          const StreamInfo stream = stream_info_for(view.blocks[rep]);
+          results[rep_slot + 2 * run] = simulate_binary_conv_layer(
+              *block_op[rep], ConvVariant::kSwDecode, &stream);
+          results[rep_slot + 2 * run + 1] = simulate_binary_conv_layer(
+              *block_op[rep], ConvVariant::kHwDecode, &stream);
+        }
+      });
 
   // ---- Pass 4: assemble serially in op order, every 3x3 op reading its
   // geometry's baseline and its run representative's sw/hw results.
@@ -181,18 +157,18 @@ SampledSpeedupReport compare_model_sampled(
   std::size_t block = 0;
   for (std::size_t i = 0; i < view.ops.size(); ++i) {
     const bnn::OpRecord& op = view.ops[i];
-    if (op_slot[i] == kAnalytic) {
-      report.other_cycles += analytic_op_cycles(op, cpu);
+    if (plan.slot[i] == BaselinePlan::kAnalytic) {
+      report.other_cycles += analytic_op_cycles(op);
       continue;
     }
     if (op.op_class != bnn::OpClass::kConv3x3) {
-      report.other_cycles += results[op_slot[i]].cycles;
+      report.other_cycles += results[plan.slot[i]].cycles;
       continue;
     }
     const std::size_t run_slot = rep_slot + 2 * block_run[block++];
     LayerComparison cmp;
     cmp.name = op.name;
-    cmp.baseline_detail = results[op_slot[i]];
+    cmp.baseline_detail = results[plan.slot[i]];
     cmp.sw_detail = results[run_slot];
     cmp.hw_detail = results[run_slot + 1];
     // The details carry the simulated op's name; relabel so the report

@@ -3,13 +3,14 @@
 // simulated trace volume.
 //
 // Simulating every 3x3 binary conv in three variants dominates the wall
-// clock of every config sweep at real model sizes. The one simulator
-// walk behind both compare_model and compare_model_sampled exploits the
+// clock of a timing run at real model sizes. The one simulator walk
+// behind both compare_model and compare_model_sampled exploits the
 // structure of the workload instead:
 //
-//   1. Baseline traces consume no stream, so the baseline is simulated
-//      once per distinct LayerGeometry (3x3 and binary 1x1 alike) and
-//      shared by every op of that geometry with zero error.
+//   1. Baseline traces consume no stream, so the baseline follows
+//      plan_baseline (hwsim/perf_model.h): simulated once per distinct
+//      LayerGeometry (3x3 and binary 1x1 alike) and shared by every op
+//      of that geometry with zero error.
 //   2. The 3x3 blocks are grouped by LayerGeometry (equal geometry =>
 //      identical micro-op schedule). Each group is sorted by stream
 //      bits and cut at its k-1 widest gaps, ties to the earliest gap,
@@ -18,7 +19,8 @@
 //      decodes alike.
 //   3. Each run's lower median (in stream-bits order) is its
 //      representative: only it is simulated in the sw and hw variants,
-//      and every member of the run reports its cycles.
+//      from one scan of its stream, and every member of the run reports
+//      its cycles.
 //
 // compare_model is the case where every block represents itself, so a
 // budget covering every group reproduces it cycle for cycle.
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "compress/model_view.h"
-#include "hwsim/params.h"
 #include "hwsim/perf_model.h"
 
 namespace bkc::hwsim {
@@ -88,7 +89,6 @@ struct SampledSpeedupReport {
 /// compress/instrumentation.h stay flat) and never mutates the view.
 SampledSpeedupReport compare_model_sampled(
     const compress::CompressedModelView& view,
-    const SamplingConfig& config = {}, const CpuParams& cpu = {},
-    const DecoderParams& decoder = {}, const SamplingParams& sampling = {});
+    const SamplingConfig& config = {});
 
 }  // namespace bkc::hwsim

@@ -142,13 +142,5 @@ TEST(BinaryConv, RingDifferentFromPaddingThrows) {
   EXPECT_NO_THROW(binary_conv2d(ringed, k, {.stride = 1, .padding = 1}));
 }
 
-TEST(BinaryConv, WordOpAccounting) {
-  const FeatureShape in{128, 8, 8};
-  const KernelShape k{4, 128, 3, 3};
-  // 4 out-ch * 8*8 pixels * 9 positions * 2 words.
-  EXPECT_EQ(binary_conv2d_word_ops(in, k, {.stride = 1, .padding = 1}),
-            4 * 64 * 9 * 2);
-}
-
 }  // namespace
 }  // namespace bkc::bnn

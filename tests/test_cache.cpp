@@ -30,13 +30,6 @@ TEST(Cache, LruEvictionOrder) {
   EXPECT_FALSE(c.access(256));  // was evicted
 }
 
-TEST(Cache, ProbeDoesNotFill) {
-  Cache c(1024, 2, 64);
-  EXPECT_FALSE(c.probe(0));
-  EXPECT_FALSE(c.access(0));  // still a miss: probe must not have filled
-  EXPECT_TRUE(c.probe(0));
-}
-
 TEST(Cache, CyclicWorkingSetLargerThanCapacityThrashes) {
   // The weight-stream behaviour behind the paper: a kernel slightly
   // larger than the cache re-walked in order misses every time with LRU.
@@ -102,17 +95,6 @@ TEST(Hierarchy, MissSlotsLimitParallelism) {
   parallel.access(0x0000, 16, 0);
   const auto b2 = parallel.access(0x1000, 16, 0);
   EXPECT_LT(b2.latency, a.latency + params.dram_latency);
-}
-
-TEST(Hierarchy, StreamFetchPipelines) {
-  CpuParams params;
-  MemoryHierarchy mem(params);
-  const auto first = mem.stream_fetch(64, 0);
-  const auto second = mem.stream_fetch(64, 0);
-  // Second transfer queues behind the first by the transfer time only.
-  EXPECT_GT(second, first);
-  EXPECT_LE(second - first, 10u);
-  EXPECT_EQ(mem.dram_accesses(), 2u);
 }
 
 TEST(Hierarchy, NoteStreamTrafficCounts) {

@@ -22,11 +22,11 @@ StreamInfo stream_for(std::int64_t channels, std::uint64_t seed) {
 
 TEST(LayerGeometry, FromOpDerivesGroups) {
   const auto op = conv_op(192, 8);
-  const auto g = LayerGeometry::from_op(op, 128);
+  const auto g = LayerGeometry::from_op(op);
   EXPECT_EQ(g.groups, 2);
   EXPECT_EQ(g.out_h, 8);
   EXPECT_EQ(g.positions(), 9);
-  const auto g1 = LayerGeometry::from_op(conv_op(64, 8, 1), 128);
+  const auto g1 = LayerGeometry::from_op(conv_op(64, 8, 1));
   EXPECT_EQ(g1.positions(), 1);
   EXPECT_EQ(g1.groups, 1);
 }
@@ -44,7 +44,7 @@ TEST(LayerGeometry, EqualLayoutEqualKeyNotName) {
   // different names; the first and last blocks do not.
   ASSERT_EQ(conv3x3.size(), 13u);
   const auto geometry = [](const bnn::OpRecord* op) {
-    return LayerGeometry::from_op(*op, 128);
+    return LayerGeometry::from_op(*op);
   };
   EXPECT_NE(geometry(conv3x3.front()), geometry(conv3x3.back()));
   for (std::size_t b = 7; b <= 10; ++b) {

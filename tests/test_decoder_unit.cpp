@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "support/support.h"
 #include "util/check.h"
 
@@ -23,7 +26,8 @@ TEST(DecoderUnit, FirstPopPaysConfigureFetchAndDecode) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(128, 7);
-  DecoderUnitRuntime unit(params, mem, stream, {128}, 9, /*start=*/0);
+  const std::vector<std::uint32_t> sizes = {128};
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, /*start=*/0);
   const auto t = unit.pop(0);
   // configure + first fetch latency + 128 cycles of decode, roughly.
   EXPECT_GT(t, 128u);
@@ -36,7 +40,8 @@ TEST(DecoderUnit, PopsWithinAGroupAreCheapAfterTheFirst) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(128, 7);
-  DecoderUnitRuntime unit(params, mem, stream, {128}, 9, 0);
+  const std::vector<std::uint32_t> sizes = {128};
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   const auto first = unit.pop(0);
   const auto second = unit.pop(first);
   EXPECT_EQ(second, first + static_cast<std::uint64_t>(params.ldps_cycles));
@@ -49,8 +54,8 @@ TEST(DecoderUnit, DecodeOverlapsConsumption) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(4 * 128, 7);
-  DecoderUnitRuntime unit(params, mem, stream,
-                          {128, 128, 128, 128}, 9, 0);
+  const std::vector<std::uint32_t> sizes(4, 128);
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   std::uint64_t t = 0;
   for (int i = 0; i < 9; ++i) t = unit.pop(t);
   // Consume group 1 much later: all pops complete in ldps time.
@@ -70,7 +75,8 @@ TEST(DecoderUnit, RegisterFileBackpressureThrottlesDecode) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(3 * 128, 7);
-  DecoderUnitRuntime unit(params, mem, stream, {128, 128, 128}, 9, 0);
+  const std::vector<std::uint32_t> sizes(3, 128);
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   std::uint64_t t = 50000;  // consumer shows up very late
   std::uint64_t group0_last = 0;
   for (int i = 0; i < 9; ++i) group0_last = t = unit.pop(t);
@@ -86,7 +92,7 @@ TEST(DecoderUnit, ThroughputIsOneSequencePerCycle) {
   DecoderParams params;
   const std::size_t groups = 16;
   const StreamInfo stream = uniform_stream(groups * 128, 7);
-  std::vector<std::uint32_t> sizes(groups, 128);
+  const std::vector<std::uint32_t> sizes(groups, 128);
   DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   // Pop everything immediately: the long-run rate is bounded by decode
   // (1 seq/cycle), not by stream fetches.
@@ -104,7 +110,8 @@ TEST(DecoderUnit, StreamTrafficIsAccounted) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(512, 8);  // 512 bytes total
-  DecoderUnitRuntime unit(params, mem, stream, {512}, 9, 0);
+  const std::vector<std::uint32_t> sizes = {512};
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   unit.pop(0);
   EXPECT_GE(mem.stream_bytes(), 512u);
 }
@@ -114,7 +121,8 @@ TEST(DecoderUnit, GroupSizesMustCoverStream) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(100, 7);
-  EXPECT_THROW(DecoderUnitRuntime(params, mem, stream, {64}, 9, 0),
+  const std::vector<std::uint32_t> sizes = {64};
+  EXPECT_THROW(DecoderUnitRuntime(params, mem, stream, sizes, 9, 0),
                bkc::CheckError);
 }
 
@@ -123,7 +131,8 @@ TEST(DecoderUnit, PartialLastGroup) {
   MemoryHierarchy mem(cpu);
   DecoderParams params;
   const StreamInfo stream = uniform_stream(128 + 32, 6);
-  DecoderUnitRuntime unit(params, mem, stream, {128, 32}, 9, 0);
+  const std::vector<std::uint32_t> sizes = {128, 32};
+  DecoderUnitRuntime unit(params, mem, stream, sizes, 9, 0);
   std::uint64_t t = 0;
   for (int i = 0; i < 18; ++i) t = unit.pop(t);
   EXPECT_EQ(unit.remaining_pops(), 0u);

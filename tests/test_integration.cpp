@@ -80,12 +80,11 @@ TEST_P(EndToEnd, CompressedInferenceMatchesManualDecodePath) {
 TEST_P(EndToEnd, TimingVariantsRankConsistently) {
   Engine engine(test::tiny_config(GetParam()));
   engine.compress();
-  hwsim::SamplingParams fast{.sample_rows = 2, .warmup_rows = 1};
-  const auto report = engine.simulate_speedup({}, {}, fast);
+  const auto report = engine.simulate_speedup();
   // Software decoding always costs extra work on top of the baseline.
   EXPECT_GT(report.total_sw, report.total_baseline);
   // Determinism of the simulator.
-  const auto again = engine.simulate_speedup({}, {}, fast);
+  const auto again = engine.simulate_speedup();
   EXPECT_EQ(report.total_baseline, again.total_baseline);
   EXPECT_EQ(report.total_hw, again.total_hw);
 }

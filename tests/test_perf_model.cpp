@@ -31,26 +31,24 @@ compress::CompressedModelView view_for(
 }
 
 TEST(PerfModel, AnalyticCostsArePositiveAndScale) {
-  CpuParams cpu;
   bnn::OpRecord fc;
   fc.op_class = bnn::OpClass::kOutputLayer;
   fc.macs = 1000;
   fc.storage_bits = 8000;
-  const auto small = analytic_op_cycles(fc, cpu);
+  const auto small = analytic_op_cycles(fc);
   fc.macs = 2000;
-  const auto big = analytic_op_cycles(fc, cpu);
+  const auto big = analytic_op_cycles(fc);
   EXPECT_GT(small, 0u);
   EXPECT_GT(big, small);
 }
 
 TEST(PerfModel, BandwidthBoundOps) {
-  CpuParams cpu;
   bnn::OpRecord op;
   op.op_class = bnn::OpClass::kOther;
   op.macs = 1;                     // nearly free compute
   op.storage_bits = 8 * 1280000;   // 1.28 MB of parameters
   // 1.28e6 bytes / 12.8 B/cycle = 100000 cycles.
-  EXPECT_EQ(analytic_op_cycles(op, cpu), 100000u);
+  EXPECT_EQ(analytic_op_cycles(op), 100000u);
 }
 
 TEST(PerfModel, ModelTimingFractionsSumToOne) {
@@ -136,7 +134,7 @@ TEST(PerfModel, CompareModelEqualsPerOpSimulation) {
       other_cycles +=
           simulate_binary_conv_layer(op, ConvVariant::kBaseline).cycles;
     } else {
-      other_cycles += analytic_op_cycles(op, CpuParams{});
+      other_cycles += analytic_op_cycles(op);
     }
   }
   EXPECT_EQ(block, report.conv3x3.size());

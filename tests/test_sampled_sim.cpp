@@ -1,7 +1,8 @@
 // Integration tests for the sampled simulation path (hwsim/sampled.h):
 // sampled-vs-exact accuracy on the tiny ReActNet fixture, bit-stable
 // determinism across repeated runs and thread counts, zero
-// compression-pipeline work, and the Engine facade wiring.
+// compression-pipeline work, and the refusal of bad configs and of an
+// uncompressed engine's view.
 
 #include "hwsim/sampled.h"
 
@@ -40,7 +41,8 @@ const Engine& tiny_engine() {
 TEST(SampledSim, MatchesExactWithinTwoPercent) {
   const Engine& engine = tiny_engine();
   const SpeedupReport exact = engine.simulate_speedup();
-  const SampledSpeedupReport sampled = engine.simulate_speedup_sampled();
+  const SampledSpeedupReport sampled =
+      compare_model_sampled(engine.artifact_view());
 
   // Baseline cycles are geometry-memoized, never extrapolated: exact
   // equality, per layer and in total.
@@ -62,7 +64,7 @@ TEST(SampledSim, MatchesExactWithinTwoPercent) {
 
 TEST(SampledSim, SimulatesFewerBlocksThanExact) {
   const SampledSpeedupReport sampled =
-      tiny_engine().simulate_speedup_sampled();
+      compare_model_sampled(tiny_engine().artifact_view());
   const SamplingSummary& summary = sampled.summary;
   EXPECT_EQ(summary.num_blocks, 13u);
   // The tiny schedule has 9 distinct geometries (the {512,512,1}/8
@@ -101,7 +103,8 @@ TEST(SampledSim, RepresentativesFollowTheStreamBitsRule) {
   // The five {512,512,1}/8 blocks (6..10) are the one group with more
   // members than the default budget of two runs.
   const std::vector<std::size_t> group = {6, 7, 8, 9, 10};
-  const SamplingSummary summary = engine.simulate_speedup_sampled().summary;
+  const SamplingSummary summary =
+      compare_model_sampled(engine.artifact_view()).summary;
   std::vector<const SampledClusterInfo*> runs;
   for (const SampledClusterInfo& cluster : summary.clusters) {
     if (cluster.members.front() >= 6 && cluster.members.front() <= 10) {
@@ -142,8 +145,10 @@ TEST(SampledSim, RepresentativesFollowTheStreamBitsRule) {
 
 TEST(SampledSim, DeterministicAcrossRunsAndThreadCounts) {
   const Engine& engine = tiny_engine();
-  const SampledSpeedupReport first = engine.simulate_speedup_sampled();
-  const SampledSpeedupReport again = engine.simulate_speedup_sampled();
+  const SampledSpeedupReport first =
+      compare_model_sampled(engine.artifact_view());
+  const SampledSpeedupReport again =
+      compare_model_sampled(engine.artifact_view());
   EXPECT_TRUE(cycles_identical(first.report, again.report));
   const auto representatives = [](const SamplingSummary& summary) {
     std::vector<std::size_t> reps;
@@ -158,7 +163,7 @@ TEST(SampledSim, DeterministicAcrossRunsAndThreadCounts) {
     SamplingConfig config;
     config.num_threads = threads;
     const SampledSpeedupReport parallel =
-        engine.simulate_speedup_sampled(config);
+        compare_model_sampled(engine.artifact_view(), config);
     EXPECT_TRUE(cycles_identical(first.report, parallel.report))
         << "num_threads=" << threads;
     EXPECT_EQ(representatives(first.summary),
@@ -172,7 +177,7 @@ TEST(SampledSim, ClusterBudgetWorks) {
   SamplingConfig one;
   one.max_clusters_per_group = 1;
   const SampledSpeedupReport collapsed =
-      engine.simulate_speedup_sampled(one);
+      compare_model_sampled(engine.artifact_view(), one);
   EXPECT_EQ(collapsed.summary.num_clusters,
             collapsed.summary.num_geometry_groups);
 
@@ -181,7 +186,7 @@ TEST(SampledSim, ClusterBudgetWorks) {
   SamplingConfig full;
   full.max_clusters_per_group = 13;
   const SampledSpeedupReport exhaustive =
-      engine.simulate_speedup_sampled(full);
+      compare_model_sampled(engine.artifact_view(), full);
   EXPECT_EQ(exhaustive.summary.simulated_blocks, 13u);
   EXPECT_TRUE(
       cycles_identical(exhaustive.report, engine.simulate_speedup()));
@@ -190,7 +195,7 @@ TEST(SampledSim, ClusterBudgetWorks) {
 TEST(SampledSim, RunsZeroCompressionPipelineWork) {
   const Engine& engine = tiny_engine();
   const compress::PipelineCounters before = compress::pipeline_counters();
-  (void)engine.simulate_speedup_sampled();
+  (void)compare_model_sampled(engine.artifact_view());
   const compress::PipelineCounters delta =
       compress::pipeline_counters().delta_since(before);
   EXPECT_EQ(delta.frequency_counts, 0u);
@@ -202,13 +207,17 @@ TEST(SampledSim, RejectsBadConfigsAndUncompressedEngines) {
   const Engine& engine = tiny_engine();
   SamplingConfig config;
   config.max_clusters_per_group = 0;
-  EXPECT_THROW(engine.simulate_speedup_sampled(config), CheckError);
+  EXPECT_THROW(compare_model_sampled(engine.artifact_view(), config),
+               CheckError);
   config = {};
   config.num_threads = 0;
-  EXPECT_THROW(engine.simulate_speedup_sampled(config), CheckError);
+  EXPECT_THROW(compare_model_sampled(engine.artifact_view(), config),
+               CheckError);
 
   const Engine uncompressed(test::tiny_config(/*seed=*/42));
-  EXPECT_THROW(uncompressed.simulate_speedup_sampled(), CheckError);
+  // The view of an uncompressed engine is refused before any walk.
+  EXPECT_THROW(compare_model_sampled(uncompressed.artifact_view()),
+               CheckError);
 }
 
 }  // namespace
