@@ -18,11 +18,11 @@ thread_local int t_num_threads = 1;
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_workers) : num_workers_(num_workers) {
+ThreadPool::ThreadPool(int num_workers) {
   check(num_workers >= 1, "ThreadPool: num_workers must be >= 1");
   workers_.reserve(static_cast<std::size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -35,10 +35,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::worker_loop(int worker) {
+void ThreadPool::worker_loop() {
   t_on_worker = true;
   std::uint64_t seen_generation = 0;
-  const int stride = num_workers();
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -48,22 +47,27 @@ void ThreadPool::worker_loop(int worker) {
       if (stopping_) return;
       seen_generation = generation_;
     }
-    // Static cyclic slice: worker w owns tasks w, w+W, w+2W, ...
-    // Independent of timing, so the task -> worker mapping is fixed.
-    for (int t = worker; t < num_tasks_; t += stride) {
-      try {
-        (*task_)(t);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_ || t < error_task_) {
-          error_task_ = t;
-          error_ = std::current_exception();
-        }
-      }
-    }
+    drain();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--active_workers_ == 0) done_cv_.notify_all();
+    }
+  }
+}
+
+void ThreadPool::drain() noexcept {
+  // run() publishes task_ and num_tasks_ under mutex_ before any thread
+  // enters drain(), and changes them only after every worker left it.
+  for (int t = next_task_.fetch_add(1); t < num_tasks_;
+       t = next_task_.fetch_add(1)) {
+    try {
+      (*task_)(t);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_ || t < error_task_) {
+        error_task_ = t;
+        error_ = std::current_exception();
+      }
     }
   }
 }
@@ -77,12 +81,24 @@ void ThreadPool::run(int num_tasks, FunctionRef<void(int)> task) {
   // classify_batch) take turns on the pool; workers never call run(),
   // so this cannot deadlock.
   std::lock_guard<std::mutex> run_lock(run_mutex_);
-  std::unique_lock<std::mutex> lock(mutex_);
-  num_tasks_ = num_tasks;
-  task_ = &task;
-  active_workers_ = num_workers();
-  ++generation_;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    task_ = &task;
+    num_tasks_ = num_tasks;
+    next_task_ = 0;
+    active_workers_ = num_workers();
+    ++generation_;
+  }
   start_cv_.notify_all();
+  {
+    // The caller's share runs as a worker's would: nested regions
+    // inline, parameterless regions serial.
+    ScopedNumThreads serial(1);
+    t_on_worker = true;
+    drain();
+    t_on_worker = false;
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return active_workers_ == 0; });
   task_ = nullptr;
   // Deterministic propagation: the lowest-numbered failing task wins,
@@ -97,7 +113,7 @@ bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool(std::max(
-      2, static_cast<int>(std::thread::hardware_concurrency())));
+      1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
   return pool;
 }
 

@@ -3,9 +3,10 @@
 // parallel_for helper every parallel hot path in bkc goes through.
 //
 // Design rules (the determinism guarantee the test suite enforces):
-//   * No work stealing. parallel_for splits [0, total) into `num_threads`
-//     contiguous chunks whose boundaries are a pure function of
-//     (total, num_threads) - never of timing, core count or pool size.
+//   * parallel_for splits [0, total) into `num_threads` contiguous
+//     chunks. Chunk boundaries are a pure function of
+//     (total, num_threads); which thread runs a chunk is not, and
+//     results never depend on it.
 //   * No cross-chunk accumulation inside parallel regions. Callers write
 //     results into disjoint, preallocated slots and reduce serially in
 //     index order afterwards, so outputs are bit-identical to the serial
@@ -13,9 +14,10 @@
 //   * Nested parallel regions run inline on the calling worker (no
 //     oversubscription, no pool re-entry deadlock).
 //
-// The pool itself is only an executor: which worker runs which chunk
+// The pool itself is only an executor: which thread runs which chunk
 // never influences results, because chunks touch disjoint state.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -64,9 +66,9 @@ class FunctionRef<R(Args...)> {
   R (*call_)(void*, Args...);
 };
 
-/// Fixed-size pool of worker threads with a static cyclic task
-/// assignment (task t runs on worker t % num_workers) - work-stealing
-/// free by construction.
+/// Fixed-size pool of worker threads. run() hands tasks out from one
+/// shared counter, and the calling thread claims tasks alongside the
+/// workers, so a region has num_workers() + 1 executors.
 class ThreadPool {
  public:
   /// Spawns `num_workers` (>= 1) threads that sleep until run() is
@@ -76,13 +78,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_workers() const { return num_workers_; }
+  int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// Execute task(0) .. task(num_tasks - 1), each exactly once, and
-  /// block until all have finished. Tasks are assigned statically
-  /// (task t -> worker t % num_workers). If any task threw, the
-  /// exception of the lowest-numbered failing task is rethrown - again
-  /// a deterministic choice. Safe to call from multiple threads:
+  /// block until all have finished. The caller and the workers claim
+  /// task indices from one counter until none are left, so which
+  /// thread runs a task depends on timing; while the caller runs its
+  /// share, on_worker_thread() is true and current_num_threads() is 1
+  /// on it, as on a worker. If any task threw, the exception of the
+  /// lowest-numbered failing task is rethrown - a deterministic
+  /// choice. Safe to call from multiple threads:
   /// concurrent calls serialize on the pool. Not re-entrant: run()
   /// must not be called from inside a task (parallel_for handles
   /// nesting by running inline instead). `task` is only borrowed; it
@@ -92,26 +97,29 @@ class ThreadPool {
   /// True on threads currently executing a ThreadPool task.
   static bool on_worker_thread();
 
-  /// The process-wide pool shared by every parallel_for call site,
-  /// sized to the hardware concurrency (at least 2 so the parallel
-  /// code paths are genuinely exercised even on single-core hosts).
-  /// Created on first use; never destroyed before exit.
+  /// The process-wide pool shared by every parallel_for call site:
+  /// max(1, hardware_concurrency - 1) workers, so with the caller a
+  /// region uses every core, and the parallel code paths still run on
+  /// two threads on a single-core host. Created on first use; never
+  /// destroyed before exit.
   static ThreadPool& shared();
 
  private:
-  void worker_loop(int worker);
+  void worker_loop();
+  /// Claims and runs tasks of the current region until none are left.
+  void drain() noexcept;
 
-  // Fixed before any thread spawns: worker threads read it while the
-  // constructor is still appending to workers_, so it must not be
-  // derived from workers_.size().
-  int num_workers_ = 0;
-  std::vector<std::thread> workers_;
   std::mutex run_mutex_;  ///< serializes concurrent run() callers
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t generation_ = 0;  ///< bumped once per run() call
   int num_tasks_ = 0;
+  std::atomic<int> next_task_{0};  ///< next unclaimed task index
+  // Workers that have not finished the current region. run() returns,
+  // and task_ changes, only once it is 0: a worker that wakes late
+  // must never claim from the next region's counter through this
+  // region's task.
   int active_workers_ = 0;
   const FunctionRef<void(int)>* task_ = nullptr;
   // The lowest-numbered failing task of the current run() and its
@@ -119,6 +127,7 @@ class ThreadPool {
   int error_task_ = 0;
   std::exception_ptr error_;
   bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// Boundaries of chunk `c` when [0, total) is split into `chunks`

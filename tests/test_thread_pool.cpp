@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -88,7 +91,72 @@ TEST(ThreadPool, BadArgumentsThrow) {
 
 TEST(ThreadPool, SharedPoolIsASingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
-  EXPECT_GE(ThreadPool::shared().num_workers(), 2);
+  // The caller is the last executor, so the pool spawns one thread
+  // fewer than the hardware has, but never fewer than one.
+  const int hardware =
+      static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(ThreadPool::shared().num_workers(), std::max(1, hardware - 1));
+}
+
+TEST(ThreadPool, CallerRunsAShare) {
+  // One worker, two tasks, and each task waits until both are in
+  // flight: only a caller that runs a task itself lets both meet. The
+  // wait is bounded so that a regression fails instead of hanging.
+  ThreadPool pool(1);
+  std::mutex mutex;
+  std::condition_variable arrived;
+  int in_flight = 0;
+  int met = 0;
+  pool.run(2, [&](int) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++in_flight;
+    arrived.notify_all();
+    if (arrived.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return in_flight == 2; })) {
+      ++met;
+    }
+  });
+  EXPECT_EQ(met, 2);
+}
+
+TEST(ThreadPool, BackToBackRegionsNeverMixTasks) {
+  // A worker that wakes late for one region must not claim the next
+  // region's indices through the old task. Every round's callable and
+  // slots live at their own address until the end, so a task run
+  // through a stale pointer shows as a missing hit in its own round and
+  // an extra hit in an earlier one.
+  struct Round {
+    std::vector<std::atomic<int>> hits;
+    void operator()(int t) { hits[static_cast<std::size_t>(t)].fetch_add(1); }
+  };
+  constexpr int kRounds = 5000;
+  ThreadPool pool(3);
+  std::vector<Round> rounds(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    Round& round = rounds[static_cast<std::size_t>(r)];
+    const int num_tasks = 1 + r % 9;
+    round.hits =
+        std::vector<std::atomic<int>>(static_cast<std::size_t>(num_tasks));
+    pool.run(num_tasks, round);
+    for (const auto& h : round.hits) ASSERT_EQ(h.load(), 1) << "round " << r;
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    for (const auto& h : rounds[static_cast<std::size_t>(r)].hits) {
+      ASSERT_EQ(h.load(), 1) << "round " << r;
+    }
+  }
+}
+
+TEST(ThreadPool, CallerThreadLocalsRestoredAfterThrow) {
+  // The caller runs its share as a worker (on_worker_thread() true,
+  // current_num_threads() 1); a throwing region must still hand both
+  // back as they were.
+  ScopedNumThreads outer(5);
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.run(64, [](int) { throw std::runtime_error("task"); }),
+               std::runtime_error);
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  EXPECT_EQ(current_num_threads(), 5);
 }
 
 TEST(ThreadPool, OnWorkerThreadOnlyInsideTasks) {
